@@ -52,9 +52,9 @@ from .montecarlo import (
     ChshEstimate,
     CoincidenceCounts,
     ExperimentConfig,
-    SourceSpec,
     all_events_correlation,
     chsh_all_events,
+    chsh_estimates,
     chsh_post_selected,
     coincidence_probability_estimate,
     expected_coincidence_probability,
@@ -62,7 +62,7 @@ from .montecarlo import (
     run_pairs,
 )
 from .optimize import MinimizeResult, SearchConfig, minimize
-from .quadrature import DEFAULT_QUADRATURE, QuadratureRule, QuadratureSpec, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from .rng import RngStream
 from .transmission import (
     REFERENCE_PARAMS,
@@ -108,14 +108,12 @@ __all__ = [
     "MinimizeResult",
     "ParameterError",
     "QuadratureConvergenceError",
-    "QuadratureRule",
     "QuadratureSpec",
     "REFERENCE_PARAMS",
     "Regime",
     "RegimeError",
     "RngStream",
     "SearchConfig",
-    "SourceSpec",
     "StretchedExponentialModel",
     "TabulatedModel",
     "TransmissionModel",
@@ -125,6 +123,7 @@ __all__ = [
     "bell_operator",
     "canonical_chsh_scenario",
     "chsh_all_events",
+    "chsh_estimates",
     "chsh_post_selected",
     "chsh_square_identity_check",
     "classical_bound_bruteforce",

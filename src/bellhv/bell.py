@@ -35,7 +35,6 @@ from .linalg import (
     hermitian_part,
     numerical_radius,
     require_hermitian,
-    require_square,
     symmetric_extreme_eigen,
 )
 from .optimize import SearchConfig
@@ -64,6 +63,9 @@ MAX_TOTAL_DIM = 16
 
 _NORM_SLACK = 1e-9
 _COMMUTATOR_TOL = 1e-10
+# relative eigensolver round-off: a searched value this close to its regime
+# limit attains the limit rather than violating it
+_LIMIT_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +168,7 @@ def max_expectation(scenario: BellScenario) -> float:
     Equals the spectral radius when B is Hermitian (always the case for the
     commuting regimes); otherwise the numerical radius.
     """
-    b = bell_operator(scenario)
-    deviation = float(np.abs(b - b.conj().T).max())
-    if deviation <= 1e-12 * max(1.0, float(np.abs(b).max())):
-        ext = symmetric_extreme_eigen(b)
-        return float(max(abs(ext.smallest), abs(ext.largest)))
-    return numerical_radius(b)
+    return numerical_radius(bell_operator(scenario))
 
 
 def bb_dagger_expectation(scenario: BellScenario) -> float:
@@ -418,12 +415,20 @@ class BoundReport:
 
     @property
     def expectation_margin(self) -> float:
-        """Distance below the regime limit (negative would mean violation)."""
-        return self.theoretical_limit_expectation - self.best_expectation
+        """Distance below the regime limit (negative would mean violation).
+
+        A value within round-off of the limit attains it: margin 0.0.
+        """
+        return _margin(self.theoretical_limit_expectation, self.best_expectation)
 
     @property
     def bb_dagger_margin(self) -> float:
-        return self.theoretical_limit_bb - self.best_bb_dagger
+        return _margin(self.theoretical_limit_bb, self.best_bb_dagger)
+
+
+def _margin(limit: float, value: float) -> float:
+    margin = limit - value
+    return 0.0 if abs(margin) <= _LIMIT_ROUNDOFF * limit else margin
 
 
 def search_bound(
@@ -436,8 +441,8 @@ def search_bound(
     from the structured canonical tuple (so the known-feasible 2*sqrt(2)
     point is never missed for dim >= 2); the remaining restarts explore from
     random contractions.  The report's best_expectation and best_bb_dagger
-    are recomputed from the witness scenario with the package eigensolver,
-    not taken from ascent internals.
+    are recomputed from the witness scenario (numerical radius and
+    largest eigenvalue of B B^dag), not taken from ascent internals.
     """
     config = config or SearchConfig()
     if not isinstance(regime, Regime):

@@ -41,12 +41,11 @@ from .bell import Regime, search_bound
 from .errors import AngleDomainError, BellhvError, DimensionError, ParameterError
 from .malusfit import FIT_SEARCH, fit as run_fit
 from .montecarlo import (
-    CHSH_SIGNS,
+    CANONICAL_ANGLES,
     ExperimentConfig,
-    all_events_correlation,
+    chsh_estimates,
     coincidence_probability_estimate,
     expected_coincidence_probability,
-    post_selected_correlation,
     run_pairs,
 )
 from .optimize import SearchConfig
@@ -58,17 +57,12 @@ from .transmission import (
     TabulatedModel,
     TransmissionModel,
     TransmissionParams,
-    intensity_ratio,
     malus,
     normalized_pair_curve,
     p1,
 )
 
 SEED_ENV_VAR = "BELLHV_SEED"
-
-# canonical CHSH settings in degrees, (a, b) per run, with the combination
-# signs matching montecarlo.CHSH_SIGNS
-CANONICAL_SETTINGS_DEG = ((0.0, 22.5), (0.0, 67.5), (45.0, 22.5), (45.0, 67.5))
 
 
 def _fmt(value: float) -> str:
@@ -264,7 +258,8 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
     if params.get("alpha") is not None:
         settings = [(0.0, float(params["alpha"]))]
     else:
-        settings = list(CANONICAL_SETTINGS_DEG)
+        # exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
+        settings = np.rad2deg(CANONICAL_ANGLES.settings()).tolist()
 
     tallies = []
     summaries = []
@@ -290,18 +285,15 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
     document = {"settings": summaries}
 
     if len(tallies) == 4:
-        all_events = [all_events_correlation(t) for t in tallies]
-        post = [post_selected_correlation(t) for t in tallies]
-        s_all = sum(s * e for s, (e, _) in zip(CHSH_SIGNS, all_events))
-        s_post = sum(s * e for s, (e, _) in zip(CHSH_SIGNS, post))
+        all_events, post = chsh_estimates(tallies)
         document["chsh"] = {
-            "all_events_S": s_all,
-            "all_events_stderr": float(np.sqrt(sum(err**2 for _, err in all_events))),
-            "post_selected_S": s_post,
-            "post_selected_stderr": float(np.sqrt(sum(err**2 for _, err in post))),
-            "retained_fraction": sum(t.n11 for t in tallies) / (4.0 * n),
-            "correlations_all_events": [e for e, _ in all_events],
-            "correlations_post_selected": [e for e, _ in post],
+            "all_events_S": all_events.value,
+            "all_events_stderr": all_events.stderr,
+            "post_selected_S": post.value,
+            "post_selected_stderr": post.stderr,
+            "retained_fraction": post.retained_fraction,
+            "correlations_all_events": all_events.correlations,
+            "correlations_post_selected": post.correlations,
         }
 
     return {

@@ -11,7 +11,10 @@ probability and the two CHSH-style estimators:
   model can never push the CHSH combination past 2.
 * post-selected: E = p11 / (pA * pB), coincidences normalized by the singles
   product, computed from detected events only.  This is the estimator that
-  can exceed 2 despite the locality of the underlying model.
+  can exceed 2 despite the locality of the underlying model: discarding
+  undetected pairs opens the detection loophole described by P. Pearle,
+  Phys. Rev. D 2, 1418 (1970) and A. Garg and N. D. Mermin, Phys. Rev. D 35,
+  3831 (1987).
 
 Reproducibility: chunk i of a run draws from `rng.substream(i)`, so results
 are independent of chunk scheduling and identical across platforms.
@@ -39,20 +42,6 @@ CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
-class SourceSpec:
-    """Hidden-axis distribution of the pair source."""
-
-    distribution: str = "uniform-half-turn"
-
-    def __post_init__(self):
-        if self.distribution != "uniform-half-turn":
-            raise ParameterError(f"unknown source distribution {self.distribution!r}")
-
-    def sample(self, generator: np.random.Generator, count: int) -> np.ndarray:
-        return generator.uniform(-HALF_WINDOW, HALF_WINDOW, size=count)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """One coincidence run: model, analyzer angles, sample size, stream."""
 
@@ -61,7 +50,6 @@ class ExperimentConfig:
     angle_b: float
     n_pairs: int
     rng: RngStream
-    source: SourceSpec = SourceSpec()
 
     def __post_init__(self):
         if not isinstance(self.model, TransmissionModel):
@@ -75,8 +63,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_pairs", int(self.n_pairs))
         if not isinstance(self.rng, RngStream):
             raise ParameterError("rng must be an RngStream")
-        if not isinstance(self.source, SourceSpec):
-            raise ParameterError("source must be a SourceSpec")
 
 
 @dataclass(frozen=True)
@@ -115,7 +101,7 @@ def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:
     while produced < config.n_pairs:
         count = min(CHUNK_PAIRS, config.n_pairs - produced)
         generator = config.rng.substream(chunk_index).generator()
-        lam = config.source.sample(generator, count)
+        lam = generator.uniform(-HALF_WINDOW, HALF_WINDOW, size=count)
         u_a = generator.uniform(size=count)
         u_b = generator.uniform(size=count)
         passed_a = u_a < config.model.probabilities_wrapped(lam - config.angle_a)
@@ -225,7 +211,6 @@ def _four_settings(
     angles: ChshAngles,
     n_pairs: int,
     rng: RngStream,
-    source: SourceSpec,
 ) -> Tuple[CoincidenceCounts, ...]:
     tallies = []
     for index, (angle_a, angle_b) in enumerate(angles.settings()):
@@ -235,7 +220,6 @@ def _four_settings(
             angle_b=angle_b,
             n_pairs=n_pairs,
             rng=rng.substream(index),
-            source=source,
         )
         tallies.append(run_pairs(config))
     return tuple(tallies)
@@ -290,15 +274,30 @@ def _combine(tallies, correlation, retained_fraction) -> ChshEstimate:
     )
 
 
+def chsh_estimates(tallies) -> Tuple[ChshEstimate, ChshEstimate]:
+    """(all-events, post-selected) CHSH estimates from the same four tallies.
+
+    `tallies` holds one CoincidenceCounts per setting, in the order of
+    `ChshAngles.settings()`.  Raises DegenerateModelError when an arm
+    recorded no transmissions, where post-selection is undefined.
+    """
+    tallies = tuple(tallies)
+    retained = sum(t.n11 for t in tallies) / sum(t.n_pairs for t in tallies)
+    return (
+        _combine(tallies, all_events_correlation, None),
+        _combine(tallies, post_selected_correlation, retained),
+    )
+
+
 def chsh_all_events(
     model: TransmissionModel,
     n_pairs: int,
     rng: RngStream,
     angles: ChshAngles = CANONICAL_ANGLES,
-    source: SourceSpec = SourceSpec(),
 ) -> ChshEstimate:
     """CHSH from agreement-minus-disagreement over all generated pairs."""
-    tallies = _four_settings(model, angles, n_pairs, rng, source)
+    tallies = _four_settings(model, angles, n_pairs, rng)
+    # not via chsh_estimates: this view stays defined without detections
     return _combine(tallies, all_events_correlation, None)
 
 
@@ -307,14 +306,11 @@ def chsh_post_selected(
     n_pairs: int,
     rng: RngStream,
     angles: ChshAngles = CANONICAL_ANGLES,
-    source: SourceSpec = SourceSpec(),
 ) -> ChshEstimate:
     """CHSH from detected coincidences normalized by the singles product.
 
-    Identical (model, n_pairs, rng, angles, source) arguments replay the very
-    same photon records as `chsh_all_events`, so the two estimators can be
-    compared pair-for-pair.
+    Identical (model, n_pairs, rng, angles) arguments replay the very same
+    photon records as `chsh_all_events`, so the two estimators can be
+    compared pair-for-pair; `chsh_estimates` gives both from one draw.
     """
-    tallies = _four_settings(model, angles, n_pairs, rng, source)
-    retained = sum(t.n11 for t in tallies) / (4.0 * n_pairs)
-    return _combine(tallies, post_selected_correlation, retained)
+    return chsh_estimates(_four_settings(model, angles, n_pairs, rng))[1]

@@ -1,23 +1,19 @@
 """Self-contained 1-D quadrature with explicit convergence accounting.
 
-Two rules are provided: composite Simpson (robust default for the kinked
-integrands produced by folded transmission profiles) and Gauss-Legendre
-(fast on smooth integrands).  `integrate` refines by doubling resolution
-until successive values agree to `refine_until`; refusal to converge raises
+The rule is composite Simpson, which stays robust on the kinked integrands
+produced by folded transmission profiles (callers split at the kinks).
+`integrate` refines by doubling the panel count until successive values
+agree to `refine_until`; refusal to converge raises
 :class:`QuadratureConvergenceError` carrying the best value and its estimate
 rather than silently returning garbage.
 
-The Simpson error estimate |S_2n - S_n| / 15 is the standard Richardson
-factor for a fourth-order rule.  For Gauss-Legendre the plain difference of
-successive values is used; being super-algebraically convergent on smooth
-integrands it is, if anything, pessimistic.
+The error estimate |S_2n - S_n| / 15 is the standard Richardson factor for
+a fourth-order rule.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -25,32 +21,24 @@ import numpy as np
 from .errors import ParameterError, QuadratureConvergenceError
 
 
-class QuadratureRule(enum.Enum):
-    COMPOSITE_SIMPSON = "composite-simpson"
-    GAUSS_LEGENDRE = "gauss-legendre"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution and refinement policy for one integral.
 
-    panels: Simpson panel count (must be even) or Gauss-Legendre node count
-        at the first refinement level; each level doubles it.
+    panels: Simpson panel count (must be even) at the first refinement
+        level; each level doubles it.
     refine_until: absolute error target for the two-level estimate.
     max_refinements: doublings allowed before giving up.
     """
 
-    rule: QuadratureRule = QuadratureRule.COMPOSITE_SIMPSON
     panels: int = 4096
     refine_until: float = 1e-9
     max_refinements: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.rule, QuadratureRule):
-            raise ParameterError("rule must be a QuadratureRule")
         if not isinstance(self.panels, (int, np.integer)) or self.panels < 2:
             raise ParameterError("panels must be an integer >= 2")
-        if self.rule is QuadratureRule.COMPOSITE_SIMPSON and self.panels % 2:
+        if self.panels % 2:
             raise ParameterError("composite Simpson needs an even panel count")
         if not (np.isfinite(self.refine_until) and self.refine_until > 0):
             raise ParameterError("refine_until must be a positive finite float")
@@ -82,18 +70,6 @@ def _simpson(f: Callable, lo: float, hi: float, panels: int) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
 
 
-@lru_cache(maxsize=64)
-def _legendre_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _gauss(f: Callable, lo: float, hi: float, nodes: int) -> float:
-    x, w = _legendre_nodes(nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return float(half * np.dot(w, _evaluate(f, mid + half * x)))
-
-
 def integrate(
     f: Callable,
     lo: float,
@@ -115,20 +91,13 @@ def integrate(
     if hi == lo:
         return 0.0, 0.0
 
-    if spec.rule is QuadratureRule.COMPOSITE_SIMPSON:
-        evaluate = _simpson
-        shrink = 15.0
-    else:
-        evaluate = _gauss
-        shrink = 1.0
-
     n = spec.panels
-    value = evaluate(f, lo, hi, n)
+    value = _simpson(f, lo, hi, n)
     estimate = np.inf
     for _ in range(spec.max_refinements):
         n *= 2
-        refined = evaluate(f, lo, hi, n)
-        estimate = abs(refined - value) / shrink
+        refined = _simpson(f, lo, hi, n)
+        estimate = abs(refined - value) / 15.0
         value = refined
         if estimate <= spec.refine_until:
             return value, estimate

@@ -72,8 +72,8 @@ class TransmissionModel:
     """Even transmission-probability profile on the deviation window.
 
     Subclasses implement `_profile(folded)` for folded = |lambda| in
-    [0, pi/2]; the base class handles validation, evenness, zero extension
-    outside the window, and periodic axis reduction.
+    [0, pi/2]; the base class handles validation, evenness, and periodic
+    axis reduction.
     """
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
@@ -85,17 +85,6 @@ class TransmissionModel:
         arr = np.atleast_1d(np.asarray(lam, dtype=float))
         values = self._profile(np.abs(arr))
         values = np.clip(values, 0.0, 1.0)
-        return float(values[0]) if np.ndim(lam) == 0 else values
-
-    def probabilities_extended(self, lam):
-        """p1 extended by zero outside the window; any finite angle allowed."""
-        arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        if not np.all(np.isfinite(arr)):
-            raise AngleDomainError("deviation angle must be finite")
-        inside = np.abs(arr) <= HALF_WINDOW
-        values = np.zeros_like(arr)
-        if np.any(inside):
-            values[inside] = np.clip(self._profile(np.abs(arr[inside])), 0.0, 1.0)
         return float(values[0]) if np.ndim(lam) == 0 else values
 
     def probabilities_wrapped(self, lam):

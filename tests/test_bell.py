@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -278,6 +279,21 @@ class TestSearchBound:
             )
             state = report.witness_state
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-9)
+
+    def test_round_off_at_the_limit_is_no_violation(self):
+        # the default commuting d=4 search lands a few ulp above 2*sqrt(2)
+        report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 4)
+        assert report.best_expectation == pytest.approx(ROOT8, abs=1e-12)
+        assert report.expectation_margin == 0.0
+        assert report.bb_dagger_margin == 0.0
+
+    def test_clear_excess_over_the_limit_stays_negative(self):
+        report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 2, LIGHT)
+        above = dataclasses.replace(
+            report, best_expectation=ROOT8 + 1e-6, best_bb_dagger=8.0 + 1e-6
+        )
+        assert above.expectation_margin == pytest.approx(-1e-6, rel=1e-6)
+        assert above.bb_dagger_margin == pytest.approx(-1e-6, rel=1e-6)
 
     def test_regime_monotonicity_chain(self):
         for seed in range(5):

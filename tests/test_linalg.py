@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _jacobi import jacobi_eigensystem
 from bellhv.errors import DimensionError, HermiticityError
 from bellhv.linalg import (
     commutator,
@@ -36,16 +37,30 @@ class TestRequireHermitian:
 
 
 class TestHermitianEigensystem:
-    @given(dim=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=50))
+    """The LAPACK path against the cyclic Jacobi oracle in tests/_jacobi.py."""
+
+    @given(dim=st.integers(min_value=1, max_value=16), seed=st.integers(min_value=0, max_value=50))
     def test_matches_reference_decomposition(self, dim, seed):
         m = random_hermitian(dim, seed)
         values, vectors = hermitian_eigensystem(m)
-        reference = np.linalg.eigh(m)[0]
+        reference, reference_vectors = jacobi_eigensystem(m)
         scale = max(1.0, float(np.abs(reference).max()))
         np.testing.assert_allclose(values, reference, atol=1e-12 * scale)
-        # columns are eigenvectors: M v = w v
-        residual = m @ vectors - vectors * values[np.newaxis, :]
-        assert np.abs(residual).max() < 1e-12 * scale
+        # columns are eigenvectors: M v = w v, for both solvers
+        for w, v in ((values, vectors), (reference, reference_vectors)):
+            residual = m @ v - v * w[np.newaxis, :]
+            assert np.abs(residual).max() < 1e-12 * scale
+
+    def test_degenerate_spectrum_matches_oracle(self):
+        # involutions, the operators the Bell searches produce, have only
+        # the eigenvalues +/-1, each many times over
+        gen = np.random.default_rng(3)
+        q, _ = np.linalg.qr(gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16)))
+        m = (q * np.repeat([-1.0, 1.0], 8)) @ q.conj().T
+        values, vectors = hermitian_eigensystem(m)
+        np.testing.assert_allclose(values, jacobi_eigensystem(m)[0], atol=1e-12)
+        np.testing.assert_allclose(values, np.repeat([-1.0, 1.0], 8), atol=1e-12)
+        assert np.abs(m @ vectors - vectors * values[np.newaxis, :]).max() < 1e-12
 
     def test_orthonormal_vectors(self):
         m = random_hermitian(6, 7)

@@ -12,9 +12,9 @@ from bellhv.montecarlo import (
     ChshAngles,
     CoincidenceCounts,
     ExperimentConfig,
-    SourceSpec,
     all_events_correlation,
     chsh_all_events,
+    chsh_estimates,
     chsh_post_selected,
     coincidence_probability_estimate,
     expected_coincidence_probability,
@@ -50,10 +50,6 @@ def binomial_sigma(p, n):
 
 
 class TestSourceAndConfig:
-    def test_sampled_polarizations_stay_in_window(self):
-        lam = SourceSpec().sample(RngStream(1).generator(), 10_000)
-        assert np.all(np.abs(lam) <= math.pi / 2)
-
     def test_config_validation(self):
         good = dict(model=REFERENCE_MODEL, angle_a=0.0, angle_b=0.0, rng=RngStream(0))
         ExperimentConfig(n_pairs=1, **good)
@@ -61,10 +57,6 @@ class TestSourceAndConfig:
             ExperimentConfig(n_pairs=0, **good)
         with pytest.raises(ParameterError):
             ExperimentConfig(n_pairs=10**9, **good)
-
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ParameterError):
-            SourceSpec("gaussian")
 
 
 class TestRunPairs:
@@ -242,6 +234,18 @@ class TestChshEstimators:
     def test_certain_absorption_gives_exactly_two(self):
         estimate = chsh_all_events(ConstantModel(0.0), 1000, RngStream(0))
         assert estimate.value == 2.0
+
+    def test_both_views_come_from_one_set_of_tallies(self):
+        alls = chsh_all_events(REFERENCE_MODEL, 5000, RngStream(3))
+        ps = chsh_post_selected(REFERENCE_MODEL, 5000, RngStream(3))
+        both = chsh_estimates(alls.counts)
+        assert both == (alls, ps)
+        assert ps.retained_fraction == sum(t.n11 for t in alls.counts) / (4.0 * 5000)
+
+    def test_post_selected_view_needs_detections(self):
+        alls = chsh_all_events(ConstantModel(0.0), 1000, RngStream(0))
+        with pytest.raises(DegenerateModelError):
+            chsh_estimates(alls.counts)
 
     def test_certain_transmission_post_selection_discards_nothing(self):
         ps = chsh_post_selected(ConstantModel(1.0), 1000, RngStream(0))

@@ -86,9 +86,6 @@ class TestSinglePolarizerProbability:
             p1(REFERENCE_MODEL, 2.0)
 
     def test_extension_and_wrapping(self):
-        assert REFERENCE_MODEL.probabilities_extended(2.0) == 0.0
-        assert REFERENCE_MODEL.probabilities_extended(-2.0) == 0.0
-        assert REFERENCE_MODEL.probabilities_extended(0.3) == REFERENCE_MODEL.probabilities(0.3)
         assert REFERENCE_MODEL.probabilities_wrapped(math.pi) == pytest.approx(
             REFERENCE_MODEL.probabilities(0.0), abs=1e-12
         )
