@@ -61,9 +61,9 @@ from .montecarlo import (
     post_selected_correlation,
     run_pairs,
 )
-from .optimize import MinimizeResult, SearchConfig, minimize
+from .optimize import MinimizeResult, minimize
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
-from .rng import RngStream
+from .rng import RngStream, SearchConfig
 from .transmission import (
     REFERENCE_PARAMS,
     ConstantModel,

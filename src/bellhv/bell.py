@@ -37,8 +37,7 @@ from .linalg import (
     require_hermitian,
     symmetric_extreme_eigen,
 )
-from .optimize import SearchConfig
-from .rng import RngStream
+from .rng import RngStream, SearchConfig
 
 
 class Regime(enum.Enum):

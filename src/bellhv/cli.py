@@ -48,8 +48,7 @@ from .montecarlo import (
     expected_coincidence_probability,
     run_pairs,
 )
-from .optimize import SearchConfig
-from .rng import RngStream
+from .rng import RngStream, SearchConfig
 from .transmission import (
     REFERENCE_PARAMS,
     CosineSquaredModel,

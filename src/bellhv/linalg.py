@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DimensionError, HermiticityError
 
@@ -105,6 +104,9 @@ def numerical_radius(matrix, coarse_points: int = 48, tol: float = 1e-12) -> flo
     def support(theta: float) -> float:
         ext = symmetric_extreme_eigen(hermitian_part(np.exp(1j * theta) * m))
         return max(abs(ext.smallest), abs(ext.largest))
+
+    # imported here so that importing bellhv does not pay for scipy.optimize
+    import scipy.optimize
 
     thetas = np.linspace(0.0, np.pi, coarse_points, endpoint=False)
     values = np.array([support(t) for t in thetas])

@@ -15,8 +15,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ParameterError, QuadratureConvergenceError
-from .optimize import SearchConfig, minimize
+from .optimize import minimize
 from .quadrature import QuadratureSpec
+from .rng import SearchConfig
 from .transmission import (
     REFERENCE_PARAMS,
     StretchedExponentialModel,

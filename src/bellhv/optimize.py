@@ -8,6 +8,10 @@ run to run).
 
 Nelder-Mead never discards its best vertex, so the returned value can only
 improve on the starting objective.
+
+The budget type :class:`SearchConfig` lives in :mod:`bellhv.rng`, so the
+Bell-bound search can use it without this module; it is re-exported here.
+scipy is imported on the first call, not with the package.
 """
 
 from __future__ import annotations
@@ -16,30 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ParameterError
-from .rng import RngStream
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budget and seeding shared by the randomized search routines."""
-
-    restarts: int = 8
-    max_iterations: int = 400
-    tolerance: float = 1e-10
-    rng: RngStream = RngStream(0)
-
-    def __post_init__(self):
-        if not isinstance(self.restarts, (int, np.integer)) or self.restarts < 1:
-            raise ParameterError("restarts must be a positive integer")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ParameterError("max_iterations must be a positive integer")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ParameterError("tolerance must be a positive finite float")
-        if not isinstance(self.rng, RngStream):
-            raise ParameterError("rng must be an RngStream")
+from .rng import SearchConfig
 
 
 @dataclass(frozen=True)
@@ -72,6 +55,9 @@ def minimize(
         perturbation = 0.25 * (1.0 + np.abs(start))
     else:
         perturbation = np.broadcast_to(np.asarray(perturbation, dtype=float), start.shape)
+
+    # imported here so that importing bellhv does not pay for scipy.optimize
+    import scipy.optimize
 
     best: Optional[MinimizeResult] = None
     for restart in range(config.restarts):

@@ -2,13 +2,23 @@
 
 The rule is composite Simpson, which stays robust on the kinked integrands
 produced by folded transmission profiles (callers split at the kinks).
-`integrate` refines by doubling the panel count until successive values
-agree to `refine_until`; refusal to converge raises
+Refinement doubles the panel count until successive values agree to
+`refine_until`; refusal to converge raises
 :class:`QuadratureConvergenceError` carrying the best value and its estimate
 rather than silently returning garbage.
 
 The error estimate |S_2n - S_n| / 15 is the standard Richardson factor for
 a fourth-order rule.
+
+One kernel, :func:`integrate_rows`, integrates a batch of intervals at once
+as a (rows x nodes) array per level; :func:`integrate` is its one-row case.
+Halving the step leaves the level-k nodes bitwise equal to the even nodes of
+level k + 1, so each level evaluates only its new odd nodes and keeps the
+rest.  Rows leave the batch as soon as they meet `refine_until`.  Every sum
+runs over a contiguous copy in the same order as a fresh composite rule on
+that level's full node set, so results do not depend on batching or reuse.
+Rows are taken in blocks of at most `_BLOCK_NODES` first-level nodes, which
+keeps each block's working set small.
 """
 
 from __future__ import annotations
@@ -48,6 +58,9 @@ class QuadratureSpec:
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
+# First-level nodes per block of rows (at least one row per block).
+_BLOCK_NODES = 16384
+
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     try:
@@ -58,16 +71,91 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
         # integrand is scalar-only (raises on arrays or returns a single
         # value); fall back to a loop
         values = np.array([float(f(xi)) for xi in x])
+    return values
+
+
+def _sample(f: Callable, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    values = np.ascontiguousarray(f(x, rows), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ParameterError("integrand returned non-finite values")
     return values
 
 
-def _simpson(f: Callable, lo: float, hi: float, panels: int) -> float:
-    x = np.linspace(lo, hi, panels + 1)
-    y = _evaluate(f, x)
-    h = (hi - lo) / panels
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+def _simpson(y: np.ndarray, odd: np.ndarray, even: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # odd and even must be contiguous: a strided 2-D sum can pair its terms
+    # differently from the 1-D pairwise sum
+    return h / 3.0 * (y[:, 0] + y[:, -1] + 4.0 * odd.sum(axis=1) + 2.0 * even.sum(axis=1))
+
+
+def _integrate_block(
+    f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec
+) -> Tuple[np.ndarray, np.ndarray]:
+    n = spec.panels
+    h = (hi - lo) / n
+    # np.linspace(lo, hi, n + 1) row by row
+    x = np.arange(n + 1.0) * h[:, None] + lo[:, None]
+    x[:, -1] = hi
+    y = _sample(f, x, rows)
+    value = _simpson(
+        y, np.ascontiguousarray(y[:, 1:-1:2]), np.ascontiguousarray(y[:, 2:-2:2]), h
+    )
+    estimate = np.full(rows.size, np.inf)
+    live = np.arange(rows.size)
+    for _ in range(spec.max_refinements):
+        n *= 2
+        h = (hi[live] - lo[live]) / n
+        odd = _sample(f, np.arange(1.0, n, 2.0) * h[:, None] + lo[live, None], rows[live])
+        refined = _simpson(y, odd, np.ascontiguousarray(y[:, 1:-1]), h)
+        estimate[live] = np.abs(refined - value[live]) / 15.0
+        value[live] = refined
+        pending = ~(estimate[live] <= spec.refine_until)
+        if not pending.any():
+            return value, estimate
+        finer = np.empty((int(pending.sum()), n + 1))
+        finer[:, 0::2] = y[pending]
+        finer[:, 1::2] = odd[pending]
+        y = finer
+        live = live[pending]
+    first = int(live[0])
+    raise QuadratureConvergenceError(
+        f"estimate {estimate[first]:.3e} above target {spec.refine_until:.3e} "
+        f"after {spec.max_refinements} refinements",
+        value=float(value[first]),
+        error_estimate=float(estimate[first]),
+    )
+
+
+def integrate_rows(
+    f: Callable,
+    lo,
+    hi,
+    spec: Optional[QuadratureSpec] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate over each interval [lo[i], hi[i]]; return (values, error_estimates).
+
+    f(x, rows) receives the nodes x of shape (len(rows), m) for the batch
+    rows `rows` (indices into lo and hi) and returns the integrand at them,
+    with the same shape.  Each row is refined on its own, exactly as
+    `integrate` would refine it alone.  Raises QuadratureConvergenceError for
+    the first row whose estimate never reaches spec.refine_until.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ParameterError("lo and hi must be 1-D arrays of one length")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ParameterError("integration limits must be finite")
+    if np.any(hi < lo):
+        raise ParameterError("upper limit must not precede lower limit")
+    values = np.zeros(lo.size)
+    estimates = np.zeros(lo.size)
+    rows = np.flatnonzero(hi > lo)
+    per_block = max(1, _BLOCK_NODES // (spec.panels + 1))
+    for start in range(0, rows.size, per_block):
+        block = rows[start : start + per_block]
+        values[block], estimates[block] = _integrate_block(f, block, lo[block], hi[block], spec)
+    return values, estimates
 
 
 def integrate(
@@ -78,32 +166,11 @@ def integrate(
 ) -> Tuple[float, float]:
     """Integrate f over [lo, hi]; return (value, error_estimate).
 
-    Raises QuadratureConvergenceError if the estimate never reaches
-    spec.refine_until within spec.max_refinements doublings.
+    f may be vectorized or scalar-only.  Raises QuadratureConvergenceError if
+    the estimate never reaches spec.refine_until within spec.max_refinements
+    doublings.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ParameterError("integration limits must be finite")
-    if hi < lo:
-        raise ParameterError("upper limit must not precede lower limit")
-    if hi == lo:
-        return 0.0, 0.0
-
-    n = spec.panels
-    value = _simpson(f, lo, hi, n)
-    estimate = np.inf
-    for _ in range(spec.max_refinements):
-        n *= 2
-        refined = _simpson(f, lo, hi, n)
-        estimate = abs(refined - value) / 15.0
-        value = refined
-        if estimate <= spec.refine_until:
-            return value, estimate
-    raise QuadratureConvergenceError(
-        f"estimate {estimate:.3e} above target {spec.refine_until:.3e} "
-        f"after {spec.max_refinements} refinements",
-        value=value,
-        error_estimate=float(estimate),
+    values, estimates = integrate_rows(
+        lambda x, rows: _evaluate(f, x[0])[None, :], [float(lo)], [float(hi)], spec
     )
+    return float(values[0]), float(estimates[0])

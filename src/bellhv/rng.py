@@ -11,6 +11,9 @@ counter-based generators (Philox), so
 Substream derivation folds indices into a 64-bit id with the splitmix64
 finalizer, a well-tested integer mixer, so nearby indices map to unrelated
 keys.
+
+:class:`SearchConfig` bundles a stream with the restart and iteration budget
+of the randomized searches (the simplex fit and the Bell-bound ascent).
 """
 
 from __future__ import annotations
@@ -65,3 +68,23 @@ class RngStream:
             index = _require_u64(index, "substream index")
             state = _splitmix64(state ^ _splitmix64(index))
         return RngStream(self.seed, state)
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Budget and seeding shared by the randomized search routines."""
+
+    restarts: int = 8
+    max_iterations: int = 400
+    tolerance: float = 1e-10
+    rng: RngStream = RngStream(0)
+
+    def __post_init__(self):
+        if not isinstance(self.restarts, (int, np.integer)) or self.restarts < 1:
+            raise ParameterError("restarts must be a positive integer")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ParameterError("max_iterations must be a positive integer")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ParameterError("tolerance must be a positive finite float")
+        if not isinstance(self.rng, RngStream):
+            raise ParameterError("rng must be an RngStream")

@@ -19,6 +19,12 @@ with uniformly distributed hidden axis:
 with the second factor extended by zero outside the window (a photon that
 deviates more than a quarter turn from the second analyzer is absorbed).
 Intensity ratios divide by the half-turn measure pi.
+
+`pair_transmission` takes one angle or a 1-D array of them.  It validates
+the angles once, splits each angle's range at the integrand's kinks, and
+integrates every piece of every angle in one call to the batched Simpson
+kernel :func:`bellhv.quadrature.integrate_rows`; `normalized_pair_curve`
+makes that call once per curve.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate, integrate_rows
 
 
 @dataclass(frozen=True)
@@ -193,20 +199,12 @@ def intensity_ratio(model: TransmissionModel, spec: Optional[QuadratureSpec] = N
     return value / np.pi
 
 
-def pair_transmission(
-    model: TransmissionModel, alpha: float, spec: Optional[QuadratureSpec] = None
-) -> float:
-    """P(alpha): pair transmission at relative analyzer angle alpha.
+def _pair_pieces(alphas: np.ndarray):
+    """Retained integration pieces of every angle: (lo, hi, grid).
 
-    alpha must lie in [-pi/2, pi/2]; P is even in alpha.
+    grid is the (angles x slots) mask of kept pieces in split order, so
+    lo and hi list them angle by angle.
     """
-    alpha = require_deviation_angle(float(alpha), "alpha")
-
-    def integrand(lam):
-        return model.probabilities(lam) * model.probabilities(
-            np.clip(alpha - lam, -HALF_WINDOW, HALF_WINDOW)
-        )
-
     # The second analyzer only transmits for alpha - lambda inside the
     # half-turn window, so the product vanishes identically on part of the
     # range and kinks at lambda = alpha -/+ pi/2; the profile folds add
@@ -214,17 +212,52 @@ def pair_transmission(
     # smooth.  Pieces wholly outside the second window contribute exactly
     # zero and are skipped: sampling them would evaluate the discontinuous
     # edge point and stall the refinement estimate at first order.
-    interior = {0.0, alpha, alpha - HALF_WINDOW, alpha + HALF_WINDOW}
-    splits = sorted(
-        {-HALF_WINDOW, HALF_WINDOW} | {s for s in interior if -HALF_WINDOW < s < HALF_WINDOW}
+    interior = np.column_stack(
+        (np.zeros_like(alphas), alphas, alphas - HALF_WINDOW, alphas + HALF_WINDOW)
     )
-    total = 0.0
-    for lo, hi in zip(splits[:-1], splits[1:]):
-        if abs(alpha - 0.5 * (lo + hi)) > HALF_WINDOW:
-            continue
-        piece, _ = integrate(integrand, lo, hi, spec)
-        total += piece
-    return total
+    # an out-of-window candidate repeats the lower edge and so bounds only
+    # an empty piece, as does a repeated split point
+    interior[~((interior > -HALF_WINDOW) & (interior < HALF_WINDOW))] = -HALF_WINDOW
+    edges = np.full((alphas.size, 1), HALF_WINDOW)
+    splits = np.sort(np.hstack((-edges, interior, edges)), axis=1)
+    lo, hi = splits[:, :-1], splits[:, 1:]
+    grid = (hi > lo) & ~(np.abs(alphas[:, None] - 0.5 * (lo + hi)) > HALF_WINDOW)
+    return lo[grid], hi[grid], grid
+
+
+def _clipped_profile(model: TransmissionModel, lam: np.ndarray) -> np.ndarray:
+    # TransmissionModel.probabilities without the window check, for nodes
+    # that lie in the window by construction
+    return np.clip(model._profile(np.abs(lam)), 0.0, 1.0)
+
+
+def pair_transmission(
+    model: TransmissionModel, alpha, spec: Optional[QuadratureSpec] = None
+):
+    """P(alpha): pair transmission at relative analyzer angle alpha.
+
+    alpha is a scalar or a 1-D array of angles in [-pi/2, pi/2]; the result
+    has the same form.  P is even in alpha.  All pieces of all angles go
+    through one batched quadrature, and each angle's pieces are summed in
+    split order.
+    """
+    alphas = np.atleast_1d(require_deviation_angle(alpha, "alpha"))
+    if alphas.ndim != 1:
+        raise ParameterError("alpha must be a scalar or a 1-D array")
+    lo, hi, grid = _pair_pieces(alphas)
+    owner = np.nonzero(grid)[0]
+
+    def integrand(lam, rows):
+        second = np.clip(alphas[owner[rows], None] - lam, -HALF_WINDOW, HALF_WINDOW)
+        return _clipped_profile(model, lam) * _clipped_profile(model, second)
+
+    pieces = np.zeros(grid.shape)
+    pieces[grid] = integrate_rows(integrand, lo, hi, spec)[0]
+    # add slot by slot, in split order; a skipped slot adds an exact zero
+    total = np.zeros(alphas.size)
+    for column in pieces.T:
+        total += column
+    return float(total[0]) if np.ndim(alpha) == 0 else total
 
 
 def normalized_pair_curve(
@@ -238,12 +271,13 @@ def normalized_pair_curve(
     form the intensity law cos^2 is compared against.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    reference = pair_transmission(model, 0.0, spec)
+    nonzero = alphas != 0.0
+    values = pair_transmission(model, np.concatenate(([0.0], alphas[nonzero])), spec)
+    reference = values[0]
     if reference <= 0.0:
         raise DegenerateModelError("pair transmission at alpha = 0 vanishes")
-    out = np.empty_like(alphas)
-    for i, alpha in enumerate(alphas):
-        out[i] = 1.0 if alpha == 0.0 else pair_transmission(model, alpha, spec) / reference
+    out = np.ones_like(alphas)
+    out[nonzero] = values[1:] / reference
     return out
 
 

@@ -2,11 +2,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _frozen import BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
+import bellhv
 from bellhv import __version__
 from bellhv.cli import SEED_ENV_VAR, main
 
@@ -292,3 +297,14 @@ class TestUsage:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs more to import than the rest of the package; only
+    # the fit and the numerical radius load it, on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
+    code = "import sys, bellhv.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "False"

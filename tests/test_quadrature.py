@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import _simpson_loop
 from _frozen import REFERENCE
 from bellhv.errors import ParameterError, QuadratureConvergenceError
-from bellhv.quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
+from bellhv.quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate, integrate_rows
 from bellhv.transmission import REFERENCE_PARAMS, StretchedExponentialModel
 
 
@@ -86,8 +87,10 @@ class TestIntegrate:
             integrate(lambda x: 1.0 / x, 0.0, 1.0, None)
 
     def test_scalar_only_integrand_supported(self):
-        value, _ = integrate(lambda x: float(x) ** 2, 0.0, 1.0, None)
+        f = lambda x: float(x) ** 2
+        value, estimate = integrate(f, 0.0, 1.0, None)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert (value, estimate) == _simpson_loop.integrate(f, 0.0, 1.0, None)
 
     def test_non_convergence_carries_best_value(self):
         # panels=2 with a single doubling leaves only the coarse 4-panel
@@ -100,6 +103,61 @@ class TestIntegrate:
         assert err.value == pytest.approx(truth, rel=0.1)
         assert err.error_estimate > 1e-30
         assert np.isfinite(err.value) and np.isfinite(err.error_estimate)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("refinements", [0, 1, 2, 3])
+    def test_each_node_evaluated_once(self, refinements):
+        # an unreachable target forces every allowed refinement
+        seen = []
+
+        def counting(x):
+            seen.extend(x.tolist())
+            return np.exp(np.sin(3 * x))
+
+        spec = QuadratureSpec(panels=6, refine_until=1e-300, max_refinements=refinements)
+        with pytest.raises(QuadratureConvergenceError):
+            integrate(counting, 0.0, 2.0, spec)
+        nodes = 6 * 2**refinements + 1
+        assert len(seen) == nodes
+        assert sorted(seen) == np.linspace(0.0, 2.0, nodes).tolist()
+
+    def test_rows_match_single_integrals_bitwise(self):
+        lo = np.array([0.0, -1.0, 0.5, 0.5, -0.3])
+        hi = np.array([1.0, 2.5, 0.5, 0.5000001, 1.7])
+        omega = np.array([1.0, 3.0, 2.0, 5.0, 0.7])
+
+        def batched(x, rows):
+            return np.cos(omega[rows, None] * x) * np.exp(-0.5 * x**2)
+
+        spec = QuadratureSpec(panels=4, refine_until=1e-11, max_refinements=10)
+        values, estimates = integrate_rows(batched, lo, hi, spec)
+        for i in range(lo.size):
+            alone = _simpson_loop.integrate(
+                lambda x: np.cos(omega[i] * x) * np.exp(-0.5 * x**2), lo[i], hi[i], spec
+            )
+            assert (values[i], estimates[i]) == alone
+
+    def test_one_stalled_row_fails_the_batch(self):
+        lo, hi = np.array([0.0, 0.0, 0.0]), np.array([1.0, 2.0, 1.0])
+        rough = lambda x: np.sin(40.0 * x)
+
+        def batched(x, rows):
+            return np.where(rows[:, None] == 1, rough(x), x**2)
+
+        spec = QuadratureSpec(panels=4, refine_until=1e-12, max_refinements=3)
+        with pytest.raises(QuadratureConvergenceError) as excinfo:
+            integrate_rows(batched, lo, hi, spec)
+        with pytest.raises(QuadratureConvergenceError) as alone:
+            _simpson_loop.integrate(rough, 0.0, 2.0, spec)
+        assert excinfo.value.value == alone.value.value
+        assert excinfo.value.error_estimate == alone.value.error_estimate
+
+    def test_bad_limits_rejected(self):
+        with pytest.raises(ParameterError):
+            integrate_rows(lambda x, rows: x, [0.0, 1.0], [1.0], None)
+        with pytest.raises(ParameterError):
+            integrate_rows(lambda x, rows: x, [0.0, 1.0], [1.0, 0.5], None)
 
 
 @given(

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import _simpson_loop
 from _frozen import BELINFANTE, GRID_DEG, REFERENCE, STEEP, STEEP_TRIPLE
-from bellhv.errors import AngleDomainError, DegenerateModelError, ParameterError
-from bellhv.quadrature import QuadratureSpec
+from bellhv.errors import (
+    AngleDomainError,
+    DegenerateModelError,
+    ParameterError,
+    QuadratureConvergenceError,
+)
+from bellhv.malusfit import FIT_QUADRATURE
+from bellhv.quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from bellhv.transmission import (
     REFERENCE_PARAMS,
     ConstantModel,
@@ -251,6 +258,94 @@ class TestNormalizedPairCurve:
         model = TabulatedModel([0.0, math.pi / 2], [0.0, 0.0])
         with pytest.raises(DegenerateModelError):
             normalized_pair_curve(model, [0.0, 0.5])
+
+
+def _same_bits(left, right):
+    return np.asarray(left, dtype=float).tobytes() == np.asarray(right, dtype=float).tobytes()
+
+
+class TestAgainstPerPieceLoop:
+    """The batched kernel against the per-piece loop in tests/_simpson_loop.py."""
+
+    @pytest.mark.parametrize("spec", [FIT_QUADRATURE, DEFAULT_QUADRATURE], ids=["fit", "default"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            REFERENCE_MODEL,
+            BELINFANTE_MODEL,
+            TabulatedModel([0.0, 0.4, 1.1, math.pi / 2], [1.0, 0.7, 0.2, 0.05]),
+        ],
+        ids=["reference", "belinfante", "tabulated"],
+    )
+    def test_fixed_models_bitwise(self, model, spec):
+        grid = default_angle_grid()
+        assert _same_bits(
+            normalized_pair_curve(model, grid, spec),
+            _simpson_loop.normalized_pair_curve(model, grid, spec),
+        )
+        assert intensity_ratio(model, spec) == (
+            _simpson_loop.integrate(model.probabilities, -math.pi / 2, math.pi / 2, spec)[0]
+            / math.pi
+        )
+
+    @given(
+        log_a=st.floats(min_value=-1.5, max_value=4.0),
+        log_e=st.floats(min_value=-1.5, max_value=3.0),
+        log_c=st.floats(min_value=-8.0, max_value=10.0),
+        spec=st.sampled_from([FIT_QUADRATURE, DEFAULT_QUADRATURE]),
+    )
+    def test_random_triples_bitwise(self, log_a, log_e, log_c, spec):
+        model = StretchedExponentialModel(
+            TransmissionParams(math.exp(log_a), math.exp(log_e), math.exp(log_c))
+        )
+        grid = default_angle_grid()
+        try:
+            expected = _simpson_loop.normalized_pair_curve(model, grid, spec)
+        except QuadratureConvergenceError as err:
+            with pytest.raises(QuadratureConvergenceError) as batched:
+                normalized_pair_curve(model, grid, spec)
+            assert (batched.value.value, batched.value.error_estimate) == (
+                err.value,
+                err.error_estimate,
+            )
+        else:
+            assert _same_bits(normalized_pair_curve(model, grid, spec), expected)
+
+    @pytest.mark.parametrize("max_refinements", [0, 1, 3])
+    def test_non_convergence_matches_loop(self, max_refinements):
+        spec = QuadratureSpec(panels=8, refine_until=1e-13, max_refinements=max_refinements)
+        grid = default_angle_grid()
+        with pytest.raises(QuadratureConvergenceError) as expected:
+            _simpson_loop.normalized_pair_curve(REFERENCE_MODEL, grid, spec)
+        with pytest.raises(QuadratureConvergenceError) as batched:
+            normalized_pair_curve(REFERENCE_MODEL, grid, spec)
+        assert (batched.value.value, batched.value.error_estimate) == (
+            expected.value.value,
+            expected.value.error_estimate,
+        )
+
+    def test_array_matches_scalar_calls(self):
+        # ~3 pieces per angle, far more rows than one block at either spec
+        alphas = np.concatenate(
+            (np.linspace(-math.pi / 2, math.pi / 2, 41), [0.0, -0.0, 1e-17, math.pi / 2 + 1e-10])
+        )
+        for spec in (FIT_QUADRATURE, DEFAULT_QUADRATURE):
+            batched = pair_transmission(REFERENCE_MODEL, alphas, spec)
+            assert batched.shape == alphas.shape
+            assert _same_bits(batched, [pair_transmission(REFERENCE_MODEL, a, spec) for a in alphas])
+            assert _same_bits(
+                batched, [_simpson_loop.pair_transmission(REFERENCE_MODEL, a, spec) for a in alphas]
+            )
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(pair_transmission(REFERENCE_MODEL, 0.4), float)
+        assert pair_transmission(REFERENCE_MODEL, np.array([0.4])).shape == (1,)
+
+    def test_bad_angle_shapes_rejected(self):
+        with pytest.raises(ParameterError):
+            pair_transmission(REFERENCE_MODEL, np.zeros((2, 2)))
+        with pytest.raises(AngleDomainError):
+            pair_transmission(REFERENCE_MODEL, [0.1, 2.0])
 
 
 def test_default_angle_grid_matches_frozen_grid():
