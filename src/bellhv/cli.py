@@ -222,6 +222,22 @@ def _execute_bounds(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], boo
     return {f"{stem_name}.json": _json_bytes(document)}, True
 
 
+def _z_score(estimate: float, stderr: float, expected: float, n: int) -> float:
+    """Deviation of the observed p11 from the expected one, in standard errors.
+
+    A tally of no coincidences, or of nothing else, has no binomial spread
+    of its own; it is scored against the spread at the expected rate, so it
+    does not read as perfect agreement.
+    """
+    if stderr == 0.0:
+        rate = min(max(expected, 0.0), 1.0)
+        stderr = float(np.sqrt(rate * (1.0 - rate) / n))
+        if stderr == 0.0:
+            # the expected rate is certain too: either met or missed outright
+            return 0.0 if estimate == rate else float(np.copysign(np.inf, estimate - rate))
+    return (estimate - expected) / stderr
+
+
 def _simulate_one(model, angle_a_deg, angle_b_deg, n, rng):
     config = ExperimentConfig(
         model=model,
@@ -233,7 +249,7 @@ def _simulate_one(model, angle_a_deg, angle_b_deg, n, rng):
     counts = run_pairs(config)
     estimate, stderr = coincidence_probability_estimate(counts)
     expected = expected_coincidence_probability(model, config.angle_a, config.angle_b)
-    z = 0.0 if stderr == 0.0 else (estimate - expected) / stderr
+    z = _z_score(estimate, stderr, expected, n)
     summary = {
         "angle_a_deg": angle_a_deg,
         "angle_b_deg": angle_b_deg,

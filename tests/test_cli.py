@@ -13,7 +13,7 @@ import pytest
 from _frozen import BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 import bellhv
 from bellhv import __version__
-from bellhv.cli import SEED_ENV_VAR, main
+from bellhv.cli import SEED_ENV_VAR, _z_score, main
 
 
 def read_rows(path):
@@ -146,6 +146,20 @@ class TestSimulate:
         assert setting["n11"] + setting["n10"] + setting["n01"] + setting["n00"] == 20000
         assert abs(setting["z_score"]) <= 5.0
 
+    def test_tally_without_coincidences_is_scored_at_the_expected_rate(self, tmp_path):
+        # 20 crossed pairs give no coincidence; the tally's own stderr is 0
+        stem = tmp_path / "empty"
+        assert main(
+            ["simulate", "--alpha", "90", "--n", "20", "--seed", "3", "--out", str(stem)]
+        ) == 0
+        (setting,) = read_json(tmp_path / "empty.json")["settings"]
+        assert (setting["n11"], setting["p11"], setting["p11_stderr"]) == (0, 0.0, 0.0)
+        expected = setting["p11_expected"]
+        assert expected > 0.0
+        sigma = math.sqrt(expected * (1.0 - expected) / 20)
+        assert setting["z_score"] == pytest.approx(-expected / sigma, rel=1e-9)
+        assert setting["z_score"] < -0.5
+
     def test_crossed_analyzers_match_the_expected_rate(self, tmp_path):
         stem = tmp_path / "crossed"
         assert main(
@@ -178,6 +192,27 @@ class TestSimulate:
         assert main(
             ["simulate", "--alpha", "100", "--out", str(tmp_path / "x")]
         ) == 2
+
+
+class TestZScore:
+    def test_spread_tally_divides_by_its_own_stderr(self):
+        assert _z_score(0.25, 0.01, 0.2, 100) == (0.25 - 0.2) / 0.01
+
+    @pytest.mark.parametrize("estimate", [0.0, 1.0])
+    def test_degenerate_tally_uses_the_expected_spread(self, estimate):
+        expected = 0.3
+        sigma = math.sqrt(expected * (1.0 - expected) / 50)
+        assert _z_score(estimate, 0.0, expected, 50) == (estimate - expected) / sigma
+
+    @pytest.mark.parametrize(
+        "estimate,expected", [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 2e-16), (0.0, -1e-300)]
+    )
+    def test_certain_rate_met_scores_zero(self, estimate, expected):
+        assert _z_score(estimate, 0.0, expected, 10) == 0.0
+
+    def test_certain_rate_missed_scores_infinite(self):
+        assert _z_score(0.0, 0.0, 1.0, 10) == -math.inf
+        assert _z_score(1.0, 0.0, 0.0, 10) == math.inf
 
 
 class TestFit:
@@ -301,10 +336,14 @@ class TestUsage:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs more to import than the rest of the package; only
-    # the fit and the numerical radius load it, on first use
+    # the fit and the numerical radius load it, on first use.  Likewise
+    # concurrent.futures, which only a multi-chunk run_pairs loads.
     env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
-    code = "import sys, bellhv.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, bellhv.cli; "
+        "print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

@@ -1,14 +1,22 @@
+import concurrent.futures
+import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import _chunk_loop
 from _frozen import MC_BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
+from bellhv import montecarlo
 from bellhv.errors import DegenerateModelError, ParameterError
 from bellhv.montecarlo import (
     CANONICAL_ANGLES,
     CHSH_SIGNS,
+    CHUNK_PAIRS,
     ChshAngles,
     CoincidenceCounts,
     ExperimentConfig,
@@ -27,10 +35,13 @@ from bellhv.transmission import (
     ConstantModel,
     CosineSquaredModel,
     StretchedExponentialModel,
+    TabulatedModel,
+    TransmissionModel,
 )
 
 REFERENCE_MODEL = StretchedExponentialModel(REFERENCE_PARAMS)
 BELINFANTE_MODEL = CosineSquaredModel()
+TABULATED_MODEL = TabulatedModel([0.0, 0.4, 1.1, math.pi / 2], [1.0, 0.7, 0.2, 0.05])
 
 
 def simulate(model, alpha_deg, n, seed):
@@ -147,6 +158,137 @@ class TestRunPairs:
         sigma = binomial_sigma(0.5, n)
         assert abs(forward.singles_a - swapped.singles_b) / n <= 4.0 * math.hypot(sigma, sigma)
         assert abs(forward.singles_b - swapped.singles_a) / n <= 4.0 * math.hypot(sigma, sigma)
+
+
+def _config(model, n, seed=3, angle_a=0.3, angle_b=-1.2):
+    return ExperimentConfig(
+        model=model, angle_a=angle_a, angle_b=angle_b, n_pairs=n, rng=RngStream(seed)
+    )
+
+
+class ProfileFailure(Exception):
+    pass
+
+
+class FailsAfter(TransmissionModel):
+    """cos^2 profile that raises once `calls` evaluations have been made."""
+
+    def __init__(self, calls):
+        self.calls = calls
+        self.counter = itertools.count()
+
+    def _profile(self, folded):
+        if next(self.counter) >= self.calls:
+            raise ProfileFailure("profile failed on a later chunk")
+        return np.cos(folded) ** 2
+
+
+class TestAgainstSerialChunkLoop:
+    """Threaded chunk tallies against the serial loop in tests/_chunk_loop.py."""
+
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 1, 5 * CHUNK_PAIRS + 17]
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE_MODEL, BELINFANTE_MODEL, TABULATED_MODEL, ConstantModel(0.37)],
+        ids=["reference", "belinfante", "tabulated", "constant"],
+    )
+    def test_fixed_models_exact(self, model, n):
+        config = _config(model, n)
+        assert run_pairs(config) == _chunk_loop.run_pairs(config)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        angle_a=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+        angle_b=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+        n=st.integers(min_value=1, max_value=3000),
+    )
+    def test_random_angles_and_seeds_exact(self, seed, angle_a, angle_b, n):
+        config = _config(REFERENCE_MODEL, n, seed, angle_a, angle_b)
+        assert run_pairs(config) == _chunk_loop.run_pairs(config)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_counts_do_not_depend_on_worker_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        config = _config(REFERENCE_MODEL, 5 * CHUNK_PAIRS + 17, seed=11)
+        assert run_pairs(config) == _chunk_loop.run_pairs(config)
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        # every worker shares the config and model; fast thread switching
+        # must not perturb a tally
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2 * (os.cpu_count() or 1) + 1)
+        config = _config(TABULATED_MODEL, 7 * CHUNK_PAIRS + 3, seed=12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = run_pairs(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == _chunk_loop.run_pairs(config)
+
+    @pytest.mark.parametrize(
+        "cpus,chunks,workers", [(1, 6, None), (2, 6, 2), (3, 6, 3), (3, 2, 2), (4, 1, None)]
+    )
+    def test_worker_count_is_usable_cpus_capped_at_chunks(
+        self, monkeypatch, cpus, chunks, workers
+    ):
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        run_pairs(_config(BELINFANTE_MODEL, (chunks - 1) * CHUNK_PAIRS + 5))
+        # one worker tallies in the calling thread and starts no pool
+        assert sizes == ([] if workers is None else [workers])
+
+    def test_workers_call_no_traced_method(self, monkeypatch):
+        # streams and validating model methods run in the calling thread only
+        callers = []
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                callers.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for cls, name in [
+            (TransmissionModel, "probabilities"),
+            (TransmissionModel, "probabilities_wrapped"),
+            (RngStream, "generator"),
+        ]:
+            monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
+        monkeypatch.setattr(
+            montecarlo, "require_deviation_angle", recorded(montecarlo.require_deviation_angle)
+        )
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        run_pairs(_config(REFERENCE_MODEL, 3 * CHUNK_PAIRS))
+        # two angle checks in the config, then one generator per chunk
+        assert callers == [threading.get_ident()] * 5
+
+    def test_later_chunk_failure_propagates(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        blocks = CHUNK_PAIRS // montecarlo._ARM_BLOCK
+        # two arms per block: the first two chunks pass, a later one raises
+        model = FailsAfter(calls=2 * 2 * blocks)
+        with pytest.raises(ProfileFailure):
+            run_pairs(_config(model, 6 * CHUNK_PAIRS))
+
+    def test_usable_cpus_reads_affinity_else_cpu_count(self, monkeypatch):
+        assert montecarlo._usable_cpus() >= 1
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+            assert montecarlo._usable_cpus() == 3
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert montecarlo._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
 
 
 class TestCountsValidationAndEstimates:
