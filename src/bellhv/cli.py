@@ -232,10 +232,7 @@ def _z_score(estimate: float, stderr: float, expected: float, n: int) -> float:
     if stderr == 0.0:
         rate = min(max(expected, 0.0), 1.0)
         stderr = float(np.sqrt(rate * (1.0 - rate) / n))
-        if stderr == 0.0:
-            # the expected rate is certain too: either met or missed outright
-            return 0.0 if estimate == rate else float(np.copysign(np.inf, estimate - rate))
-    return (estimate - expected) / stderr
+    return 0.0 if stderr == 0.0 else (estimate - expected) / stderr
 
 
 def _simulate_one(model, angle_a_deg, angle_b_deg, n, rng):

@@ -144,8 +144,8 @@ def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:
 
     The pairs come in chunks of CHUNK_PAIRS, chunk i drawn from
     `config.rng.substream(i)`.  The chunks are tallied on
-    min(chunks, usable CPUs) worker threads, or in the calling thread when
-    that is one; the counts are the same for any number of workers.
+    min(chunks, usable CPUs) worker threads; the counts are the same for any
+    number of workers.
     """
     full, rest = divmod(config.n_pairs, CHUNK_PAIRS)
     sizes = [CHUNK_PAIRS] * full + ([rest] if rest else [])
@@ -153,15 +153,11 @@ def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:
     # method, which per-layer tracing wraps with one-thread bookkeeping
     generators = [config.rng.substream(i).generator() for i in range(len(sizes))]
     tally = functools.partial(_tally_chunk, config)
-    workers = min(len(sizes), _usable_cpus())
-    if workers == 1:
-        tallies = list(map(tally, generators, sizes))
-    else:
-        # imported here, not at module level: it costs every CLI start ~13 ms
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here, not at module level: it costs every CLI start ~13 ms
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(tally, generators, sizes))
+    with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
+        tallies = list(pool.map(tally, generators, sizes))
     n11, n10, n01 = (sum(cells) for cells in zip(*tallies))
     return CoincidenceCounts(
         n11=n11,

@@ -77,9 +77,12 @@ REFERENCE_PARAMS = TransmissionParams(a=2.6, e=2.2, c=45.0)
 class TransmissionModel:
     """Even transmission-probability profile on the deviation window.
 
-    Subclasses implement `_profile(folded)` for folded = |lambda| in
+    Subclasses implement only `_profile(folded)` for folded = |lambda| in
     [0, pi/2]; the base class handles validation, evenness, and periodic
-    axis reduction.
+    axis reduction.  `_profile` must be a pure, thread-safe function of its
+    argument: the Monte Carlo sampler calls it directly, bypassing
+    `probabilities` and `probabilities_wrapped`, from several threads at
+    once.
     """
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:

@@ -210,10 +210,6 @@ class TestZScore:
     def test_certain_rate_met_scores_zero(self, estimate, expected):
         assert _z_score(estimate, 0.0, expected, 10) == 0.0
 
-    def test_certain_rate_missed_scores_infinite(self):
-        assert _z_score(0.0, 0.0, 1.0, 10) == -math.inf
-        assert _z_score(1.0, 0.0, 0.0, 10) == math.inf
-
 
 class TestFit:
     def test_default_fit_matches_the_recorded_run(self, tmp_path):

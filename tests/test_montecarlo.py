@@ -228,7 +228,7 @@ class TestAgainstSerialChunkLoop:
         assert counts == _chunk_loop.run_pairs(config)
 
     @pytest.mark.parametrize(
-        "cpus,chunks,workers", [(1, 6, None), (2, 6, 2), (3, 6, 3), (3, 2, 2), (4, 1, None)]
+        "cpus,chunks,workers", [(1, 6, 1), (2, 6, 2), (3, 6, 3), (3, 2, 2), (4, 1, 1)]
     )
     def test_worker_count_is_usable_cpus_capped_at_chunks(
         self, monkeypatch, cpus, chunks, workers
@@ -243,8 +243,7 @@ class TestAgainstSerialChunkLoop:
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         run_pairs(_config(BELINFANTE_MODEL, (chunks - 1) * CHUNK_PAIRS + 5))
-        # one worker tallies in the calling thread and starts no pool
-        assert sizes == ([] if workers is None else [workers])
+        assert sizes == [workers]
 
     def test_workers_call_no_traced_method(self, monkeypatch):
         # streams and validating model methods run in the calling thread only
