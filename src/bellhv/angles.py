@@ -57,6 +57,8 @@ def degrees_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
     """Inclusive degree grid start:step:stop, returned in radians."""
     if step_deg <= 0 or not np.isfinite(step_deg):
         raise AngleDomainError("grid step must be positive and finite")
+    if not (np.isfinite(start_deg) and np.isfinite(stop_deg)):
+        raise AngleDomainError("grid start and stop must be finite")
     if stop_deg < start_deg:
         raise AngleDomainError("grid stop must not precede start")
     count = int(np.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1

@@ -375,10 +375,17 @@ def _run_replay(manifest_path: str, out_dir: str) -> int:
     source = Path(manifest_path)
     if not source.is_file():
         raise ParameterError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(source.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(source.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"manifest is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParameterError("manifest must be a JSON object")
     for key in ("subcommand", "parameters", "outputs"):
         if key not in manifest:
             raise ParameterError(f"manifest is missing the {key!r} field")
+    if not (manifest.get("stem") or manifest["outputs"]):
+        raise ParameterError("manifest names neither a stem nor any output")
     subcommand = manifest["subcommand"]
     if subcommand not in _EXECUTORS:
         raise ParameterError(f"manifest names unknown subcommand {subcommand!r}")

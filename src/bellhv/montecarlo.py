@@ -3,7 +3,9 @@
 Each simulated pair carries one shared hidden polarization axis, drawn
 uniformly from the half-turn window.  Arm A transmits with probability
 p1(lambda - angle_a) and arm B with p1(lambda - angle_b), both deviations
-folded back into the window (axes are direction-free, period pi).  The four
+folded back into the window (axes are direction-free, period pi): the
+wrapped convention of `transmission._coincidence_integral`, described there
+beside the pair curve's absorbing one.  The four
 tally cells (both / A only / B only / neither) support the coincidence
 probability and the two CHSH-style estimators:
 
@@ -34,11 +36,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
+from .angles import HALF_WINDOW, require_deviation_angle
 from .errors import DegenerateModelError, ParameterError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec
+from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
 from .rng import RngStream
-from .transmission import TransmissionModel, _clipped_profile
+from .transmission import TransmissionModel, _coincidence_integral, _wrapped_profile
 
 CHUNK_PAIRS = 1 << 16
 
@@ -123,16 +126,11 @@ def _tally_chunk(
     lam = generator.uniform(-HALF_WINDOW, HALF_WINDOW, size=count)
     u_a = generator.uniform(size=count)
     u_b = generator.uniform(size=count)
-
-    def passed(u, deviation):
-        folded = np.clip(reduce_axis_angle(deviation), -HALF_WINDOW, HALF_WINDOW)
-        return u < _clipped_profile(config.model, folded)
-
     n11 = n10 = n01 = 0
     for start in range(0, count, _ARM_BLOCK):
         block = slice(start, start + _ARM_BLOCK)
-        passed_a = passed(u_a[block], lam[block] - config.angle_a)
-        passed_b = passed(u_b[block], lam[block] - config.angle_b)
+        passed_a = u_a[block] < _wrapped_profile(config.model, lam[block] - config.angle_a)
+        passed_b = u_b[block] < _wrapped_profile(config.model, lam[block] - config.angle_b)
         n11 += int(np.count_nonzero(passed_a & passed_b))
         n10 += int(np.count_nonzero(passed_a & ~passed_b))
         n01 += int(np.count_nonzero(~passed_a & passed_b))
@@ -183,32 +181,12 @@ def expected_coincidence_probability(
     angle_b: float,
     spec: Optional[QuadratureSpec] = None,
 ) -> float:
-    """Quadrature value of the coincidence probability the sampler estimates.
-
-    Averages p1(fold(lambda - angle_a)) * p1(fold(lambda - angle_b)) over the
-    uniform hidden axis.  The integrand is split at every fold point (each
-    analyzer angle and its +/- quarter-turn wrap images) so each quadrature
-    piece is smooth.
-    """
+    """Quadrature value of the coincidence probability the sampler estimates:
+    the wrapped `transmission._coincidence_integral` over the measure pi."""
     angle_a = require_deviation_angle(float(angle_a), "angle_a")
     angle_b = require_deviation_angle(float(angle_b), "angle_b")
-
-    def integrand(lam):
-        return model.probabilities_wrapped(lam - angle_a) * model.probabilities_wrapped(
-            lam - angle_b
-        )
-
-    interior = set()
-    for theta in (angle_a, angle_b):
-        for candidate in (theta, theta - HALF_WINDOW, theta + HALF_WINDOW):
-            if -HALF_WINDOW < candidate < HALF_WINDOW:
-                interior.add(float(candidate))
-    splits = sorted({-HALF_WINDOW, HALF_WINDOW} | interior)
-    total = 0.0
-    for lo, hi in zip(splits[:-1], splits[1:]):
-        piece, _ = integrate(integrand, lo, hi, spec)
-        total += piece
-    return total / np.pi
+    total = _coincidence_integral(model, np.array([angle_a]), np.array([angle_b]), spec, False)
+    return float(total[0]) / np.pi
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,14 @@ squared intensity law even though a single polarizer does not.
 Pair transmission for relative analyzer angle alpha averages over a source
 with uniformly distributed hidden axis:
 
-    P(alpha) = integral over lambda of p1(lambda) * p1(alpha - lambda),
+    P(alpha) = integral over lambda of p1(lambda) * p1(alpha - lambda).
 
-with the second factor extended by zero outside the window (a photon that
-deviates more than a quarter turn from the second analyzer is absorbed).
-Intensity ratios divide by the half-turn measure pi.
-
-`pair_transmission` takes one angle or a 1-D array of them.  It validates
-the angles once, splits each angle's range at the integrand's kinks, and
-integrates every piece of every angle in one call to the batched Simpson
-kernel :func:`bellhv.quadrature.integrate_rows`; `normalized_pair_curve`
-makes that call once per curve.
+Intensity ratios divide by the half-turn measure pi.  The pair curve and
+the Monte Carlo's expected coincidence rate are one integral, under two
+conventions described on its kernel `_coincidence_integral`.  The kernel
+sends every piece of every setting through one call to the batched Simpson
+kernel :func:`bellhv.quadrature.integrate_rows`, so `pair_transmission` and
+`normalized_pair_curve` each make one such call for all their angles.
 """
 
 from __future__ import annotations
@@ -91,9 +88,7 @@ class TransmissionModel:
     def probabilities(self, lam):
         """p1 evaluated on the closed window [-pi/2, pi/2]."""
         lam = require_deviation_angle(lam, "deviation angle")
-        arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        values = self._profile(np.abs(arr))
-        values = np.clip(values, 0.0, 1.0)
+        values = _clipped_profile(self, np.atleast_1d(lam))
         return float(values[0]) if np.ndim(lam) == 0 else values
 
     def probabilities_wrapped(self, lam):
@@ -202,36 +197,65 @@ def intensity_ratio(model: TransmissionModel, spec: Optional[QuadratureSpec] = N
     return value / np.pi
 
 
-def _pair_pieces(alphas: np.ndarray):
-    """Retained integration pieces of every angle: (lo, hi, grid).
+def _clipped_profile(model: TransmissionModel, lam: np.ndarray) -> np.ndarray:
+    # TransmissionModel.probabilities without the window check
+    return np.clip(model._profile(np.abs(lam)), 0.0, 1.0)
 
-    grid is the (angles x slots) mask of kept pieces in split order, so
-    lo and hi list them angle by angle.
+
+def _wrapped_profile(model: TransmissionModel, deviation: np.ndarray) -> np.ndarray:
+    # TransmissionModel.probabilities_wrapped without the window check
+    folded = np.clip(reduce_axis_angle(deviation), -HALF_WINDOW, HALF_WINDOW)
+    return _clipped_profile(model, folded)
+
+
+def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.ndarray:
+    """Integral over the hidden axis lambda in [-pi/2, pi/2] of both arms' product.
+
+    angle_a and angle_b are 1-D arrays of validated settings, one result per
+    pair.  The two conventions differ in a deviation beyond a quarter turn:
+
+    * absorbing (the pair curve and its 0.0459 cos^2 headline, A at 0):
+      p1(lambda) * p1(angle_b - lambda), the second factor zero outside the
+      window, as a photon deviating more than a quarter turn from B is absorbed.
+    * wrapped (absorbing=False, the Monte Carlo): p1(fold(lambda - angle_a))
+      * p1(fold(lambda - angle_b)), both deviations folded modulo pi as in
+      `TransmissionModel.probabilities_wrapped`.  The sampler draws this one.
+
+    Each range is split at a, b, a -/+ pi/2 and b -/+ pi/2, so every piece is
+    smooth.  Absorbing pieces whose midpoint lies more than a quarter turn
+    from B are exactly zero and dropped: sampling them would evaluate the
+    discontinuous edge and stall the refinement estimate at first order.
+    All pieces go through one `integrate_rows` call, and each setting's
+    pieces are summed in split order.
     """
-    # The second analyzer only transmits for alpha - lambda inside the
-    # half-turn window, so the product vanishes identically on part of the
-    # range and kinks at lambda = alpha -/+ pi/2; the profile folds add
-    # kinks at 0 and alpha.  Splitting there keeps each retained piece
-    # smooth.  Pieces wholly outside the second window contribute exactly
-    # zero and are skipped: sampling them would evaluate the discontinuous
-    # edge point and stall the refinement estimate at first order.
-    interior = np.column_stack(
-        (np.zeros_like(alphas), alphas, alphas - HALF_WINDOW, alphas + HALF_WINDOW)
-    )
-    # an out-of-window candidate repeats the lower edge and so bounds only
-    # an empty piece, as does a repeated split point
+    # a candidate outside the open window repeats the lower edge and so
+    # bounds only an empty piece, as does a repeated split point
+    interior = np.column_stack((angle_a, angle_b))
+    interior = np.hstack((interior, interior - HALF_WINDOW, interior + HALF_WINDOW))
     interior[~((interior > -HALF_WINDOW) & (interior < HALF_WINDOW))] = -HALF_WINDOW
-    edges = np.full((alphas.size, 1), HALF_WINDOW)
+    edges = np.full((angle_b.size, 1), HALF_WINDOW)
     splits = np.sort(np.hstack((-edges, interior, edges)), axis=1)
     lo, hi = splits[:, :-1], splits[:, 1:]
-    grid = (hi > lo) & ~(np.abs(alphas[:, None] - 0.5 * (lo + hi)) > HALF_WINDOW)
-    return lo[grid], hi[grid], grid
+    grid = hi > lo
+    if absorbing:
+        grid &= ~(np.abs(angle_b[:, None] - 0.5 * (lo + hi)) > HALF_WINDOW)
+    owner = np.nonzero(grid)[0]
+    row_a, row_b = angle_a[owner, None], angle_b[owner, None]
 
+    def integrand(lam, rows):
+        if absorbing:
+            second = np.clip(row_b[rows] - lam, -HALF_WINDOW, HALF_WINDOW)
+            return _clipped_profile(model, lam) * _clipped_profile(model, second)
+        first = _wrapped_profile(model, lam - row_a[rows])
+        return first * _wrapped_profile(model, lam - row_b[rows])
 
-def _clipped_profile(model: TransmissionModel, lam: np.ndarray) -> np.ndarray:
-    # TransmissionModel.probabilities without the window check, for nodes
-    # that lie in the window by construction
-    return np.clip(model._profile(np.abs(lam)), 0.0, 1.0)
+    pieces = np.zeros(grid.shape)
+    pieces[grid] = integrate_rows(integrand, lo[grid], hi[grid], spec)[0]
+    # add slot by slot, in split order; a skipped slot adds an exact zero
+    total = np.zeros(angle_b.size)
+    for column in pieces.T:
+        total += column
+    return total
 
 
 def pair_transmission(
@@ -240,26 +264,13 @@ def pair_transmission(
     """P(alpha): pair transmission at relative analyzer angle alpha.
 
     alpha is a scalar or a 1-D array of angles in [-pi/2, pi/2]; the result
-    has the same form.  P is even in alpha.  All pieces of all angles go
-    through one batched quadrature, and each angle's pieces are summed in
-    split order.
+    has the same form.  P is even in alpha.  This is the absorbing
+    convention of `_coincidence_integral`, with A at 0 and B at alpha.
     """
     alphas = np.atleast_1d(require_deviation_angle(alpha, "alpha"))
     if alphas.ndim != 1:
         raise ParameterError("alpha must be a scalar or a 1-D array")
-    lo, hi, grid = _pair_pieces(alphas)
-    owner = np.nonzero(grid)[0]
-
-    def integrand(lam, rows):
-        second = np.clip(alphas[owner[rows], None] - lam, -HALF_WINDOW, HALF_WINDOW)
-        return _clipped_profile(model, lam) * _clipped_profile(model, second)
-
-    pieces = np.zeros(grid.shape)
-    pieces[grid] = integrate_rows(integrand, lo, hi, spec)[0]
-    # add slot by slot, in split order; a skipped slot adds an exact zero
-    total = np.zeros(alphas.size)
-    for column in pieces.T:
-        total += column
+    total = _coincidence_integral(model, np.zeros_like(alphas), alphas, spec, absorbing=True)
     return float(total[0]) if np.ndim(alpha) == 0 else total
 
 

@@ -4,8 +4,12 @@ This is the pair-curve quadrature as it was before `bellhv.quadrature`
 batched its rows and reused nodes across levels: every refinement level
 rebuilds its nodes with `np.linspace` and re-evaluates all of them, and
 `pair_transmission` integrates one angle's pieces one at a time through the
-validating `TransmissionModel.probabilities`.  It shares no loop, node
-builder or sum with the kernel, and the kernel must match it bit for bit.
+validating `TransmissionModel.probabilities`.  `expected_coincidence_probability`
+is the Monte Carlo's wrapped-convention rate as it was before it shared the
+pair curve's kernel: its own split points, gathered in a set, and one scalar
+integral per piece through `TransmissionModel.probabilities_wrapped`.  None
+of this shares a loop, split rule, node builder or sum with the library, and
+the library must match it bit for bit.
 """
 
 import numpy as np
@@ -85,3 +89,25 @@ def normalized_pair_curve(model, alphas, spec=None):
     for i, alpha in enumerate(alphas):
         out[i] = 1.0 if alpha == 0.0 else pair_transmission(model, alpha, spec) / reference
     return out
+
+
+def expected_coincidence_probability(model, angle_a, angle_b, spec=None):
+    angle_a = require_deviation_angle(float(angle_a), "angle_a")
+    angle_b = require_deviation_angle(float(angle_b), "angle_b")
+
+    def integrand(lam):
+        return model.probabilities_wrapped(lam - angle_a) * model.probabilities_wrapped(
+            lam - angle_b
+        )
+
+    interior = set()
+    for theta in (angle_a, angle_b):
+        for candidate in (theta, theta - HALF_WINDOW, theta + HALF_WINDOW):
+            if -HALF_WINDOW < candidate < HALF_WINDOW:
+                interior.add(float(candidate))
+    splits = sorted({-HALF_WINDOW, HALF_WINDOW} | interior)
+    total = 0.0
+    for lo, hi in zip(splits[:-1], splits[1:]):
+        piece, _ = integrate(integrand, lo, hi, spec)
+        total += piece
+    return total / np.pi

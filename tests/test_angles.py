@@ -91,3 +91,8 @@ class TestDegreesGrid:
             degrees_grid(0.0, 90.0, -5.0)
         with pytest.raises(AngleDomainError):
             degrees_grid(10.0, 0.0, 5.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(AngleDomainError):
+                degrees_grid(bad, 90.0, 5.0)
+            with pytest.raises(AngleDomainError):
+                degrees_grid(0.0, bad, 5.0)

@@ -81,6 +81,12 @@ class TestCurve:
         assert not (tmp_path / "bad.manifest.json").exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--grid-start", "nan"), ("--grid-stop", "inf")])
+    def test_non_finite_grid_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        assert main(["curve", flag, value, "--out", str(tmp_path / "grid")]) == 2
+        assert not (tmp_path / "grid.manifest.json").exists()
+        assert "grid start and stop must be finite" in capsys.readouterr().err
+
 
 class TestBounds:
     def run(self, tmp_path, regime, name, extra=()):
@@ -278,6 +284,26 @@ class TestReplay:
             ["replay", str(tmp_path / "absent.manifest.json"),
              "--out-dir", str(tmp_path / "out")]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "content, message", [("{not json", "not JSON"), ("42", "must be a JSON object")]
+    )
+    def test_manifest_that_is_not_a_json_object_is_a_usage_error(
+        self, tmp_path, capsys, content, message
+    ):
+        manifest_path = tmp_path / "broken.manifest.json"
+        manifest_path.write_text(content, encoding="utf-8")
+        assert main(["replay", str(manifest_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_manifest_without_stem_or_outputs_is_a_usage_error(self, tmp_path, capsys):
+        manifest_path = tmp_path / "empty.manifest.json"
+        manifest_path.write_text(
+            json.dumps({"subcommand": "curve", "parameters": {}, "outputs": {}}),
+            encoding="utf-8",
+        )
+        assert main(["replay", str(manifest_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "neither a stem nor any output" in capsys.readouterr().err
 
 
 class TestSeedResolution:

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _chunk_loop
+import _simpson_loop
 from _frozen import MC_BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 from bellhv import montecarlo
 from bellhv.errors import DegenerateModelError, ParameterError
+from bellhv.malusfit import FIT_QUADRATURE
 from bellhv.montecarlo import (
     CANONICAL_ANGLES,
     CHSH_SIGNS,
@@ -29,6 +31,7 @@ from bellhv.montecarlo import (
     post_selected_correlation,
     run_pairs,
 )
+from bellhv.quadrature import DEFAULT_QUADRATURE
 from bellhv.rng import RngStream
 from bellhv.transmission import (
     REFERENCE_PARAMS,
@@ -346,6 +349,57 @@ class TestExpectedCoincidenceProbability:
             assert expected_coincidence_probability(
                 BELINFANTE_MODEL, 0.0, alpha
             ) == pytest.approx(0.25 + math.cos(2 * alpha) / 8.0, abs=1e-9)
+
+
+def _same_bits(left, right):
+    return np.float64(left).tobytes() == np.float64(right).tobytes()
+
+
+HALF = math.pi / 2
+# canonical settings, equal analyzers, and analyzers on the window edges
+ORACLE_SETTINGS = CANONICAL_ANGLES.settings() + (
+    (0.0, 0.0),
+    (0.7, 0.7),
+    (-1.2, -1.2),
+    (0.0, HALF),
+    (0.0, -HALF),
+    (HALF, -HALF),
+    (-HALF, HALF),
+    (HALF, HALF),
+    (HALF, 0.3),
+    (-HALF, -0.3),
+    (0.2, 0.2 - HALF),
+    (-0.4, -0.4 + HALF),
+)
+
+
+class TestExpectedAgainstPerPieceLoop:
+    """The shared coincidence kernel against the per-piece loop in tests/_simpson_loop.py."""
+
+    @pytest.mark.parametrize("spec", [FIT_QUADRATURE, DEFAULT_QUADRATURE], ids=["fit", "default"])
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE_MODEL, BELINFANTE_MODEL, TABULATED_MODEL, ConstantModel(0.6)],
+        ids=["reference", "belinfante", "tabulated", "constant"],
+    )
+    def test_fixed_settings_bitwise(self, model, spec):
+        for angle_a, angle_b in ORACLE_SETTINGS:
+            assert _same_bits(
+                expected_coincidence_probability(model, angle_a, angle_b, spec),
+                _simpson_loop.expected_coincidence_probability(model, angle_a, angle_b, spec),
+            ), (angle_a, angle_b)
+
+    @given(
+        angle_a=st.floats(min_value=-HALF, max_value=HALF),
+        angle_b=st.floats(min_value=-HALF, max_value=HALF),
+        model=st.sampled_from([REFERENCE_MODEL, BELINFANTE_MODEL, TABULATED_MODEL]),
+        spec=st.sampled_from([FIT_QUADRATURE, DEFAULT_QUADRATURE]),
+    )
+    def test_random_settings_bitwise(self, angle_a, angle_b, model, spec):
+        assert _same_bits(
+            expected_coincidence_probability(model, angle_a, angle_b, spec),
+            _simpson_loop.expected_coincidence_probability(model, angle_a, angle_b, spec),
+        )
 
 
 class TestChshAngles:

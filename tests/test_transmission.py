@@ -13,6 +13,7 @@ from bellhv.errors import (
     QuadratureConvergenceError,
 )
 from bellhv.malusfit import FIT_QUADRATURE
+from bellhv.montecarlo import expected_coincidence_probability
 from bellhv.quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from bellhv.transmission import (
     REFERENCE_PARAMS,
@@ -21,6 +22,7 @@ from bellhv.transmission import (
     StretchedExponentialModel,
     TabulatedModel,
     TransmissionParams,
+    _coincidence_integral,
     default_angle_grid,
     intensity_ratio,
     malus,
@@ -346,6 +348,35 @@ class TestAgainstPerPieceLoop:
             pair_transmission(REFERENCE_MODEL, np.zeros((2, 2)))
         with pytest.raises(AngleDomainError):
             pair_transmission(REFERENCE_MODEL, [0.1, 2.0])
+
+
+class TestCoincidenceIntegralConventions:
+    """Both conventions of the shared kernel against closed forms for a constant profile.
+
+    With p1 = v everywhere, the absorbing product is v^2 wherever the second
+    deviation b - lambda stays in the window, a range of length pi - |b|;
+    the wrapped product is v^2 over the whole half turn.
+    """
+
+    @pytest.mark.parametrize("value", [1.0, 0.6, 0.25])
+    def test_constant_profile(self, value):
+        model = ConstantModel(value)
+        angle_b = np.array([0.0, 0.3, -0.3, 1.0, -math.pi / 4, math.pi / 2, -math.pi / 2])
+        angle_a = np.zeros_like(angle_b)
+        absorbing = _coincidence_integral(model, angle_a, angle_b, None, absorbing=True)
+        np.testing.assert_allclose(
+            absorbing, value**2 * (math.pi - np.abs(angle_b)), rtol=1e-13, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            pair_transmission(model, angle_b), value**2 * (math.pi - np.abs(angle_b)), rtol=1e-13
+        )
+        angle_a = np.array([0.0, 0.5, -0.5, 1.0, math.pi / 2, -math.pi / 2, 0.2])
+        wrapped = _coincidence_integral(model, angle_a, angle_b, None, absorbing=False)
+        np.testing.assert_allclose(wrapped, np.full(angle_b.shape, value**2 * math.pi), rtol=1e-13)
+        for a, b in zip(angle_a, angle_b):
+            assert expected_coincidence_probability(model, a, b) == pytest.approx(
+                value**2, rel=1e-13
+            )
 
 
 def test_default_angle_grid_matches_frozen_grid():
