@@ -42,7 +42,6 @@ from .linalg import (
     EigenExtremes,
     hermitian_eigensystem,
     numerical_radius,
-    spectral_norm,
     symmetric_extreme_eigen,
 )
 from .malusfit import FIT_QUADRATURE, FIT_SEARCH, FitResult, fit, residual
@@ -149,7 +148,6 @@ __all__ = [
     "residual",
     "run_pairs",
     "search_bound",
-    "spectral_norm",
     "symmetric_extreme_eigen",
     "__version__",
 ]

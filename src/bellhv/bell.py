@@ -424,6 +424,25 @@ class BoundReport:
     def bb_dagger_margin(self) -> float:
         return _margin(self.theoretical_limit_bb, self.best_bb_dagger)
 
+    @property
+    def certified_expectation(self) -> float:
+        """An upper bound on |<B>| for the witness, from its operators alone.
+
+        CLASSICAL: the +/-1 brute force.  Otherwise B factors as
+        [a1 a2] [b1+b2; b1-b2] (on the factors in the commuting regime), so
+        |<B>| <= ||[a1 a2]||_2 ||[b1+b2; b1-b2]||_2.  For contractions the
+        two norms are at most sqrt(2) and 2, so no scenario in any regime
+        exceeds 2*sqrt(2) (Cirel'son, Lett. Math. Phys. 4, 93 (1980)): a
+        search that attains 2*sqrt(2) has found the true maximum, and the
+        paper's 2*sqrt(3) is loose.
+        """
+        if self.regime is Regime.CLASSICAL:
+            return classical_bound_bruteforce()
+        w = self.witness
+        a = np.hstack([w.a1.matrix, w.a2.matrix])
+        b = np.vstack([w.b1.matrix + w.b2.matrix, w.b1.matrix - w.b2.matrix])
+        return float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
+
 
 def _margin(limit: float, value: float) -> float:
     margin = limit - value

@@ -1,13 +1,19 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellhv
 from bellhv.bell import (
     BB_DAGGER_LIMITS,
     EXPECTATION_LIMITS,
+    MAX_TOTAL_DIM,
     BellScenario,
     HermitianOperator,
     Regime,
@@ -24,7 +30,7 @@ from bellhv.bell import (
     search_bound,
 )
 from bellhv.errors import DimensionError, HermiticityError, ParameterError, RegimeError
-from bellhv.linalg import spectral_norm, symmetric_extreme_eigen
+from bellhv.linalg import symmetric_extreme_eigen
 from bellhv.optimize import SearchConfig
 from bellhv.rng import RngStream
 
@@ -244,7 +250,7 @@ class TestRandomOperatorFactories:
         for _ in range(20):
             m = random_contraction(3, gen)
             assert np.abs(m - m.conj().T).max() < 1e-12
-            assert spectral_norm(m) <= 1.0 + 1e-12
+            assert np.linalg.norm(m, 2) <= 1.0 + 1e-12
 
 
 LIGHT = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(0))
@@ -322,3 +328,64 @@ class TestSearchBound:
         r2 = search_bound(Regime.UNRESTRICTED, 2, LIGHT)
         assert r1.best_expectation == r2.best_expectation
         assert r1.best_restart == r2.best_restart
+
+
+def random_contraction_scenario(regime, dim_a, dim_b, gen):
+    """Four random Hermitian contractions, commuting diagonals if CLASSICAL."""
+    if regime is Regime.CLASSICAL:
+        ops = [np.diag(gen.uniform(-1.0, 1.0, size=dim_a)) for _ in range(4)]
+    else:
+        ops = [random_contraction(d, gen) for d in (dim_a, dim_a, dim_b, dim_b)]
+    return BellScenario(regime, *(HermitianOperator(op) for op in ops))
+
+
+def side_dims(regime):
+    if regime is Regime.COMMUTING_SUBSYSTEMS:
+        return [
+            (a, b)
+            for a in range(1, MAX_TOTAL_DIM + 1)
+            for b in range(1, MAX_TOTAL_DIM + 1)
+            if a * b <= MAX_TOTAL_DIM
+        ]
+    return [(d, d) for d in range(1, MAX_TOTAL_DIM + 1)]
+
+
+class TestCertifiedExpectation:
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_bounds_random_contraction_scenarios(self, regime):
+        template = search_bound(regime, 2, LIGHT)
+        gen = np.random.default_rng(17)
+        for dim_a, dim_b in side_dims(regime):
+            for _ in range(2):
+                scenario = random_contraction_scenario(regime, dim_a, dim_b, gen)
+                certificate = dataclasses.replace(template, witness=scenario).certified_expectation
+                assert max_expectation(scenario) <= certificate * (1.0 + 1e-12)
+                # no contraction scenario in any regime gets past 2*sqrt(2)
+                assert certificate <= ROOT8 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "regime", [Regime.UNRESTRICTED, Regime.COMMUTING_SUBSYSTEMS], ids=lambda r: r.value
+    )
+    def test_seed_zero_witness_attains_its_certificate(self, regime):
+        report = search_bound(regime, 4)
+        assert report.certified_expectation == pytest.approx(report.best_expectation, abs=1e-12)
+
+    def test_classical_certificate_is_the_bruteforce(self):
+        report = search_bound(Regime.CLASSICAL, 4, LIGHT)
+        assert report.certified_expectation == classical_bound_bruteforce() == 2.0
+
+
+def test_bound_search_loads_no_scipy():
+    # the numerical radius is numpy only, so a bound search in the regime
+    # that needs it never imports scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
+    code = (
+        "import sys, numpy as np, bellhv.bell as bell; "
+        "bell.search_bound(bell.Regime.UNRESTRICTED, 4); "
+        "bell.numerical_radius(np.array([[0.0, 1.0], [0.0, 0.0]])); "
+        "print('scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "False"

@@ -358,8 +358,8 @@ class TestUsage:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs more to import than the rest of the package; only
-    # the fit and the numerical radius load it, on first use.  Likewise
-    # concurrent.futures, which only a multi-chunk run_pairs loads.
+    # the fit loads it, on first use.  Likewise concurrent.futures, which
+    # only a multi-chunk run_pairs loads.
     env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
     code = (
         "import sys, bellhv.cli; "

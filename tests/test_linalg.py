@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _brent_radius import brent_numerical_radius
 from _jacobi import jacobi_eigensystem
+from bellhv.bell import Regime, bell_operator, search_bound
 from bellhv.errors import DimensionError, HermiticityError
 from bellhv.linalg import (
     commutator,
@@ -10,9 +12,9 @@ from bellhv.linalg import (
     hermitian_part,
     numerical_radius,
     require_hermitian,
-    spectral_norm,
     symmetric_extreme_eigen,
 )
+from bellhv.rng import RngStream, SearchConfig
 
 
 def random_hermitian(dim, seed):
@@ -100,14 +102,6 @@ class TestSymmetricExtremeEigen:
             assert q >= ext.smallest - 1e-6
 
 
-class TestSpectralNorm:
-    @given(dim=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=30))
-    def test_equals_largest_singular_value(self, dim, seed):
-        gen = np.random.default_rng(seed + 1000)
-        m = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], abs=1e-8)
-
-
 class TestNumericalRadius:
     def test_hermitian_equals_spectral_radius(self):
         m = random_hermitian(4, 5)
@@ -123,8 +117,94 @@ class TestNumericalRadius:
         gen = np.random.default_rng(seed)
         m = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         r = numerical_radius(m)
-        s = spectral_norm(m)
+        s = np.linalg.norm(m, 2)
         assert s / 2 - 1e-9 <= r <= s + 1e-9
+
+
+def random_square(dim, seed):
+    gen = np.random.default_rng(seed + 2000)
+    return gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+
+
+# relative agreement with the Brent oracle: both reach the maximum of the
+# support function, so they differ only by eigensolver round-off
+ORACLE_RTOL = 1e-14
+
+
+def assert_matches_brent(m):
+    got = numerical_radius(m)
+    want = brent_numerical_radius(m)
+    assert abs(got - want) <= ORACLE_RTOL * want
+    return got, want
+
+
+# name: (matrix, its radius in closed form)
+SPECIAL = {
+    "complex-scalar": (np.array([[0.3 - 0.7j]]), abs(0.3 - 0.7j)),
+    "nilpotent-jordan": (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),
+    # a normal matrix's numerical radius is its spectral radius
+    "normal": (np.diag([1.0, 0.9j, -0.6 + 0.6j]), 1.0),
+    # 3e-12 off Hermitian, just past the short-circuit's 1e-12 * scale
+    "near-hermitian": (np.diag([1.0, -2.0]) + np.array([[0.0, 3e-12], [0.0, 0.0]]), 2.0),
+}
+
+
+def support_values(m, phases):
+    """lambda_max of the Hermitian part of e^{i theta} m, by Jacobi."""
+    return np.array(
+        [jacobi_eigensystem(hermitian_part(np.exp(1j * t) * m))[0][-1] for t in phases]
+    )
+
+
+class TestNumericalRadiusAgainstBrent:
+    """The numpy phase search against scipy's Brent search in tests/_brent_radius.py."""
+
+    @given(dim=st.integers(min_value=1, max_value=16), seed=st.integers(min_value=0, max_value=200))
+    def test_random_matrices(self, dim, seed):
+        assert_matches_brent(random_square(dim, seed))
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_special_matrices(self, name):
+        m, radius = SPECIAL[name]
+        got, _ = assert_matches_brent(m)
+        assert got == pytest.approx(radius, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_top_eigenvalue(self, seed):
+        # a repeated block keeps the top eigenvalue of every H(theta) double,
+        # and the maximum is off the coarse grid
+        block = random_square(3, seed)
+        m = np.kron(np.eye(2), block)
+        assert numerical_radius(m) == pytest.approx(numerical_radius(block), rel=1e-14)
+        assert_matches_brent(m)
+
+    def test_refinement_is_second_order(self, monkeypatch):
+        # one eigensolve per Newton step; a first-order step (h'' = -h)
+        # also reaches the maximum inside its bracket, but with many more
+        solves = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(1) or eigh(a))
+        for seed in range(50):
+            solves.clear()
+            numerical_radius(random_square(1 + seed % 16, seed))
+            assert len(solves) <= 6
+
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (3, 1)])
+    def test_not_below_a_dense_jacobi_grid(self, dim, seed):
+        m = random_square(dim, seed)
+        radius = numerical_radius(m)
+        grid = support_values(m, 2.0 * np.pi * np.arange(4096) / 4096)
+        top = float(grid.max())
+        assert radius >= top - 1e-14 * top
+        # and it is the grid's maximum, to the grid's resolution
+        assert radius <= top * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_unrestricted_witnesses_keep_their_digits(self, dim):
+        for seed in range(20):
+            report = search_bound(Regime.UNRESTRICTED, dim, SearchConfig(rng=RngStream(seed)))
+            got, want = assert_matches_brent(bell_operator(report.witness))
+            assert f"{got:.12g}" == f"{want:.12g}"
 
 
 def test_commutator_and_hermitian_part():
