@@ -40,7 +40,6 @@ from .errors import (
 )
 from .linalg import (
     EigenExtremes,
-    hermitian_eigensystem,
     numerical_radius,
     symmetric_extreme_eigen,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "degrees_grid",
     "expected_coincidence_probability",
     "fit",
-    "hermitian_eigensystem",
     "intensity_ratio",
     "integrate",
     "malus",

@@ -21,6 +21,10 @@ HALF_WINDOW = np.pi / 2.0
 # the closed window.
 _DOMAIN_SLACK = 1e-9
 
+# Points in one degree grid: a step too small for the span is a usage error,
+# not an allocation failure.
+_MAX_GRID_POINTS = 10**6
+
 
 def reduce_axis_angle(delta):
     """Fold an angle difference into [-pi/2, pi/2] modulo pi.
@@ -61,5 +65,7 @@ def degrees_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
         raise AngleDomainError("grid start and stop must be finite")
     if stop_deg < start_deg:
         raise AngleDomainError("grid stop must not precede start")
-    count = int(np.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1
-    return np.deg2rad(start_deg + step_deg * np.arange(count))
+    count = np.floor((stop_deg - start_deg) / step_deg + 1e-9) + 1
+    if count > _MAX_GRID_POINTS:
+        raise AngleDomainError(f"grid of {count:.3g} points exceeds the cap {_MAX_GRID_POINTS}")
+    return np.deg2rad(start_deg + step_deg * np.arange(int(count)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -88,11 +89,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_diagonal(cls, values) -> "HermitianOperator":
-        values = np.asarray(values, dtype=float)
-        return cls(np.diag(values).astype(complex))
-
 
 @dataclass(frozen=True, eq=False)
 class BellScenario:
@@ -119,27 +115,22 @@ class BellScenario:
         if self.a1.dim != self.a2.dim or self.b1.dim != self.b2.dim:
             raise DimensionError("operators within one side must share a dimension")
 
-        if self.regime is Regime.COMMUTING_SUBSYSTEMS:
-            total = self.a1.dim * self.b1.dim
-        else:
-            if self.a1.dim != self.b1.dim:
-                raise DimensionError(
-                    "a-side and b-side must act on the same space in this regime"
-                )
-            total = self.a1.dim
-        if total > MAX_TOTAL_DIM:
+        if self.regime is not Regime.COMMUTING_SUBSYSTEMS and self.a1.dim != self.b1.dim:
             raise DimensionError(
-                f"total dimension {total} exceeds the supported cap {MAX_TOTAL_DIM}"
+                "a-side and b-side must act on the same space in this regime"
+            )
+        if self.total_dim > MAX_TOTAL_DIM:
+            raise DimensionError(
+                f"total dimension {self.total_dim} exceeds the supported cap {MAX_TOTAL_DIM}"
             )
 
         if self.regime is Regime.CLASSICAL:
-            ops = [self.a1.matrix, self.a2.matrix, self.b1.matrix, self.b2.matrix]
-            names = ["a1", "a2", "b1", "b2"]
-            for (i, x), (j, y) in itertools.combinations(enumerate(ops), 2):
-                deviation = float(np.abs(commutator(x, y)).max())
+            for x, y in itertools.combinations(("a1", "a2", "b1", "b2"), 2):
+                commuted = commutator(getattr(self, x).matrix, getattr(self, y).matrix)
+                deviation = float(np.abs(commuted).max())
                 if deviation > _COMMUTATOR_TOL:
                     raise RegimeError(
-                        f"classical regime requires [{names[i]}, {names[j]}] = 0; "
+                        f"classical regime requires [{x}, {y}] = 0; "
                         f"max deviation {deviation:.3e}"
                     )
 
@@ -150,15 +141,27 @@ class BellScenario:
         return self.a1.dim
 
 
+def _scenario(regime: Regime, ops) -> BellScenario:
+    """The scenario of four matrices, in the order a1, a2, b1, b2."""
+    a1, a2, b1, b2 = (HermitianOperator(op) for op in ops)
+    return BellScenario(regime=regime, a1=a1, a2=a2, b1=b1, b2=b2)
+
+
+def _combination(a1, a2, b1, b2, product):
+    """a1 b1 + a1 b2 + a2 b1 - a2 b2, with `product` as the multiplication.
+
+    np.matmul for one space, np.kron for two factors, elementwise for
+    scalars and commuting diagonals.
+    """
+    return product(a1, b1) + product(a1, b2) + product(a2, b1) - product(a2, b2)
+
+
 def bell_operator(scenario: BellScenario) -> np.ndarray:
     """The matrix of B for the scenario, on the total space."""
-    a1, a2 = scenario.a1.matrix, scenario.a2.matrix
-    b1, b2 = scenario.b1.matrix, scenario.b2.matrix
-    if scenario.regime is Regime.COMMUTING_SUBSYSTEMS:
-        return (
-            np.kron(a1, b1) + np.kron(a1, b2) + np.kron(a2, b1) - np.kron(a2, b2)
-        )
-    return a1 @ b1 + a1 @ b2 + a2 @ b1 - a2 @ b2
+    product = np.kron if scenario.regime is Regime.COMMUTING_SUBSYSTEMS else np.matmul
+    return _combination(
+        scenario.a1.matrix, scenario.a2.matrix, scenario.b1.matrix, scenario.b2.matrix, product
+    )
 
 
 def max_expectation(scenario: BellScenario) -> float:
@@ -179,8 +182,8 @@ def bb_dagger_expectation(scenario: BellScenario) -> float:
 def classical_bound_bruteforce() -> float:
     """Exhaustive scan of deterministic +/-1 assignments; returns exactly 2."""
     best = 0.0
-    for a1, a2, b1, b2 in itertools.product((-1.0, 1.0), repeat=4):
-        best = max(best, abs(a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2))
+    for signs in itertools.product((-1.0, 1.0), repeat=4):
+        best = max(best, abs(_combination(*signs, operator.mul)))
     return best
 
 
@@ -209,16 +212,7 @@ def chsh_square_identity_check(scenario: BellScenario) -> float:
 
 def canonical_chsh_scenario() -> BellScenario:
     """The standard qubit pair saturating 2*sqrt(2): Z, X vs (Z+/-X)/sqrt(2)."""
-    z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    return BellScenario(
-        regime=Regime.COMMUTING_SUBSYSTEMS,
-        a1=HermitianOperator(z),
-        a2=HermitianOperator(x),
-        b1=HermitianOperator(s * (z + x)),
-        b2=HermitianOperator(s * (z - x)),
-    )
+    return _scenario(Regime.COMMUTING_SUBSYSTEMS, _canonical_block_tuple(2))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +245,9 @@ def random_commuting_involutory_scenario(
 ) -> BellScenario:
     """Commuting-subsystems scenario with four random involutions."""
     gen = stream.generator()
-    return BellScenario(
-        regime=Regime.COMMUTING_SUBSYSTEMS,
-        a1=HermitianOperator(random_involution(dim_a, gen)),
-        a2=HermitianOperator(random_involution(dim_a, gen)),
-        b1=HermitianOperator(random_involution(dim_b, gen)),
-        b2=HermitianOperator(random_involution(dim_b, gen)),
+    return _scenario(
+        Regime.COMMUTING_SUBSYSTEMS,
+        [random_involution(dim, gen) for dim in (dim_a, dim_a, dim_b, dim_b)],
     )
 
 
@@ -292,6 +283,13 @@ def _canonical_block_tuple(dim: int) -> Tuple[np.ndarray, ...]:
     return embed(z), embed(x), embed(s * (z + x)), embed(s * (z - x))
 
 
+def _start_tuple(dim: int, generator: np.random.Generator, warm: bool) -> Tuple[np.ndarray, ...]:
+    """The canonical tuple for a warm start, else four random contractions."""
+    if warm:
+        return _canonical_block_tuple(dim)
+    return tuple(random_contraction(dim, generator) for _ in range(4))
+
+
 def _top_state(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
     w, v = np.linalg.eigh(hermitian_part(matrix))
     return v[:, -1], float(w[-1])
@@ -302,7 +300,8 @@ def _ascend_classical(
 ):
     # commuting observables are simultaneously diagonalizable, so work with
     # the diagonals directly; each update is an exact per-entry sign choice.
-    # no warm start needed: any start reaches the optimum in one pass
+    # Any start reaches the optimum 2 in one pass, so the warm start's
+    # all-ones b diagonals only spare the draws
     if warm:
         b1 = np.ones(dim)
         b2 = np.ones(dim)
@@ -318,13 +317,13 @@ def _ascend_classical(
         a2 = np.where(b1 - b2 >= 0.0, 1.0, -1.0)
         b1 = np.where(a1 + a2 >= 0.0, 1.0, -1.0)
         b2 = np.where(a1 - a2 >= 0.0, 1.0, -1.0)
-        per_index = a1 * (b1 + b2) + a2 * (b1 - b2)
+        # entries are +/-1, so every sum is exact
+        per_index = _combination(a1, a2, b1, b2, np.multiply)
         new_value = float(per_index.max())
         if new_value <= value + 1e-13:
             value = max(value, new_value)
             break
         value = new_value
-    per_index = a1 * (b1 + b2) + a2 * (b1 - b2)
     k = int(np.argmax(per_index))
     state = np.zeros(dim, dtype=complex)
     state[k] = 1.0
@@ -335,19 +334,12 @@ def _ascend_classical(
 def _ascend_commuting(
     dim: int, generator: np.random.Generator, max_iterations: int, warm: bool = False
 ):
-    if warm:
-        a1, a2, b1, b2 = _canonical_block_tuple(dim)
-    else:
-        a1 = random_contraction(dim, generator)
-        a2 = random_contraction(dim, generator)
-        b1 = random_contraction(dim, generator)
-        b2 = random_contraction(dim, generator)
+    a1, a2, b1, b2 = _start_tuple(dim, generator, warm)
     value = -np.inf
     psi = None
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        b = np.kron(a1, b1) + np.kron(a1, b2) + np.kron(a2, b1) - np.kron(a2, b2)
-        psi, new_value = _top_state(b)
+        psi, new_value = _top_state(_combination(a1, a2, b1, b2, np.kron))
         if new_value <= value + 1e-13:
             value = max(value, new_value)
             break
@@ -363,21 +355,16 @@ def _ascend_commuting(
 def _ascend_unrestricted(
     dim: int, generator: np.random.Generator, max_iterations: int, warm: bool = False
 ):
+    a1, a2, b1, b2 = _start_tuple(dim, generator, warm)
     if warm:
-        a1, a2, b1, b2 = _canonical_block_tuple(dim)
-        psi, _ = _top_state(a1 @ b1 + a1 @ b2 + a2 @ b1 - a2 @ b2)
+        psi, _ = _top_state(_combination(a1, a2, b1, b2, np.matmul))
     else:
-        a1 = random_contraction(dim, generator)
-        a2 = random_contraction(dim, generator)
-        b1 = random_contraction(dim, generator)
-        b2 = random_contraction(dim, generator)
         gauss = generator.standard_normal(dim) + 1j * generator.standard_normal(dim)
         psi = gauss / np.linalg.norm(gauss)
     value = -np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        b = a1 @ b1 + a1 @ b2 + a2 @ b1 - a2 @ b2
-        expectation = complex(psi.conj() @ b @ psi)
+        expectation = complex(psi.conj() @ _combination(a1, a2, b1, b2, np.matmul) @ psi)
         new_value = abs(expectation)
         if new_value <= value + 1e-13:
             value = max(value, new_value)
@@ -390,9 +377,7 @@ def _ascend_unrestricted(
         a2 = _sign_operator(phase * (b1 - b2) @ rho)
         b1 = _sign_operator(phase * rho @ (a1 + a2))
         b2 = _sign_operator(phase * rho @ (a1 - a2))
-        psi, _ = _top_state(
-            phase * (a1 @ b1 + a1 @ b2 + a2 @ b1 - a2 @ b2)
-        )
+        psi, _ = _top_state(phase * _combination(a1, a2, b1, b2, np.matmul))
     return value, (a1, a2, b1, b2), psi, iterations
 
 
@@ -491,13 +476,7 @@ def search_bound(
             best = (value, ops, state, restart, iterations)
 
     _, ops, state, best_restart, iterations = best
-    witness = BellScenario(
-        regime=regime,
-        a1=HermitianOperator(ops[0]),
-        a2=HermitianOperator(ops[1]),
-        b1=HermitianOperator(ops[2]),
-        b2=HermitianOperator(ops[3]),
-    )
+    witness = _scenario(regime, ops)
     return BoundReport(
         regime=regime,
         dim=dim,

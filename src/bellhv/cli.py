@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -62,6 +63,9 @@ from .transmission import (
 )
 
 SEED_ENV_VAR = "BELLHV_SEED"
+
+# CoincidenceCounts fields a simulate run records per setting
+_TALLY_CELLS = ("n11", "n10", "n01", "n00", "n_pairs")
 
 
 def _fmt(value: float) -> str:
@@ -137,6 +141,17 @@ def _load_table(path: str) -> TabulatedModel:
     return TabulatedModel(np.deg2rad(angles_deg), values)
 
 
+def _closed_form_overrides(params: dict) -> dict:
+    """The closed-form parameters (a, e, c) that the parameter dict sets."""
+    names = (field.name for field in dataclasses.fields(TransmissionParams))
+    return {name: params[name] for name in names if params.get(name) is not None}
+
+
+def _reference_triple(params: dict) -> TransmissionParams:
+    """REFERENCE_PARAMS with every closed-form parameter the dict sets."""
+    return dataclasses.replace(REFERENCE_PARAMS, **_closed_form_overrides(params))
+
+
 def _resolve_model(params: dict) -> TransmissionModel:
     """Build the transmission model named by the parameter dict.
 
@@ -145,16 +160,9 @@ def _resolve_model(params: dict) -> TransmissionModel:
     'table:<path>' (interpolated samples, angle_deg/probability CSV).
     """
     kind = params.get("model", "reference")
-    overrides = {k: params.get(k) for k in ("a", "e", "c")}
-    has_overrides = any(v is not None for v in overrides.values())
     if kind == "reference":
-        triple = TransmissionParams(
-            a=overrides["a"] if overrides["a"] is not None else REFERENCE_PARAMS.a,
-            e=overrides["e"] if overrides["e"] is not None else REFERENCE_PARAMS.e,
-            c=overrides["c"] if overrides["c"] is not None else REFERENCE_PARAMS.c,
-        )
-        return StretchedExponentialModel(triple)
-    if has_overrides:
+        return StretchedExponentialModel(_reference_triple(params))
+    if _closed_form_overrides(params):
         raise ParameterError("--a/--e/--c apply only to the closed-form model")
     if kind == "belinfante":
         return CosineSquaredModel()
@@ -212,10 +220,7 @@ def _execute_bounds(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], boo
         "theoretical_limit_expectation": report.theoretical_limit_expectation,
         "theoretical_limit_bb": report.theoretical_limit_bb,
         "witness": {
-            "a1": report.witness.a1.matrix,
-            "a2": report.witness.a2.matrix,
-            "b1": report.witness.b1.matrix,
-            "b2": report.witness.b2.matrix,
+            name: getattr(report.witness, name).matrix for name in ("a1", "a2", "b1", "b2")
         },
         "witness_state": report.witness_state,
     }
@@ -250,11 +255,7 @@ def _simulate_one(model, angle_a_deg, angle_b_deg, n, rng):
     summary = {
         "angle_a_deg": angle_a_deg,
         "angle_b_deg": angle_b_deg,
-        "n11": counts.n11,
-        "n10": counts.n10,
-        "n01": counts.n01,
-        "n00": counts.n00,
-        "n_pairs": counts.n_pairs,
+        **{cell: getattr(counts, cell) for cell in _TALLY_CELLS},
         "p11": estimate,
         "p11_stderr": stderr,
         "p11_expected": expected,
@@ -280,20 +281,11 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
         tallies.append(counts)
         summaries.append(summary)
 
+    header = ("setting", "angle_a_deg", "angle_b_deg", *_TALLY_CELLS)
     rows = [
-        (
-            index,
-            s["angle_a_deg"],
-            s["angle_b_deg"],
-            str(s["n11"]),
-            str(s["n10"]),
-            str(s["n01"]),
-            str(s["n00"]),
-            str(s["n_pairs"]),
-        )
+        (index, s["angle_a_deg"], s["angle_b_deg"], *(str(s[cell]) for cell in _TALLY_CELLS))
         for index, s in enumerate(summaries)
     ]
-    header = ("setting", "angle_a_deg", "angle_b_deg", "n11", "n10", "n01", "n00", "n_pairs")
     document = {"settings": summaries}
 
     if len(tallies) == 4:
@@ -315,20 +307,17 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
 
 
 def _execute_fit(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
-    start = TransmissionParams(params["a"], params["e"], params["c"])
+    start = _reference_triple(params)
     grid = degrees_grid(params["grid_start"], params["grid_stop"], params["grid_step"])
-    config = SearchConfig(
-        restarts=params["restarts"],
-        max_iterations=FIT_SEARCH.max_iterations,
-        tolerance=FIT_SEARCH.tolerance,
-        rng=RngStream(params["seed"]),
+    config = dataclasses.replace(
+        FIT_SEARCH, restarts=params["restarts"], rng=RngStream(params["seed"])
     )
     result = run_fit(
         start=start, grid=grid, config=config, objective=params["objective"]
     )
     document = {
-        "start": {"a": start.a, "e": start.e, "c": start.c},
-        "params": {"a": result.params.a, "e": result.params.e, "c": result.params.c},
+        "start": dataclasses.asdict(start),
+        "params": dataclasses.asdict(result.params),
         "residual": result.residual,
         "objective": result.objective,
         "grid_deg": np.rad2deg(result.grid),
@@ -371,6 +360,38 @@ def _write_run(stem: Path, subcommand: str, params: dict) -> Tuple[Path, bool]:
     return manifest_path, converged
 
 
+class _ReplayParser(argparse.ArgumentParser):
+    """The command-line parser, with a bad replayed parameter as a usage error."""
+
+    def error(self, message):
+        raise ParameterError(f"manifest parameters: {message}")
+
+
+def _replayed_params(subcommand: str, stem_name: str, recorded) -> dict:
+    """The parameters a command-line run would record for `recorded`.
+
+    Each recorded value goes back through the command-line parser as
+    `--name=value`, so types, choices and unknown names are checked exactly
+    as for a fresh run, and `_params_from_args` then names every parameter
+    the run records; any that `recorded` lacks or adds is a usage error.
+    """
+    if not isinstance(recorded, dict):
+        raise ParameterError("manifest parameters must be a JSON object")
+    argv = [subcommand, f"--out={stem_name}"] + [
+        f"--{name.replace('_', '-')}={value}"
+        for name, value in recorded.items()
+        if value is not None
+    ]
+    params = _params_from_args(_build_parser(_ReplayParser).parse_args(argv))
+    missing = sorted(set(params) - set(recorded))
+    unknown = sorted(set(recorded) - set(params))
+    if missing or unknown:
+        raise ParameterError(
+            f"manifest parameters: missing {missing or 'none'}, unknown {unknown or 'none'}"
+        )
+    return params
+
+
 def _run_replay(manifest_path: str, out_dir: str) -> int:
     source = Path(manifest_path)
     if not source.is_file():
@@ -384,19 +405,26 @@ def _run_replay(manifest_path: str, out_dir: str) -> int:
     for key in ("subcommand", "parameters", "outputs"):
         if key not in manifest:
             raise ParameterError(f"manifest is missing the {key!r} field")
-    if not (manifest.get("stem") or manifest["outputs"]):
-        raise ParameterError("manifest names neither a stem nor any output")
-    subcommand = manifest["subcommand"]
-    if subcommand not in _EXECUTORS:
+    subcommand, outputs, stem = manifest["subcommand"], manifest["outputs"], manifest.get("stem")
+    if not isinstance(subcommand, str) or subcommand not in _EXECUTORS:
         raise ParameterError(f"manifest names unknown subcommand {subcommand!r}")
+    if not isinstance(outputs, dict):
+        raise ParameterError("manifest outputs must be a JSON object")
+    if not (stem or outputs):
+        raise ParameterError("manifest names neither a stem nor any output")
+    # replayed files land in out_dir and nowhere else
+    for name in ([] if stem is None else [stem]) + list(outputs):
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ParameterError(f"manifest names {name!r}, which is not a plain file name")
+    stem_name = stem or sorted(outputs)[0].split(".")[0]
+    params = _replayed_params(subcommand, stem_name, manifest["parameters"])
 
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    stem_name = manifest.get("stem") or next(iter(sorted(manifest["outputs"]))).split(".")[0]
-    files, converged = _EXECUTORS[subcommand](manifest["parameters"], stem_name)
+    files, converged = _EXECUTORS[subcommand](params, stem_name)
 
     all_match = True
-    for name, recorded_hash in sorted(manifest["outputs"].items()):
+    for name, recorded_hash in sorted(outputs.items()):
         blob = files.get(name)
         if blob is None:
             print(f"{name}: missing from replay", file=sys.stderr)
@@ -435,8 +463,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grid-step", type=float, default=5.0, help="step, degrees")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="bellhv",
         description="Polarizer-pair transmission curves, coincidence Monte Carlo, "
         "and Bell-operator bound searches.",
@@ -500,48 +528,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    if args.subcommand == "curve":
-        return {
-            "model": args.model,
-            "a": args.a,
-            "e": args.e,
-            "c": args.c,
-            "grid_start": args.grid_start,
-            "grid_stop": args.grid_stop,
-            "grid_step": args.grid_step,
-        }
-    if args.subcommand == "bounds":
-        return {
-            "regime": args.regime,
-            "dim": args.dim,
-            "seed": _resolve_seed(args.seed),
-            "restarts": args.restarts,
-        }
-    if args.subcommand == "simulate":
-        return {
-            "model": args.model,
-            "a": args.a,
-            "e": args.e,
-            "c": args.c,
-            "alpha": args.alpha,
-            "n": args.n,
-            "seed": _resolve_seed(args.seed),
-        }
+    """The run's parameters: every parsed flag except the output stem."""
+    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "out")}
+    if "seed" in params:
+        params["seed"] = _resolve_seed(params["seed"])
     if args.subcommand == "fit":
-        if args.model != "reference":
+        if params.pop("model") != "reference":
             raise ParameterError("fit adjusts the closed-form model only")
-        return {
-            "a": args.a if args.a is not None else REFERENCE_PARAMS.a,
-            "e": args.e if args.e is not None else REFERENCE_PARAMS.e,
-            "c": args.c if args.c is not None else REFERENCE_PARAMS.c,
-            "objective": args.objective,
-            "grid_start": args.grid_start,
-            "grid_stop": args.grid_stop,
-            "grid_step": args.grid_step,
-            "seed": _resolve_seed(args.seed),
-            "restarts": args.restarts,
-        }
-    raise ParameterError(f"unknown subcommand {args.subcommand!r}")
+        params.update(dataclasses.asdict(_reference_triple(params)))
+    return params
 
 
 def main(argv=None) -> int:
@@ -550,8 +545,11 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "replay":
             return _run_replay(args.manifest, args.out_dir)
-        params = _params_from_args(args)
-        manifest_path, converged = _write_run(Path(args.out), args.subcommand, params)
+        stem = Path(args.out)
+        if stem.name in ("", ".."):
+            # a manifest whose stem is not a plain file name does not replay
+            raise ParameterError(f"--out {args.out!r} names no file stem")
+        manifest_path, converged = _write_run(stem, args.subcommand, _params_from_args(args))
         print(f"wrote {manifest_path}")
         return 0 if converged else 1
     except (ParameterError, AngleDomainError, DimensionError) as exc:

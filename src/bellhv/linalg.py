@@ -17,7 +17,6 @@ numpy only; the tests check it against scipy's bounded Brent search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -53,31 +52,20 @@ def require_hermitian(matrix, tol: float = 1e-12, name: str = "matrix") -> np.nd
     return 0.5 * (arr + arr.conj().T)
 
 
-def hermitian_eigensystem(matrix) -> Tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Returns (w, v) with v[:, k] the unit eigenvector for w[k].
-    """
-    return np.linalg.eigh(require_hermitian(matrix))
-
-
 @dataclass(frozen=True)
 class EigenExtremes:
-    """Spectrum endpoints of a Hermitian matrix plus the dominant vector.
-
-    dominant_vector is the unit eigenvector whose eigenvalue has the largest
-    magnitude, i.e. the maximizer of |<psi|M|psi>| for Hermitian M.
-    """
+    """Smallest and largest eigenvalue of a Hermitian matrix."""
 
     smallest: float
     largest: float
-    dominant_vector: np.ndarray
 
 
 def symmetric_extreme_eigen(matrix) -> EigenExtremes:
-    w, v = hermitian_eigensystem(matrix)
-    dominant = v[:, -1] if abs(w[-1]) >= abs(w[0]) else v[:, 0]
-    return EigenExtremes(smallest=float(w[0]), largest=float(w[-1]), dominant_vector=dominant)
+    """Spectrum endpoints of a matrix checked to be Hermitian within round-off."""
+    # eigh, not eigvalsh: the two LAPACK drivers can differ in the last bit,
+    # and every recorded output was computed with this one
+    w, _ = np.linalg.eigh(require_hermitian(matrix))
+    return EigenExtremes(smallest=float(w[0]), largest=float(w[-1]))
 
 
 def commutator(x, y) -> np.ndarray:

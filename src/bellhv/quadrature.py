@@ -62,20 +62,12 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 _BLOCK_NODES = 16384
 
 
-def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != x.shape:
-        # integrand is scalar-only (raises on arrays or returns a single
-        # value); fall back to a loop
-        values = np.array([float(f(xi)) for xi in x])
-    return values
-
-
 def _sample(f: Callable, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     values = np.ascontiguousarray(f(x, rows), dtype=float)
+    if values.shape != x.shape:
+        raise ParameterError(
+            f"integrand returned shape {values.shape} for nodes of shape {x.shape}"
+        )
     if not np.all(np.isfinite(values)):
         raise ParameterError("integrand returned non-finite values")
     return values
@@ -135,9 +127,10 @@ def integrate_rows(
 
     f(x, rows) receives the nodes x of shape (len(rows), m) for the batch
     rows `rows` (indices into lo and hi) and returns the integrand at them,
-    with the same shape.  Each row is refined on its own, exactly as
-    `integrate` would refine it alone.  Raises QuadratureConvergenceError for
-    the first row whose estimate never reaches spec.refine_until.
+    with the same shape (any other shape raises ParameterError).  Each row is
+    refined on its own, exactly as `integrate` would refine it alone.  Raises
+    QuadratureConvergenceError for the first row whose estimate never reaches
+    spec.refine_until.
     """
     spec = spec or DEFAULT_QUADRATURE
     lo = np.asarray(lo, dtype=float)
@@ -166,11 +159,12 @@ def integrate(
 ) -> Tuple[float, float]:
     """Integrate f over [lo, hi]; return (value, error_estimate).
 
-    f may be vectorized or scalar-only.  Raises QuadratureConvergenceError if
-    the estimate never reaches spec.refine_until within spec.max_refinements
-    doublings.
+    f must be vectorized: it receives a 1-D array of nodes and returns the
+    integrand at each of them, with the same shape; any other shape raises
+    ParameterError.  Raises QuadratureConvergenceError if the estimate never
+    reaches spec.refine_until within spec.max_refinements doublings.
     """
     values, estimates = integrate_rows(
-        lambda x, rows: _evaluate(f, x[0])[None, :], [float(lo)], [float(hi)], spec
+        lambda x, rows: np.asarray(f(x[0]))[None], [float(lo)], [float(hi)], spec
     )
     return float(values[0]), float(estimates[0])

@@ -4,7 +4,7 @@ Each sweep annihilates every off-diagonal entry once with a unitary plane
 rotation, and the off-diagonal Frobenius mass falls quadratically once
 sweeps start to converge.  For the matrix sizes used here (<= 16) it is
 accurate to ~1e-14 relative and shares no code with LAPACK, so it checks
-`bellhv.linalg.hermitian_eigensystem` independently.
+`bellhv.linalg.symmetric_extreme_eigen` independently.
 """
 
 from typing import Tuple

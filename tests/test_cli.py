@@ -81,11 +81,21 @@ class TestCurve:
         assert not (tmp_path / "bad.manifest.json").exists()
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--grid-start", "nan"), ("--grid-stop", "inf")])
-    def test_non_finite_grid_is_a_usage_error(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--grid-start", "nan", "grid start and stop must be finite",
+                         id="--grid-start-nan"),
+            pytest.param("--grid-stop", "inf", "grid start and stop must be finite",
+                         id="--grid-stop-inf"),
+            # 9e301 points: rejected before any array is allocated
+            pytest.param("--grid-step", "1e-300", "exceeds the cap", id="--grid-step-1e-300"),
+        ],
+    )
+    def test_non_finite_grid_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
         assert main(["curve", flag, value, "--out", str(tmp_path / "grid")]) == 2
         assert not (tmp_path / "grid.manifest.json").exists()
-        assert "grid start and stop must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestBounds:
@@ -305,6 +315,51 @@ class TestReplay:
         assert main(["replay", str(manifest_path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "neither a stem nor any output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stem", ["../escape", "sub/escape", "..", "."])
+    def test_stem_outside_the_output_directory_is_a_usage_error(self, tmp_path, capsys, stem):
+        assert main(["curve", "--grid-step", "30", "--out", str(tmp_path / "orig")]) == 0
+        manifest_path = tmp_path / "orig.manifest.json"
+        manifest = read_json(manifest_path)
+        manifest["stem"] = stem
+        manifest["outputs"] = {f"{stem}.csv": manifest["outputs"]["orig.csv"]}
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        replay_dir = tmp_path / "deep" / "replayed"
+        assert main(["replay", str(manifest_path), "--out-dir", str(replay_dir)]) == 2
+        assert "not a plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "deep" / "escape.csv").exists()
+        assert not replay_dir.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, argv, edit, message",
+        [
+            ("curve", ["--grid-step", "30"], lambda p: [], "must be a JSON object"),
+            ("curve", ["--grid-step", "30"], lambda p: {}, "missing ['a', 'c', 'e', 'grid_start'"),
+            ("curve", ["--grid-step", "30"], lambda p: {**p, "grid_step": "x"},
+             "argument --grid-step: invalid float value"),
+            ("curve", ["--grid-step", "30"], lambda p: {**p, "extra": 1},
+             "unrecognized arguments: --extra=1"),
+            ("bounds", ["--regime", "classical", "--restarts", "1"],
+             lambda p: {**p, "regime": "nope"}, "argument --regime: invalid choice"),
+            ("bounds", ["--regime", "classical", "--restarts", "1"],
+             lambda p: {k: v for k, v in p.items() if k != "regime"}, "arguments are required"),
+            ("fit", ["--restarts", "1", "--grid-step", "45"],
+             lambda p: {**p, "model": "reference"}, "unknown ['model']"),
+        ],
+        ids=["list", "empty", "bad-type", "unknown", "bad-choice", "no-regime", "fit-model"],
+    )
+    def test_malformed_parameters_are_a_usage_error(
+        self, tmp_path, capsys, subcommand, argv, edit, message
+    ):
+        # the short fit stops at its iteration cap (exit 1) but records its manifest
+        main([subcommand, *argv, "--out", str(tmp_path / "orig")])
+        manifest_path = tmp_path / "orig.manifest.json"
+        manifest = read_json(manifest_path)
+        manifest["parameters"] = edit(manifest["parameters"])
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(manifest_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSeedResolution:
     def test_environment_seed_is_used(self, tmp_path, monkeypatch):
@@ -348,6 +403,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["curve"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("out", ["", "..", "{work}/.."])
+    def test_output_stem_without_a_file_name_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["curve", "--grid-step", "45", "--out", out.format(work=work)]) == 2
+        assert "names no file stem" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [work]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

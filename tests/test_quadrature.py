@@ -86,11 +86,10 @@ class TestIntegrate:
         with np.errstate(divide="ignore"), pytest.raises(ParameterError):
             integrate(lambda x: 1.0 / x, 0.0, 1.0, None)
 
-    def test_scalar_only_integrand_supported(self):
-        f = lambda x: float(x) ** 2
-        value, estimate = integrate(f, 0.0, 1.0, None)
-        assert value == pytest.approx(1.0 / 3.0, abs=1e-10)
-        assert (value, estimate) == _simpson_loop.integrate(f, 0.0, 1.0, None)
+    @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: x[:-1]], ids=["scalar", "short"])
+    def test_integrand_of_the_wrong_shape_rejected(self, f):
+        with pytest.raises(ParameterError, match="integrand returned shape"):
+            integrate(f, 0.0, 1.0, None)
 
     def test_non_convergence_carries_best_value(self):
         # panels=2 with a single doubling leaves only the coarse 4-panel
