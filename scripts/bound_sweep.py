@@ -18,9 +18,9 @@ import argparse
 import math
 import sys
 
-from bellhv.bell import MAX_TOTAL_DIM, Regime, search_bound
-from bellhv.optimize import SearchConfig
-from bellhv.rng import RngStream
+from bellhv.bell import Regime, search_bound
+from bellhv.errors import DimensionError
+from bellhv.rng import RngStream, SearchConfig
 
 
 def main(argv=None) -> int:
@@ -39,10 +39,6 @@ def main(argv=None) -> int:
     violations = 0
     for regime in Regime:
         for dim in dims:
-            # dim is per subsystem in the commuting regime (total dim^2)
-            total = dim * dim if regime is Regime.COMMUTING_SUBSYSTEMS else dim
-            if total > MAX_TOTAL_DIM:
-                continue
             best = None
             for seed in range(args.seeds):
                 config = SearchConfig(
@@ -50,7 +46,10 @@ def main(argv=None) -> int:
                     max_iterations=args.max_iterations,
                     rng=RngStream(seed),
                 )
-                report = search_bound(regime, dim, config=config)
+                try:
+                    report = search_bound(regime, dim, config=config)
+                except DimensionError:  # e.g. above the cap on the total dimension
+                    break
                 if report.best_expectation > report.theoretical_limit_expectation + 1e-6:
                     violations += 1
                 if report.best_expectation > report.certified_expectation + 1e-6:
@@ -59,6 +58,8 @@ def main(argv=None) -> int:
                     violations += 1
                 if best is None or report.best_expectation > best.best_expectation:
                     best = report
+            if best is None:
+                continue
             print(
                 f"{regime.value:>24} {dim:>4} {best.theoretical_limit_expectation:>10.6f}"
                 f" {best.certified_expectation:>12.8f} {best.best_expectation:>12.8f}"

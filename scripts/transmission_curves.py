@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from bellhv.angles import degrees_grid
-from bellhv.malusfit import residual
 from bellhv.transmission import (
     REFERENCE_PARAMS,
     CosineSquaredModel,
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
     for label, model in profiles.items():
         ratio = intensity_ratio(model)
         curve = normalized_pair_curve(model, grid)
-        worst = residual(model, grid=grid)
+        worst = float(np.abs(curve - malus(grid)).max())
         print(f"\n{label}")
         print(f"  unpolarized single-polarizer transmission: {ratio:.4f}")
         print(f"  worst |pair curve - cos^2| on the grid:    {worst:.4f}")

@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -40,9 +41,9 @@ from . import __version__
 from .angles import degrees_grid
 from .bell import Regime, search_bound
 from .errors import AngleDomainError, BellhvError, DimensionError, ParameterError
-from .malusfit import FIT_SEARCH, fit as run_fit
+from .malusfit import FIT_SEARCH, OBJECTIVES, fit as run_fit
 from .montecarlo import (
-    CANONICAL_ANGLES,
+    CANONICAL_SETTINGS,
     ExperimentConfig,
     chsh_estimates,
     coincidence_probability_estimate,
@@ -159,7 +160,7 @@ def _resolve_model(params: dict) -> TransmissionModel:
     family, with a/e/c overridable), 'belinfante' (cos^2 profile), or
     'table:<path>' (interpolated samples, angle_deg/probability CSV).
     """
-    kind = params.get("model", "reference")
+    kind = params["model"]
     if kind == "reference":
         return StretchedExponentialModel(_reference_triple(params))
     if _closed_form_overrides(params):
@@ -272,7 +273,7 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
         settings = [(0.0, float(params["alpha"]))]
     else:
         # exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
-        settings = np.rad2deg(CANONICAL_ANGLES.settings()).tolist()
+        settings = np.rad2deg(CANONICAL_SETTINGS).tolist()
 
     tallies = []
     summaries = []
@@ -360,7 +361,15 @@ def _write_run(stem: Path, subcommand: str, params: dict) -> Tuple[Path, bool]:
     return manifest_path, converged
 
 
-class _ReplayParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading a negative number in exponent form (-1e-5) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _ReplayParser(_Parser):
     """The command-line parser, with a bad replayed parameter as a usage error."""
 
     def error(self, message):
@@ -443,6 +452,12 @@ def _run_replay(manifest_path: str, out_dir: str) -> int:
 # argument parsing
 
 
+def _add_closed_form_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--a", type=float, default=None, help="closed-form scale a > 0")
+    parser.add_argument("--e", type=float, default=None, help="closed-form exponent e > 0")
+    parser.add_argument("--c", type=float, default=None, help="closed-form weight c >= 0")
+
+
 def _add_model_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--model",
@@ -452,9 +467,7 @@ def _add_model_flags(parser: argparse.ArgumentParser):
         "(belinfante), or interpolated angle_deg,probability samples "
         "(table:<path>)",
     )
-    parser.add_argument("--a", type=float, default=None, help="closed-form scale a > 0")
-    parser.add_argument("--e", type=float, default=None, help="closed-form exponent e > 0")
-    parser.add_argument("--c", type=float, default=None, help="closed-form weight c >= 0")
+    _add_closed_form_flags(parser)
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser):
@@ -463,7 +476,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grid-step", type=float, default=5.0, help="step, degrees")
 
 
-def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     parser = parser_class(
         prog="bellhv",
         description="Polarizer-pair transmission curves, coincidence Monte Carlo, "
@@ -491,7 +504,9 @@ def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentPars
         help="space dimension (per subsystem for the commuting regime)",
     )
     bounds.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
-    bounds.add_argument("--restarts", type=int, default=8, help="search restarts")
+    bounds.add_argument(
+        "--restarts", type=int, default=SearchConfig().restarts, help="search restarts"
+    )
     bounds.add_argument("--out", required=True, help="output path stem")
 
     simulate = sub.add_parser("simulate", help="coincidence Monte Carlo run")
@@ -508,16 +523,16 @@ def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentPars
     simulate.add_argument("--out", required=True, help="output path stem")
 
     fit = sub.add_parser("fit", help="recover (a, e, c) against the cos^2 law")
-    _add_model_flags(fit)
+    _add_closed_form_flags(fit)
     _add_grid_flags(fit)
     fit.add_argument(
         "--objective",
-        default="chebyshev",
-        choices=("chebyshev", "least-squares"),
+        default=OBJECTIVES[0],
+        choices=OBJECTIVES,
         help="deviation measure over the grid",
     )
     fit.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
-    fit.add_argument("--restarts", type=int, default=2, help="search restarts")
+    fit.add_argument("--restarts", type=int, default=FIT_SEARCH.restarts, help="search restarts")
     fit.add_argument("--out", required=True, help="output path stem")
 
     replay = sub.add_parser("replay", help="re-run a manifest and verify outputs")
@@ -533,8 +548,6 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     if "seed" in params:
         params["seed"] = _resolve_seed(params["seed"])
     if args.subcommand == "fit":
-        if params.pop("model") != "reference":
-            raise ParameterError("fit adjusts the closed-form model only")
         params.update(dataclasses.asdict(_reference_triple(params)))
     return params
 

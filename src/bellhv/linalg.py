@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import DimensionError, HermiticityError
 
+# largest deviation from Hermitian, relative to the matrix's scale, that
+# counts as round-off
+_HERMITIAN_TOL = 1e-12
+
 # numerical radius: coarse phases over the full turn, the cap on Newton
 # steps, the relative gap below which two top eigenvalues count as one, and
 # the Newton step (radians) below which h is at its maximum to round-off
@@ -40,14 +44,19 @@ def require_square(matrix, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_hermitian(matrix, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within `tol` (max-abs, relative to scale)."""
-    arr = require_square(matrix, name)
+def _is_hermitian(arr: np.ndarray) -> bool:
+    """max |M - M^dag| within _HERMITIAN_TOL of the scale max(1, max |M|)."""
     scale = max(1.0, float(np.abs(arr).max()))
-    deviation = float(np.abs(arr - arr.conj().T).max())
-    if deviation > tol * scale:
+    return float(np.abs(arr - arr.conj().T).max()) <= _HERMITIAN_TOL * scale
+
+
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity within round-off; returns the symmetrized matrix."""
+    arr = require_square(matrix, name)
+    if not _is_hermitian(arr):
+        deviation = float(np.abs(arr - arr.conj().T).max())
         raise HermiticityError(
-            f"{name} deviates from Hermitian by {deviation:.3e} (tol {tol:.1e} * scale)"
+            f"{name} deviates from Hermitian by {deviation:.3e} (tol {_HERMITIAN_TOL:.1e} * scale)"
         )
     return 0.5 * (arr + arr.conj().T)
 
@@ -100,7 +109,7 @@ def numerical_radius(matrix) -> float:
     The result is the largest h evaluated, so never below the best sample.
     """
     m = require_square(matrix)
-    if float(np.abs(m - m.conj().T).max()) <= 1e-12 * max(1.0, float(np.abs(m).max())):
+    if _is_hermitian(m):
         ext = symmetric_extreme_eigen(m)
         return float(max(abs(ext.smallest), abs(ext.largest)))
 

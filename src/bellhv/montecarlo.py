@@ -54,6 +54,15 @@ MAX_PAIRS = 10**8
 # sign pattern of the Bell combination E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)
 CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
+# (angle_a, angle_b) of the terms a1b1, a1b2, a2b1, a2b2, with a1 = 0,
+# a2 = pi/4, b1 = pi/8 and b2 = 3pi/8
+CANONICAL_SETTINGS = (
+    (0.0, np.pi / 8.0),
+    (0.0, 3.0 * np.pi / 8.0),
+    (np.pi / 4.0, np.pi / 8.0),
+    (np.pi / 4.0, 3.0 * np.pi / 8.0),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -88,8 +97,6 @@ class CoincidenceCounts:
     n01: int
     n00: int
     n_pairs: int
-    angle_a: float
-    angle_b: float
 
     def __post_init__(self):
         cells = (self.n11, self.n10, self.n01, self.n00)
@@ -163,8 +170,6 @@ def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:
         n01=n01,
         n00=config.n_pairs - n11 - n10 - n01,
         n_pairs=config.n_pairs,
-        angle_a=config.angle_a,
-        angle_b=config.angle_b,
     )
 
 
@@ -190,31 +195,6 @@ def expected_coincidence_probability(
 
 
 @dataclass(frozen=True)
-class ChshAngles:
-    """Analyzer settings (a1, a2, b1, b2) for the four-correlation combination."""
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
-            object.__setattr__(self, name, require_deviation_angle(getattr(self, name), name))
-
-    def settings(self) -> Tuple[Tuple[float, float], ...]:
-        return (
-            (self.a1, self.b1),
-            (self.a1, self.b2),
-            (self.a2, self.b1),
-            (self.a2, self.b2),
-        )
-
-
-CANONICAL_ANGLES = ChshAngles(a1=0.0, a2=np.pi / 4.0, b1=np.pi / 8.0, b2=3.0 * np.pi / 8.0)
-
-
-@dataclass(frozen=True)
 class ChshEstimate:
     """CHSH combination with per-setting detail.
 
@@ -232,13 +212,10 @@ class ChshEstimate:
 
 
 def _four_settings(
-    model: TransmissionModel,
-    angles: ChshAngles,
-    n_pairs: int,
-    rng: RngStream,
+    model: TransmissionModel, n_pairs: int, rng: RngStream
 ) -> Tuple[CoincidenceCounts, ...]:
     tallies = []
-    for index, (angle_a, angle_b) in enumerate(angles.settings()):
+    for index, (angle_a, angle_b) in enumerate(CANONICAL_SETTINGS):
         config = ExperimentConfig(
             model=model,
             angle_a=angle_a,
@@ -303,7 +280,7 @@ def chsh_estimates(tallies) -> Tuple[ChshEstimate, ChshEstimate]:
     """(all-events, post-selected) CHSH estimates from the same four tallies.
 
     `tallies` holds one CoincidenceCounts per setting, in the order of
-    `ChshAngles.settings()`.  Raises DegenerateModelError when an arm
+    `CANONICAL_SETTINGS`.  Raises DegenerateModelError when an arm
     recorded no transmissions, where post-selection is undefined.
     """
     tallies = tuple(tallies)
@@ -314,28 +291,18 @@ def chsh_estimates(tallies) -> Tuple[ChshEstimate, ChshEstimate]:
     )
 
 
-def chsh_all_events(
-    model: TransmissionModel,
-    n_pairs: int,
-    rng: RngStream,
-    angles: ChshAngles = CANONICAL_ANGLES,
-) -> ChshEstimate:
+def chsh_all_events(model: TransmissionModel, n_pairs: int, rng: RngStream) -> ChshEstimate:
     """CHSH from agreement-minus-disagreement over all generated pairs."""
-    tallies = _four_settings(model, angles, n_pairs, rng)
+    tallies = _four_settings(model, n_pairs, rng)
     # not via chsh_estimates: this view stays defined without detections
     return _combine(tallies, all_events_correlation, None)
 
 
-def chsh_post_selected(
-    model: TransmissionModel,
-    n_pairs: int,
-    rng: RngStream,
-    angles: ChshAngles = CANONICAL_ANGLES,
-) -> ChshEstimate:
+def chsh_post_selected(model: TransmissionModel, n_pairs: int, rng: RngStream) -> ChshEstimate:
     """CHSH from detected coincidences normalized by the singles product.
 
-    Identical (model, n_pairs, rng, angles) arguments replay the very same
+    Identical (model, n_pairs, rng) arguments replay the very same
     photon records as `chsh_all_events`, so the two estimators can be
     compared pair-for-pair; `chsh_estimates` gives both from one draw.
     """
-    return chsh_estimates(_four_settings(model, angles, n_pairs, rng))[1]
+    return chsh_estimates(_four_settings(model, n_pairs, rng))[1]

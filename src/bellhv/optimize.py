@@ -10,8 +10,8 @@ Nelder-Mead never discards its best vertex, so the returned value can only
 improve on the starting objective.
 
 The budget type :class:`SearchConfig` lives in :mod:`bellhv.rng`, so the
-Bell-bound search can use it without this module; it is re-exported here.
-scipy is imported on the first call, not with the package.
+Bell-bound search can use it without this module.  scipy is imported on the
+first call, not with the package.
 """
 
 from __future__ import annotations

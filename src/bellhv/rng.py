@@ -59,15 +59,10 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, *indices: int) -> "RngStream":
-        """Derive an independent child stream from one or more indices."""
-        if not indices:
-            raise ParameterError("substream requires at least one index")
-        state = self.stream_id
-        for index in indices:
-            index = _require_u64(index, "substream index")
-            state = _splitmix64(state ^ _splitmix64(index))
-        return RngStream(self.seed, state)
+    def substream(self, index: int) -> "RngStream":
+        """Derive an independent child stream from an index; chain for nesting."""
+        index = _require_u64(index, "substream index")
+        return RngStream(self.seed, _splitmix64(self.stream_id ^ _splitmix64(index)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
+from .angles import HALF_WINDOW, degrees_grid, reduce_axis_angle, require_deviation_angle
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec, integrate, integrate_rows
 
@@ -297,4 +297,4 @@ def normalized_pair_curve(
 
 def default_angle_grid() -> np.ndarray:
     """0 to 90 degrees in 5-degree steps, in radians."""
-    return np.deg2rad(np.arange(0.0, 91.0, 5.0))
+    return degrees_grid(0.0, 90.0, 5.0)

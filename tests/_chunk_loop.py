@@ -37,6 +37,4 @@ def run_pairs(config):
         n01=n01,
         n00=n00,
         n_pairs=config.n_pairs,
-        angle_a=config.angle_a,
-        angle_b=config.angle_b,
     )

@@ -32,8 +32,7 @@ from bellhv.bell import (
 )
 from bellhv.cli import main as cli_main
 from bellhv.montecarlo import ExperimentConfig, chsh_all_events, run_pairs
-from bellhv.optimize import SearchConfig
-from bellhv.rng import RngStream
+from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
     REFERENCE_PARAMS,
     CosineSquaredModel,

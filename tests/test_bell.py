@@ -31,8 +31,7 @@ from bellhv.bell import (
 )
 from bellhv.errors import DimensionError, HermiticityError, ParameterError, RegimeError
 from bellhv.linalg import symmetric_extreme_eigen
-from bellhv.optimize import SearchConfig
-from bellhv.rng import RngStream
+from bellhv.rng import RngStream, SearchConfig
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 ROOT12 = 2.0 * math.sqrt(3.0)

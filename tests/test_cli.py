@@ -247,10 +247,12 @@ class TestFit:
     def test_invalid_start_is_a_usage_error(self, tmp_path):
         assert main(["fit", "--a", "-1", "--out", str(tmp_path / "x")]) == 2
 
-    def test_fit_requires_the_closed_form_model(self, tmp_path):
-        assert main(
-            ["fit", "--model", "belinfante", "--out", str(tmp_path / "x")]
-        ) == 2
+    def test_fit_requires_the_closed_form_model(self, tmp_path, capsys):
+        # fit takes no --model: the closed-form family is the only one it adjusts
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fit", "--model", "belinfante", "--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -343,7 +345,7 @@ class TestReplay:
             ("bounds", ["--regime", "classical", "--restarts", "1"],
              lambda p: {k: v for k, v in p.items() if k != "regime"}, "arguments are required"),
             ("fit", ["--restarts", "1", "--grid-step", "45"],
-             lambda p: {**p, "model": "reference"}, "unknown ['model']"),
+             lambda p: {**p, "model": "reference"}, "unrecognized arguments: --model=reference"),
         ],
         ids=["list", "empty", "bad-type", "unknown", "bad-choice", "no-regime", "fit-model"],
     )
@@ -415,6 +417,24 @@ class TestUsage:
         assert "names no file stem" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [work]
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["curve", "--grid-step", "30"], "--grid-start", "-1e-5"),
+            (["simulate", "--n", "10"], "--alpha", "-1e-3"),
+            (["simulate", "--n", "10"], "--alpha", "-.5e1"),
+        ],
+        ids=["curve", "simulate", "no-leading-digit"],
+    )
+    def test_negative_exponent_value_as_separate_argument(self, tmp_path, argv, flag, value):
+        assert main([*argv, flag, value, "--out", str(tmp_path / "spaced" / "run")]) == 0
+        assert main([*argv, f"{flag}={value}", "--out", str(tmp_path / "joined" / "run")]) == 0
+        data = sorted(p.name for p in (tmp_path / "joined").iterdir() if "manifest" not in p.name)
+        assert data
+        for name in data:
+            spaced = (tmp_path / "spaced" / name).read_bytes()
+            assert spaced == (tmp_path / "joined" / name).read_bytes()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
@@ -435,3 +455,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     assert done.stdout.strip() == "False False"
+
+
+def test_package_import_loads_no_submodule():
+    # the package root holds only __version__; names come from their modules
+    env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
+    code = (
+        "import sys, bellhv; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellhv'), bellhv.__version__)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == f"['bellhv'] {__version__}"

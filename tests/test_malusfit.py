@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
 from bellhv.errors import ParameterError
 from bellhv.malusfit import FIT_QUADRATURE, FIT_SEARCH, FitResult, OBJECTIVES, fit, residual
-from bellhv.optimize import SearchConfig
-from bellhv.rng import RngStream
+from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
     REFERENCE_PARAMS,
     CosineSquaredModel,

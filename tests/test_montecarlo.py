@@ -16,10 +16,9 @@ from bellhv import montecarlo
 from bellhv.errors import DegenerateModelError, ParameterError
 from bellhv.malusfit import FIT_QUADRATURE
 from bellhv.montecarlo import (
-    CANONICAL_ANGLES,
+    CANONICAL_SETTINGS,
     CHSH_SIGNS,
     CHUNK_PAIRS,
-    ChshAngles,
     CoincidenceCounts,
     ExperimentConfig,
     all_events_correlation,
@@ -296,24 +295,24 @@ class TestAgainstSerialChunkLoop:
 class TestCountsValidationAndEstimates:
     def test_tally_sum_enforced(self):
         with pytest.raises(ParameterError):
-            CoincidenceCounts(n11=1, n10=0, n01=0, n00=0, n_pairs=5, angle_a=0.0, angle_b=0.0)
+            CoincidenceCounts(n11=1, n10=0, n01=0, n00=0, n_pairs=5)
 
     def test_probability_estimate_examples(self):
-        counts = CoincidenceCounts(500, 200, 200, 100, 1000, 0.0, 0.0)
+        counts = CoincidenceCounts(500, 200, 200, 100, 1000)
         p, err = coincidence_probability_estimate(counts)
         assert p == 0.5
         assert err == pytest.approx(0.0158, abs=5e-4)
 
-        empty = CoincidenceCounts(0, 0, 0, 1000, 1000, 0.0, 0.0)
+        empty = CoincidenceCounts(0, 0, 0, 1000, 1000)
         assert coincidence_probability_estimate(empty) == (0.0, 0.0)
 
-        large = CoincidenceCounts(450_000, 0, 0, 550_000, 10**6, 0.0, 0.0)
+        large = CoincidenceCounts(450_000, 0, 0, 550_000, 10**6)
         p, err = coincidence_probability_estimate(large)
         assert p == 0.45
         assert err == pytest.approx(0.000497, abs=5e-6)
 
     def test_correlation_estimators(self):
-        counts = CoincidenceCounts(400, 100, 100, 400, 1000, 0.0, 0.0)
+        counts = CoincidenceCounts(400, 100, 100, 400, 1000)
         e_all, err_all = all_events_correlation(counts)
         assert e_all == pytest.approx((400 + 400 - 100 - 100) / 1000)
         assert err_all > 0
@@ -322,7 +321,7 @@ class TestCountsValidationAndEstimates:
         assert err_ps > 0
 
     def test_post_selection_needs_detections(self):
-        counts = CoincidenceCounts(0, 0, 0, 1000, 1000, 0.0, 0.0)
+        counts = CoincidenceCounts(0, 0, 0, 1000, 1000)
         with pytest.raises(DegenerateModelError):
             post_selected_correlation(counts)
 
@@ -331,7 +330,7 @@ class TestExpectedCoincidenceProbability:
     def test_matches_frozen_setting_expectations(self):
         values = [
             expected_coincidence_probability(REFERENCE_MODEL, a, b)
-            for a, b in CANONICAL_ANGLES.settings()
+            for a, b in CANONICAL_SETTINGS
         ]
         np.testing.assert_allclose(values, MC_REFERENCE["q11_settings"], atol=1e-9)
 
@@ -357,7 +356,7 @@ def _same_bits(left, right):
 
 HALF = math.pi / 2
 # canonical settings, equal analyzers, and analyzers on the window edges
-ORACLE_SETTINGS = CANONICAL_ANGLES.settings() + (
+ORACLE_SETTINGS = CANONICAL_SETTINGS + (
     (0.0, 0.0),
     (0.7, 0.7),
     (-1.2, -1.2),
@@ -404,19 +403,18 @@ class TestExpectedAgainstPerPieceLoop:
 
 class TestChshAngles:
     def test_canonical_values(self):
-        assert CANONICAL_ANGLES.a1 == 0.0
-        assert CANONICAL_ANGLES.a2 == pytest.approx(math.pi / 4)
-        assert CANONICAL_ANGLES.b1 == pytest.approx(math.pi / 8)
-        assert CANONICAL_ANGLES.b2 == pytest.approx(3 * math.pi / 8)
+        angles_a = [a for a, _ in CANONICAL_SETTINGS]
+        angles_b = [b for _, b in CANONICAL_SETTINGS]
+        assert angles_a == pytest.approx([0.0, 0.0, math.pi / 4, math.pi / 4])
+        assert angles_b == pytest.approx(
+            [math.pi / 8, 3 * math.pi / 8, math.pi / 8, 3 * math.pi / 8]
+        )
 
     def test_settings_order_and_signs(self):
-        settings = CANONICAL_ANGLES.settings()
-        assert settings == (
-            (CANONICAL_ANGLES.a1, CANONICAL_ANGLES.b1),
-            (CANONICAL_ANGLES.a1, CANONICAL_ANGLES.b2),
-            (CANONICAL_ANGLES.a2, CANONICAL_ANGLES.b1),
-            (CANONICAL_ANGLES.a2, CANONICAL_ANGLES.b2),
-        )
+        # terms a1b1, a1b2, a2b1, a2b2: the minus sign falls on a2b2
+        (a1, b1), (a1_again, b2), (a2, b1_again), (a2_again, b2_again) = CANONICAL_SETTINGS
+        assert (a1_again, a2_again, b1_again, b2_again) == (a1, a2, b1, b2)
+        assert a1 < a2 and b1 < b2
         assert CHSH_SIGNS == (1, 1, 1, -1)
 
 

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import bellhv
-import bellhv.rng
 from bellhv.errors import ParameterError
-from bellhv.optimize import MinimizeResult, SearchConfig, minimize
-from bellhv.rng import RngStream
+from bellhv.optimize import MinimizeResult, minimize
+from bellhv.rng import RngStream, SearchConfig
 
 
 class TestSearchConfig:
@@ -26,9 +24,6 @@ class TestSearchConfig:
             SearchConfig(tolerance=0.0)
         with pytest.raises(ParameterError):
             SearchConfig(rng=123)
-
-    def test_defined_in_rng_and_re_exported(self):
-        assert SearchConfig is bellhv.rng.SearchConfig is bellhv.SearchConfig
 
 
 class TestMinimize:

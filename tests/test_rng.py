@@ -35,8 +35,10 @@ def test_substreams_are_distinct():
     s = RngStream(11)
     ids = {s.substream(i).stream_id for i in range(100)}
     assert len(ids) == 100
-    # nesting matters: substream(1, 2) differs from substream(1) and (2)
-    assert s.substream(1, 2) not in (s.substream(1), s.substream(2), s.substream(2, 1))
+    # nesting matters: substream(1).substream(2) differs from substream(1),
+    # substream(2) and substream(2).substream(1)
+    nested = s.substream(1).substream(2)
+    assert nested not in (s.substream(1), s.substream(2), s.substream(2).substream(1))
 
 
 def test_substream_keeps_seed():
