@@ -8,7 +8,7 @@ A numerical laboratory with two halves that meet in the middle:
 * bell / linalg: finite-dimensional Bell operators and the three
   commutation-dependent expectation limits 2, 2*sqrt(2), 2*sqrt(3).
 
-Shared plumbing lives in quadrature, optimize, rng, angles, and errors.
+Shared plumbing lives in quadrature, rng, angles, and errors.
 Import names from their modules, e.g. `from bellhv.bell import search_bound`.
 """
 

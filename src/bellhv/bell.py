@@ -119,10 +119,7 @@ class BellScenario:
             raise DimensionError(
                 "a-side and b-side must act on the same space in this regime"
             )
-        if self.total_dim > MAX_TOTAL_DIM:
-            raise DimensionError(
-                f"total dimension {self.total_dim} exceeds the supported cap {MAX_TOTAL_DIM}"
-            )
+        _total_dim(self.regime, self.a1.dim, self.b1.dim)
 
         if self.regime is Regime.CLASSICAL:
             for x, y in itertools.combinations(("a1", "a2", "b1", "b2"), 2):
@@ -136,9 +133,15 @@ class BellScenario:
 
     @property
     def total_dim(self) -> int:
-        if self.regime is Regime.COMMUTING_SUBSYSTEMS:
-            return self.a1.dim * self.b1.dim
-        return self.a1.dim
+        return _total_dim(self.regime, self.a1.dim, self.b1.dim)
+
+
+def _total_dim(regime: Regime, a_dim: int, b_dim: int) -> int:
+    """Dimension of the space B acts on; DimensionError above MAX_TOTAL_DIM."""
+    total = a_dim * b_dim if regime is Regime.COMMUTING_SUBSYSTEMS else a_dim
+    if total > MAX_TOTAL_DIM:
+        raise DimensionError(f"total dimension {total} exceeds the supported cap {MAX_TOTAL_DIM}")
+    return total
 
 
 def _scenario(regime: Regime, ops) -> BellScenario:
@@ -453,11 +456,7 @@ def search_bound(
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DimensionError("dim must be a positive integer")
     dim = int(dim)
-    total = dim * dim if regime is Regime.COMMUTING_SUBSYSTEMS else dim
-    if total > MAX_TOTAL_DIM:
-        raise DimensionError(
-            f"total dimension {total} exceeds the supported cap {MAX_TOTAL_DIM}"
-        )
+    _total_dim(regime, dim, dim)  # fail before the ascents, not in the witness
 
     ascents = {
         Regime.CLASSICAL: _ascend_classical,

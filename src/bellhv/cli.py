@@ -125,20 +125,22 @@ def _load_table(path: str) -> TabulatedModel:
     source = Path(path)
     if not source.is_file():
         raise ParameterError(f"table file not found: {path}")
+    with source.open(newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].strip().startswith("#")]
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            rows = rows[1:]  # the first row is a header only if it starts with a non-number
     angles_deg = []
     values = []
-    with source.open(newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                angle, value = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not angles_deg:
-                    continue  # header row
-                raise ParameterError(f"malformed table row: {row!r}")
-            angles_deg.append(angle)
-            values.append(value)
+    for row in rows:
+        try:
+            angle, value = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            raise ParameterError(f"malformed table row: {row!r}")
+        angles_deg.append(angle)
+        values.append(value)
     return TabulatedModel(np.deg2rad(angles_deg), values)
 
 

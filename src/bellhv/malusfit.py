@@ -2,20 +2,20 @@
 
 The figure of merit is the worst-case (Chebyshev) deviation of the
 normalized pair curve P(alpha)/P(0) from cos^2(alpha) on a degree grid; a
-least-squares variant is available for smoother landscapes.  `fit` runs the
-shared multi-restart simplex search in log-parameter space, which keeps all
-three parameters positive without constraints and equalizes their scales.
+least-squares variant is available for smoother landscapes.  `fit` runs a
+seeded multi-restart Nelder-Mead search (`minimize`) in log-parameter space,
+which keeps all three parameters positive without constraints and equalizes
+their scales.  scipy is imported on the first search, not with the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ParameterError, QuadratureConvergenceError
-from .optimize import minimize
 from .quadrature import QuadratureSpec
 from .rng import SearchConfig
 from .transmission import (
@@ -36,9 +36,15 @@ OBJECTIVES = ("chebyshev", "least-squares")
 FIT_QUADRATURE = QuadratureSpec(panels=512, refine_until=1e-7, max_refinements=6)
 
 # default search budget for fits: one exact-start descent plus one perturbed
-# restart, with a value tolerance matched to the residual scale (~1e-2) so
-# the simplex can actually terminate on the shallow valley floor
-FIT_SEARCH = SearchConfig(restarts=2, max_iterations=400, tolerance=1e-6)
+# restart
+FIT_SEARCH = SearchConfig(restarts=2, max_iterations=400)
+
+# Nelder-Mead value tolerance, matched to the residual scale (~1e-2) so the
+# simplex can actually terminate on the shallow valley floor
+_FATOL = 1e-6
+
+# Gaussian sigma of the log-parameter offsets of restarts >= 1
+_RESTART_SPREAD = 0.3
 
 # log(c) is pinned above this floor so c = 0 stays representable in fits
 _LOG_C_FLOOR = -20.0
@@ -87,6 +93,45 @@ def _params_from_log(x: np.ndarray) -> TransmissionParams:
     return TransmissionParams(a=float(np.exp(x[0])), e=float(np.exp(x[1])), c=float(np.exp(x[2])))
 
 
+def minimize(
+    objective: Callable[[np.ndarray], float], x0: np.ndarray, config: SearchConfig
+) -> Tuple[int, "scipy.optimize.OptimizeResult"]:
+    """Nelder-Mead from x0, then from `config.restarts - 1` perturbed starts.
+
+    Restart r >= 1 starts at x0 plus _RESTART_SPREAD times normal draws from
+    `config.rng.substream(r)`.  Returns the index of the best restart (the
+    earliest on ties) and scipy's result for it.  Restart 0 keeps x0 as a
+    simplex vertex and Nelder-Mead never loses its best vertex, so the
+    result is never worse than x0.
+    """
+    # imported here so that importing bellhv does not pay for scipy.optimize
+    import scipy.optimize
+
+    best = None
+    for restart in range(config.restarts):
+        start = x0
+        if restart > 0:
+            draws = config.rng.substream(restart).generator().standard_normal(x0.size)
+            start = x0 + _RESTART_SPREAD * draws
+        # Nelder-Mead stops only when BOTH simplex spreads are met, so a
+        # fixed tiny xatol would block termination on flat valleys where the
+        # simplex stays elongated; tie it to the value tolerance instead.
+        result = scipy.optimize.minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            options={
+                "maxiter": config.max_iterations,
+                "fatol": _FATOL,
+                "xatol": np.sqrt(_FATOL) / 10.0,
+                "disp": False,
+            },
+        )
+        if best is None or result.fun < best[1].fun:
+            best = (restart, result)
+    return best
+
+
 def fit(
     start: TransmissionParams = REFERENCE_PARAMS,
     grid: Optional[np.ndarray] = None,
@@ -116,15 +161,15 @@ def fit(
             return 4.0
 
     x0 = np.log([start.a, start.e, max(start.c, np.exp(_LOG_C_FLOOR))])
-    outcome = minimize(objective_fn, x0, config, perturbation=0.3)
-    params = _params_from_log(outcome.x)
+    best_restart, result = minimize(objective_fn, x0, config)
+    params = _params_from_log(result.x)
     return FitResult(
         params=params,
-        residual=outcome.value,
+        residual=float(result.fun),
         objective=objective,
         grid=grid,
         intensity_ratio_at_fit=intensity_ratio(StretchedExponentialModel(params), spec),
-        converged=outcome.converged,
-        best_restart=outcome.best_restart,
-        iterations=outcome.iterations,
+        converged=bool(result.success),
+        best_restart=best_restart,
+        iterations=int(result.nit),
     )

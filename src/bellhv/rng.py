@@ -13,7 +13,8 @@ finalizer, a well-tested integer mixer, so nearby indices map to unrelated
 keys.
 
 :class:`SearchConfig` bundles a stream with the restart and iteration budget
-of the randomized searches (the simplex fit and the Bell-bound ascent).
+of the two randomized searches, the Nelder-Mead fit in :mod:`bellhv.malusfit`
+and the Bell-bound ascent in :mod:`bellhv.bell`; both read every field.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class SearchConfig:
 
     restarts: int = 8
     max_iterations: int = 400
-    tolerance: float = 1e-10
     rng: RngStream = RngStream(0)
 
     def __post_init__(self):
@@ -79,7 +79,5 @@ class SearchConfig:
             raise ParameterError("restarts must be a positive integer")
         if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ParameterError("max_iterations must be a positive integer")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ParameterError("tolerance must be a positive finite float")
         if not isinstance(self.rng, RngStream):
             raise ParameterError("rng must be an RngStream")

@@ -155,11 +155,9 @@ class TabulatedModel(TransmissionModel):
             raise ParameterError("need matching 1-D nodes/values with at least two samples")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
             raise ParameterError("nodes and values must be finite")
-        if np.any(np.abs(nodes) > HALF_WINDOW + 1e-9):
-            raise AngleDomainError("table nodes must lie in [-pi/2, pi/2]")
+        folded = np.abs(require_deviation_angle(nodes, "table nodes"))
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ParameterError("table values must lie in [0, 1]")
-        folded = np.minimum(np.abs(nodes), HALF_WINDOW)
         order = np.argsort(folded, kind="stable")
         folded = folded[order]
         values = values[order]

@@ -75,6 +75,29 @@ class TestCurve:
         assert rows[0][2] == "1"
         assert float(rows[-1][2]) < 1.0
 
+    @pytest.mark.parametrize(
+        "subcommand, text",
+        [
+            pytest.param("curve", "0.5\n0,1\n1.5,0\n", id="curve-short-first-row"),
+            pytest.param("curve", "angle,prob\nx,y\n0,1\n90,0\n", id="curve-second-header"),
+            pytest.param("simulate", "angle,prob\nx,y\n0,1\n90,0\n",
+                         id="simulate-second-header"),
+        ],
+    )
+    def test_malformed_table_row_is_a_usage_error(self, tmp_path, capsys, subcommand, text):
+        # only the first row may be a header, and only if it starts with a non-number
+        table = tmp_path / "t.csv"
+        table.write_text(text, encoding="utf-8")
+        stem = tmp_path / "tab"
+        argv = [subcommand, "--model", f"table:{table}", "--out", str(stem)]
+        if subcommand == "curve":
+            argv += ["--grid-step", "45"]
+        else:
+            argv += ["--n", "1000"]
+        assert main(argv) == 2
+        assert not (tmp_path / "tab.manifest.json").exists()
+        assert "malformed table row" in capsys.readouterr().err
+
     def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
         stem = tmp_path / "bad"
         assert main(["curve", "--model", "quantum", "--out", str(stem)]) == 2

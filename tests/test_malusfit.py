@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
 from bellhv.errors import ParameterError
-from bellhv.malusfit import FIT_QUADRATURE, FIT_SEARCH, FitResult, OBJECTIVES, fit, residual
+from bellhv.malusfit import (
+    _FATOL,
+    FIT_QUADRATURE,
+    FIT_SEARCH,
+    FitResult,
+    OBJECTIVES,
+    fit,
+    minimize,
+    residual,
+)
 from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
     REFERENCE_PARAMS,
@@ -17,7 +27,7 @@ from bellhv.transmission import (
 )
 
 STEEP_PARAMS = TransmissionParams(a=1.95, e=3.56, c=500.0)
-LIGHT_SEARCH = SearchConfig(restarts=1, max_iterations=60, tolerance=1e-6, rng=RngStream(0))
+LIGHT_SEARCH = SearchConfig(restarts=1, max_iterations=60, rng=RngStream(0))
 
 
 class TestResidual:
@@ -73,6 +83,72 @@ class TestResidual:
             residual("not a model")  # type: ignore[arg-type]
 
 
+class TestMinimize:
+    def test_one_dimensional_parabola(self):
+        _, result = minimize(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]), SearchConfig(restarts=2))
+        assert abs(result.x[0] - 3.0) < 1e-6
+        assert result.success
+
+    def test_two_dimensional_bowl(self):
+        _, result = minimize(
+            lambda x: x[0] ** 2 + x[1] ** 2, np.array([1.0, 1.0]), SearchConfig(restarts=2)
+        )
+        assert np.abs(result.x).max() < 1e-4
+        assert result.fun < 1e-8
+
+    def test_deterministic_given_config(self):
+        cfg = SearchConfig(restarts=4, rng=RngStream(5))
+        f = lambda x: (x[0] - 1.0) ** 2 + 0.5 * np.sin(x[0]) ** 2
+        restart1, r1 = minimize(f, np.array([4.0]), cfg)
+        restart2, r2 = minimize(f, np.array([4.0]), cfg)
+        np.testing.assert_array_equal(r1.x, r2.x)
+        assert r1.fun == r2.fun
+        assert restart1 == restart2
+
+    def test_restarts_escape_local_minimum(self):
+        # tilted double well: a shallow local minimum near +0.3 and the
+        # global one near -0.3, both within the restart spread of the start
+        f = lambda x: (x[0] ** 2 - 0.09) ** 2 + 0.01 * x[0]
+        _, local_only = minimize(f, np.array([0.3]), SearchConfig(restarts=1))
+        assert local_only.x[0] > 0  # stuck in the nearby well
+        best_restart, multi = minimize(
+            f, np.array([0.3]), SearchConfig(restarts=12, rng=RngStream(3))
+        )
+        assert best_restart > 0
+        assert multi.fun < local_only.fun
+        assert multi.x[0] < 0
+
+    def test_non_converged_flag_on_tiny_budget(self):
+        rosenbrock = lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        _, result = minimize(
+            rosenbrock, np.array([-1.2, 1.0]), SearchConfig(restarts=1, max_iterations=3)
+        )
+        assert not result.success
+
+    def test_result_type(self):
+        best_restart, result = minimize(
+            lambda x: x[0] ** 2, np.array([1.0]), SearchConfig(restarts=1)
+        )
+        assert isinstance(result, scipy.optimize.OptimizeResult)
+        assert isinstance(result.nit, int)
+        assert best_restart == 0
+
+    @given(
+        c0=st.floats(min_value=-2.0, max_value=2.0),
+        c1=st.floats(min_value=-2.0, max_value=2.0),
+        x0=st.floats(min_value=-3.0, max_value=3.0),
+        x1=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_never_worse_than_start(self, c0, c1, x0, x1):
+        f = lambda x: (
+            (x[0] - c0) ** 2 * (x[1] - c1) ** 2 + 0.1 * np.cos(x[0]) + 0.1 * abs(x[1])
+        )
+        start = np.array([x0, x1])
+        config = SearchConfig(restarts=3, max_iterations=60, rng=RngStream(1))
+        _, result = minimize(f, start, config)
+        assert result.fun <= float(f(start)) + 1e-12
+
+
 class TestFit:
     def test_default_run_from_reference_start(self):
         frozen = REGRESSIONS["fit_default_from_reference"]
@@ -96,12 +172,13 @@ class TestFit:
         frozen = REGRESSIONS["fit_far_start"]
         cfg = frozen["config"]
         a, e, c = frozen["start"]
+        # the frozen run used the fit's own Nelder-Mead tolerance
+        assert cfg["tolerance"] == _FATOL
         result = fit(
             start=TransmissionParams(a=a, e=e, c=c),
             config=SearchConfig(
                 restarts=cfg["restarts"],
                 max_iterations=cfg["max_iterations"],
-                tolerance=cfg["tolerance"],
                 rng=RngStream(cfg["seed"]),
             ),
         )
@@ -150,7 +227,7 @@ class TestFit:
         result = fit(
             start=start,
             grid=sparse_grid,
-            config=SearchConfig(restarts=1, max_iterations=8, tolerance=1e-6, rng=RngStream(0)),
+            config=SearchConfig(restarts=1, max_iterations=8, rng=RngStream(0)),
         )
         start_value = residual(start, grid=sparse_grid, spec=FIT_QUADRATURE)
         assert result.residual <= start_value + 1e-12
@@ -158,5 +235,5 @@ class TestFit:
     def test_default_search_budget(self):
         assert FIT_SEARCH.restarts == 2
         assert FIT_SEARCH.max_iterations == 400
-        assert FIT_SEARCH.tolerance == 1e-6
+        assert _FATOL == 1e-6
         assert FIT_QUADRATURE.panels == 512

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellhv.errors import ParameterError
-from bellhv.rng import RngStream
+from bellhv.rng import RngStream, SearchConfig
 
 
 def test_same_key_reproduces_bit_identical_draws():
@@ -63,3 +63,19 @@ def test_frozen_dataclass():
     s = RngStream(3)
     with pytest.raises(Exception):
         s.seed = 4
+
+
+class TestSearchConfig:
+    def test_defaults(self):
+        cfg = SearchConfig()
+        assert cfg.restarts == 8
+        assert cfg.max_iterations == 400
+        assert cfg.rng == RngStream(0)
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            SearchConfig(restarts=0)
+        with pytest.raises(ParameterError):
+            SearchConfig(max_iterations=0)
+        with pytest.raises(ParameterError):
+            SearchConfig(rng=123)

@@ -134,6 +134,16 @@ class TestTabulatedModel:
         with pytest.raises(ParameterError):
             TabulatedModel([0.0, 1.0], [0.0, 1.5])
 
+    def test_rejects_out_of_window_nodes(self):
+        with pytest.raises(AngleDomainError, match="table nodes"):
+            TabulatedModel([0.0, math.pi / 2 + 1e-6], [1.0, 0.0])
+        # a non-finite node is a parameter error, checked before the window
+        with pytest.raises(ParameterError, match="finite"):
+            TabulatedModel([0.0, math.inf], [1.0, 0.0])
+        # an ulp past the window edge folds onto it
+        model = TabulatedModel([0.0, -(math.pi / 2 + 1e-12)], [1.0, 0.0])
+        np.testing.assert_array_equal(model.nodes, [0.0, math.pi / 2])
+
 
 class TestConstantModel:
     def test_levels(self):
