@@ -136,8 +136,8 @@ def _load_table(path: str) -> TabulatedModel:
     values = []
     for row in rows:
         try:
-            angle, value = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
+            angle, value = map(float, row)
+        except ValueError:  # a non-number, or other than two cells
             raise ParameterError(f"malformed table row: {row!r}")
         angles_deg.append(angle)
         values.append(value)

@@ -5,13 +5,20 @@ normalized pair curve P(alpha)/P(0) from cos^2(alpha) on a degree grid; a
 least-squares variant is available for smoother landscapes.  `fit` runs a
 seeded multi-restart Nelder-Mead search (`minimize`) in log-parameter space,
 which keeps all three parameters positive without constraints and equalizes
-their scales.  scipy is imported on the first search, not with the package.
+their scales.
+
+The simplex search is `nelder_mead`, the unbounded, non-adaptive method of
+Nelder & Mead (Comput. J. 7, 308 (1965)) taken step for step from scipy
+1.17.1's `minimize(method="Nelder-Mead")`: the same initial simplex, moves,
+orderings and stopping test, so it returns the same x, fun, nit and nfev to
+the last bit.  The tests keep scipy as its oracle; the package needs only
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,20 +100,112 @@ def _params_from_log(x: np.ndarray) -> TransmissionParams:
     return TransmissionParams(a=float(np.exp(x[0])), e=float(np.exp(x[1])), c=float(np.exp(x[2])))
 
 
+class SimplexResult(NamedTuple):
+    """Outcome of one Nelder-Mead search.
+
+    x: best vertex; fun: its objective value; nit: iterations, counted from
+    1 as scipy counts them; nfev: objective evaluations; success: the
+    simplex met both tolerances before `nit` reached the iteration cap.
+    """
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def nelder_mead(
+    objective: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    max_iterations: int,
+    xatol: float,
+    fatol: float,
+) -> SimplexResult:
+    """Minimize objective from x0 with the Nelder-Mead simplex method.
+
+    Reflection, expansion, contraction and shrink coefficients are 1, 2, 1/2
+    and 1/2.  The search stops once every vertex lies within xatol of the
+    best in every coordinate and every value within fatol of the best, or
+    once the iteration count, which starts at 1, reaches max_iterations.
+    The objective gets a copy of each point and must return a real scalar.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = x0.size
+    # x0 plus one vertex per coordinate, that coordinate stretched by 5 %
+    # (or set to 0.00025 where it is zero)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        vertex = x0.copy()
+        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
+        sim[k + 1] = vertex
+    nfev = 0
+
+    def evaluate(x: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return float(objective(np.copy(x)))
+
+    fsim = np.array([evaluate(vertex) for vertex in sim])
+    # sorted twice, as scipy does: argsort need not be stable on ties
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    iterations = 1
+    while iterations < max_iterations:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = evaluate(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = evaluate(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction, kept if no worse than the reflection
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = evaluate(xc)
+                shrink = not fxc <= fxr
+            else:
+                # inside contraction, kept if better than the worst vertex
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = evaluate(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return SimplexResult(
+        x=sim[0], fun=np.min(fsim), nit=iterations, nfev=nfev, success=iterations < max_iterations
+    )
+
+
 def minimize(
     objective: Callable[[np.ndarray], float], x0: np.ndarray, config: SearchConfig
-) -> Tuple[int, "scipy.optimize.OptimizeResult"]:
+) -> Tuple[int, SimplexResult]:
     """Nelder-Mead from x0, then from `config.restarts - 1` perturbed starts.
 
     Restart r >= 1 starts at x0 plus _RESTART_SPREAD times normal draws from
     `config.rng.substream(r)`.  Returns the index of the best restart (the
-    earliest on ties) and scipy's result for it.  Restart 0 keeps x0 as a
-    simplex vertex and Nelder-Mead never loses its best vertex, so the
-    result is never worse than x0.
+    earliest on ties) and its result.  Restart 0 keeps x0 as a simplex
+    vertex and Nelder-Mead never loses its best vertex, so the result is
+    never worse than x0.
     """
-    # imported here so that importing bellhv does not pay for scipy.optimize
-    import scipy.optimize
-
     best = None
     for restart in range(config.restarts):
         start = x0
@@ -116,16 +215,8 @@ def minimize(
         # Nelder-Mead stops only when BOTH simplex spreads are met, so a
         # fixed tiny xatol would block termination on flat valleys where the
         # simplex stays elongated; tie it to the value tolerance instead.
-        result = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "fatol": _FATOL,
-                "xatol": np.sqrt(_FATOL) / 10.0,
-                "disp": False,
-            },
+        result = nelder_mead(
+            objective, start, config.max_iterations, xatol=np.sqrt(_FATOL) / 10.0, fatol=_FATOL
         )
         if best is None or result.fun < best[1].fun:
             best = (restart, result)

@@ -77,9 +77,9 @@ class TransmissionModel:
     Subclasses implement only `_profile(folded)` for folded = |lambda| in
     [0, pi/2]; the base class handles validation, evenness, and periodic
     axis reduction.  `_profile` must be a pure, thread-safe function of its
-    argument: the Monte Carlo sampler calls it directly, bypassing
-    `probabilities` and `probabilities_wrapped`, from several threads at
-    once.
+    argument that returns a fresh float array: the Monte Carlo sampler calls
+    it directly, bypassing `probabilities` and `probabilities_wrapped`, from
+    several threads at once, and the profile is clipped in place.
     """
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ class TransmissionModel:
     def probabilities(self, lam):
         """p1 evaluated on the closed window [-pi/2, pi/2]."""
         lam = require_deviation_angle(lam, "deviation angle")
-        values = _clipped_profile(self, np.atleast_1d(lam))
+        values = _clipped_profile(self, np.abs(np.atleast_1d(lam)))
         return float(values[0]) if np.ndim(lam) == 0 else values
 
     def probabilities_wrapped(self, lam):
@@ -109,9 +109,18 @@ class StretchedExponentialModel(TransmissionModel):
         # algebraically identical to 1 - (1 - E)/(1 + c E) but keeps full
         # precision when E underflows and c E is large; overflow in the
         # power just saturates E at 0, which is the correct limit
+        # in place on two fresh arrays: the same operations in the same order
+        # as exp(-(a folded)^e) (c + 1) / (1 + c exp(...)), without the
+        # temporaries (see the quadrature module on why that matters)
         with np.errstate(over="ignore", under="ignore"):
-            expo = np.exp(-np.power(a * folded, e))
-            return expo * (c + 1.0) / (1.0 + c * expo)
+            expo = np.multiply(a, folded)
+            np.power(expo, e, out=expo)
+            np.negative(expo, out=expo)
+            np.exp(expo, out=expo)
+            denominator = np.multiply(c, expo)
+            np.add(1.0, denominator, out=denominator)
+            np.multiply(expo, c + 1.0, out=expo)
+            return np.divide(expo, denominator, out=expo)
 
 
 @dataclass(frozen=True)
@@ -195,15 +204,18 @@ def intensity_ratio(model: TransmissionModel, spec: Optional[QuadratureSpec] = N
     return value / np.pi
 
 
-def _clipped_profile(model: TransmissionModel, lam: np.ndarray) -> np.ndarray:
-    # TransmissionModel.probabilities without the window check
-    return np.clip(model._profile(np.abs(lam)), 0.0, 1.0)
+def _clipped_profile(model: TransmissionModel, folded: np.ndarray) -> np.ndarray:
+    # TransmissionModel.probabilities of |lambda| without the window check;
+    # _profile returns a fresh array, so it is clipped in place
+    values = model._profile(folded)
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def _wrapped_profile(model: TransmissionModel, deviation: np.ndarray) -> np.ndarray:
     # TransmissionModel.probabilities_wrapped without the window check
-    folded = np.clip(reduce_axis_angle(deviation), -HALF_WINDOW, HALF_WINDOW)
-    return _clipped_profile(model, folded)
+    folded = reduce_axis_angle(deviation)
+    np.clip(folded, -HALF_WINDOW, HALF_WINDOW, out=folded)
+    return _clipped_profile(model, np.abs(folded, out=folded))
 
 
 def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.ndarray:
@@ -240,12 +252,19 @@ def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.
     owner = np.nonzero(grid)[0]
     row_a, row_b = angle_a[owner, None], angle_b[owner, None]
 
+    # each factor is made in place on fresh arrays, one after the other, so
+    # that a call holds few node-sized temporaries at once (see the
+    # quadrature module on why that matters)
     def integrand(lam, rows):
         if absorbing:
-            second = np.clip(row_b[rows] - lam, -HALF_WINDOW, HALF_WINDOW)
-            return _clipped_profile(model, lam) * _clipped_profile(model, second)
-        first = _wrapped_profile(model, lam - row_a[rows])
-        return first * _wrapped_profile(model, lam - row_b[rows])
+            first = _clipped_profile(model, np.abs(lam))
+            second = np.subtract(row_b[rows], lam)
+            np.clip(second, -HALF_WINDOW, HALF_WINDOW, out=second)
+            second = _clipped_profile(model, np.abs(second, out=second))
+        else:
+            first = _wrapped_profile(model, lam - row_a[rows])
+            second = _wrapped_profile(model, lam - row_b[rows])
+        return np.multiply(first, second, out=first)
 
     pieces = np.zeros(grid.shape)
     pieces[grid] = integrate_rows(integrand, lo[grid], hi[grid], spec)[0]

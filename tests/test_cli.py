@@ -82,6 +82,9 @@ class TestCurve:
             pytest.param("curve", "angle,prob\nx,y\n0,1\n90,0\n", id="curve-second-header"),
             pytest.param("simulate", "angle,prob\nx,y\n0,1\n90,0\n",
                          id="simulate-second-header"),
+            pytest.param("curve", "angle,prob,sigma\n0,1,0.1\n45,0.5,oops\n90,0\n",
+                         id="curve-extra-cell"),
+            pytest.param("curve", "0,1,0\n90,0,0\n", id="curve-three-numbers"),
         ],
     )
     def test_malformed_table_row_is_a_usage_error(self, tmp_path, capsys, subcommand, text):
@@ -466,18 +469,32 @@ class TestUsage:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs more to import than the rest of the package; only
-    # the fit loads it, on first use.  Likewise concurrent.futures, which
-    # only a multi-chunk run_pairs loads.
+    # the package needs no scipy at all; concurrent.futures is loaded only
+    # by a multi-chunk run_pairs
     env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
     code = (
         "import sys, bellhv.cli; "
-        "print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     assert done.stdout.strip() == "False False"
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    # the fit's Nelder-Mead is in the package; scipy is only its test oracle
+    env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
+    argv = ["fit", "--grid-step", "30", "--restarts", "1", "--out", str(tmp_path / "fit")]
+    code = (
+        "import sys; from bellhv.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_package_import_loads_no_submodule():

@@ -4,6 +4,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
+import bellhv.malusfit as malusfit
 from bellhv.errors import ParameterError
 from bellhv.malusfit import (
     _FATOL,
@@ -11,8 +12,10 @@ from bellhv.malusfit import (
     FIT_SEARCH,
     FitResult,
     OBJECTIVES,
+    SimplexResult,
     fit,
     minimize,
+    nelder_mead,
     residual,
 )
 from bellhv.rng import RngStream, SearchConfig
@@ -129,8 +132,10 @@ class TestMinimize:
         best_restart, result = minimize(
             lambda x: x[0] ** 2, np.array([1.0]), SearchConfig(restarts=1)
         )
-        assert isinstance(result, scipy.optimize.OptimizeResult)
+        assert isinstance(result, SimplexResult)
         assert isinstance(result.nit, int)
+        assert isinstance(result.nfev, int)
+        assert isinstance(result.success, bool)
         assert best_restart == 0
 
     @given(
@@ -147,6 +152,94 @@ class TestMinimize:
         config = SearchConfig(restarts=3, max_iterations=60, rng=RngStream(1))
         _, result = minimize(f, start, config)
         assert result.fun <= float(f(start)) + 1e-12
+
+
+def _scipy_nelder_mead(objective, x0, max_iterations, xatol, fatol):
+    return scipy.optimize.minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": max_iterations, "xatol": xatol, "fatol": fatol},
+    )
+
+
+def _assert_bitwise_equal(port, oracle):
+    assert port.x.tobytes() == oracle.x.tobytes()
+    assert np.float64(port.fun).tobytes() == np.float64(oracle.fun).tobytes()
+    assert (port.nit, port.nfev, port.success) == (oracle.nit, oracle.nfev, oracle.success)
+
+
+# test objectives of any dimension: smooth, non-smooth, a curved valley, and
+# plateaus on which contractions fail
+NELDER_MEAD_OBJECTIVES = {
+    "quadratic": lambda x: float(np.sum(np.arange(1, x.size + 1) * (x - 0.5) ** 2)),
+    "abs": lambda x: float(np.sum(np.abs(x - 0.25)) + 0.1 * np.max(np.abs(x))),
+    "rosenbrock": lambda x: float(
+        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) + (x[0] - 1.0) ** 2
+    ),
+    "plateaus": lambda x: float(np.round(np.sum(x**2), 1)),
+}
+
+
+class TestNelderMeadAgainstScipy:
+    """The in-package Nelder-Mead against scipy's, the oracle it follows."""
+
+    @settings(max_examples=200)
+    @given(
+        name=st.sampled_from(sorted(NELDER_MEAD_OBJECTIVES)),
+        x0=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        max_iterations=st.integers(min_value=1, max_value=300),
+        xatol=st.floats(min_value=1e-8, max_value=1e-2),
+        fatol=st.floats(min_value=1e-8, max_value=1e-2),
+    )
+    def test_bitwise_equal_results(self, name, x0, max_iterations, xatol, fatol):
+        objective = NELDER_MEAD_OBJECTIVES[name]
+        x0 = np.array(x0)
+        _assert_bitwise_equal(
+            nelder_mead(objective, x0, max_iterations, xatol, fatol),
+            _scipy_nelder_mead(objective, x0, max_iterations, xatol, fatol),
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_iteration_cap(self, dim):
+        objective = NELDER_MEAD_OBJECTIVES["rosenbrock"]
+        x0 = np.full(dim, -1.2)
+        port = nelder_mead(objective, x0, 5, 1e-8, 1e-8)
+        assert port.nit == 5 and not port.success
+        _assert_bitwise_equal(port, _scipy_nelder_mead(objective, x0, 5, 1e-8, 1e-8))
+
+    def test_shrink(self):
+        # a non-shrink iteration evaluates at most two points, so the excess
+        # evaluations come from shrinks, which evaluate one per moved vertex
+        objective = NELDER_MEAD_OBJECTIVES["plateaus"]
+        x0 = np.array([1.0, 2.0, 0.0])
+        port = nelder_mead(objective, x0, 100, 1e-4, 1e-4)
+        assert port.nfev > x0.size + 1 + 2 * (port.nit - 1)
+        _assert_bitwise_equal(port, _scipy_nelder_mead(objective, x0, 100, 1e-4, 1e-4))
+
+    def test_fit_objective(self, monkeypatch):
+        # restart 0 of the default fit: the fit's own objective from the log
+        # of REFERENCE_PARAMS, with the fit's budget and tolerances
+        calls = []
+
+        def record(objective, x0, config):
+            calls.append((objective, x0, config))
+            return 0, SimplexResult(x=x0, fun=objective(x0), nit=1, nfev=1, success=True)
+
+        monkeypatch.setattr(malusfit, "minimize", record)
+        fit()
+        (objective, x0, config), = calls
+        np.testing.assert_array_equal(x0, np.log(REFERENCE_PARAMS.as_tuple()))
+        xatol = np.sqrt(_FATOL) / 10.0
+        port = nelder_mead(objective, x0, config.max_iterations, xatol, _FATOL)
+        assert port.success
+        _assert_bitwise_equal(
+            port, _scipy_nelder_mead(objective, x0, config.max_iterations, xatol, _FATOL)
+        )
 
 
 class TestFit:
