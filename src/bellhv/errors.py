@@ -48,3 +48,8 @@ class QuadratureConvergenceError(BellhvError, ArithmeticError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+    def __reduce__(self):
+        # pickling calls the class with `args`, which hold only the message;
+        # the fit's restart workers send errors back pickled
+        return type(self), (self.args[0], self.value, self.error_estimate)

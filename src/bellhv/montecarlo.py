@@ -115,7 +115,11 @@ class CoincidenceCounts:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    """CPUs this process may run on: its affinity mask, else the CPU count.
+
+    The one count that sizes both the sampler's thread pool and the fit's
+    restart processes (`malusfit.minimize`).
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

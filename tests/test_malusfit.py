@@ -1,3 +1,7 @@
+import multiprocessing
+import multiprocessing.process
+import os
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
 import bellhv.malusfit as malusfit
-from bellhv.errors import ParameterError
+from bellhv.errors import ParameterError, QuadratureConvergenceError
 from bellhv.malusfit import (
     _FATOL,
     FIT_QUADRATURE,
@@ -240,6 +244,151 @@ class TestNelderMeadAgainstScipy:
         _assert_bitwise_equal(
             port, _scipy_nelder_mead(objective, x0, config.max_iterations, xatol, _FATOL)
         )
+
+
+def _assert_no_child_processes():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_process_starts(monkeypatch):
+    """List that gains each process started from now on."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        started.append(process)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+def _plateau_at_start(x):
+    # 1 within 0.05 of the origin, 0 elsewhere: restart 0 (from the origin)
+    # ends at 1, while every perturbed start ties at 0
+    return 1.0 if abs(x[0]) < 0.05 else 0.0
+
+
+def _tilted_double_well(x):
+    return (x[0] ** 2 - 0.09) ** 2 + 0.01 * x[0] + 0.02 * x[1] ** 2
+
+
+def _fit_bits(result):
+    floats = [*result.params.as_tuple(), result.residual, result.intensity_ratio_at_fit]
+    return (
+        np.array(floats).tobytes(),
+        result.grid.tobytes(),
+        (result.objective, result.converged, result.best_restart, result.iterations),
+    )
+
+
+WORKER_OBJECTIVES = {"plateau": (_plateau_at_start, 1), "double-well": (_tilted_double_well, 2)}
+
+
+class TestRestartWorkers:
+    """Restarts on forked workers: the same bits for 1, 2 and 3 processes."""
+
+    @pytest.mark.parametrize("name", sorted(WORKER_OBJECTIVES))
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    def test_minimize_does_not_depend_on_worker_count(self, monkeypatch, name, restarts):
+        objective, dim = WORKER_OBJECTIVES[name]
+        config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(3))
+        outcomes = []
+        started = _count_process_starts(monkeypatch)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
+            started.clear()
+            outcomes.append(minimize(objective, np.full(dim, 0.0), config))
+            assert len(started) == min(restarts, cpus) - 1
+            _assert_no_child_processes()
+        (best, result), *others = outcomes
+        for other_best, other in others:
+            assert other_best == best
+            _assert_bitwise_equal(other, result)
+        if name == "plateau":
+            # restarts 1, 2 and 3 all tie at 0; the earliest wins, wherever
+            # it ran (restart 1 is on a worker for 2 and 3 processes)
+            starts = [
+                malusfit._RESTART_SPREAD * config.rng.substream(r).generator().standard_normal(1)
+                for r in range(1, restarts)
+            ]
+            assert all(abs(start[0]) >= 0.05 for start in starts)
+            assert (best, result.fun) == ((1, 0.0) if restarts > 1 else (0, 1.0))
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    def test_fit_does_not_depend_on_worker_count(self, monkeypatch, restarts):
+        config = SearchConfig(restarts=restarts, max_iterations=12, rng=RngStream(2))
+        grid = np.deg2rad([0.0, 30.0, 60.0, 90.0])
+        results = []
+        started = _count_process_starts(monkeypatch)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
+            started.clear()
+            results.append(fit(grid=grid, config=config))
+            assert len(started) == min(restarts, cpus) - 1
+            _assert_no_child_processes()
+        first, *others = [_fit_bits(result) for result in results]
+        assert all(other == first for other in others)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # only the perturbed starts raise, so the error comes from restart 1,
+        # which a worker runs for 2 and 3 processes
+        def objective(x):
+            if abs(x[0]) > 0.05:
+                raise QuadratureConvergenceError(f"diverged at {x[0]!r}", float(x[0]), 0.5)
+            return x[0] ** 2
+
+        config = SearchConfig(restarts=4, max_iterations=50, rng=RngStream(3))
+        errors = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
+            with pytest.raises(QuadratureConvergenceError) as caught:
+                minimize(objective, np.array([0.0]), config)
+            errors.append(caught.value)
+            _assert_no_child_processes()
+        draw = config.rng.substream(1).generator().standard_normal(1)[0]
+        for error in errors:
+            assert type(error) is QuadratureConvergenceError
+            assert error.value == malusfit._RESTART_SPREAD * draw
+            assert error.args == errors[0].args
+            assert error.error_estimate == 0.5
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        caller = os.getpid()
+
+        def objective(x):
+            if os.getpid() != caller:
+                os._exit(3)
+            return x[0] ** 2
+
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError, match="code 3"):
+            minimize(objective, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50))
+        _assert_no_child_processes()
+
+    def test_daemonic_caller_runs_every_restart_itself(self, monkeypatch):
+        # a daemonic process may not start children, so a fit inside a
+        # multiprocessing pool worker keeps its restarts in that process
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
+        config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(2)
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        daemon = context.Process(
+            target=lambda: sender.send(minimize(_tilted_double_well, x0, config)), daemon=True
+        )
+        daemon.start()
+        sender.close()
+        best, result = receiver.recv()
+        daemon.join()
+        receiver.close()
+        assert daemon.exitcode == 0
+        expected_best, expected = minimize(_tilted_double_well, x0, config)
+        assert best == expected_best
+        _assert_bitwise_equal(result, expected)
+        _assert_no_child_processes()
 
 
 class TestFit:
