@@ -16,7 +16,7 @@ Usage: python3 scripts/estimator_comparison.py [--seed S] [--sizes 1000,...]
 import argparse
 import sys
 
-from bellhv.montecarlo import chsh_estimates, chsh_post_selected
+from bellhv.montecarlo import chsh
 from bellhv.rng import RngStream
 from bellhv.transmission import REFERENCE_PARAMS, CosineSquaredModel, StretchedExponentialModel
 
@@ -43,9 +43,8 @@ def main(argv=None) -> int:
             f" {'retained':>9}"
         )
         for n_pairs in sizes:
-            post = chsh_post_selected(model, n_pairs, RngStream(args.seed))
-            # the all-events view of the very same records, drawn once
-            all_events, _ = chsh_estimates(post.counts)
+            # both views of the very same records, drawn once
+            all_events, post = chsh(model, n_pairs, RngStream(args.seed))
             print(
                 f"  {n_pairs:>13d}"
                 f" {all_events.value:>8.4f} +/- {all_events.stderr:<6.4f}"

@@ -25,7 +25,6 @@ from bellhv.transmission import (
     intensity_ratio,
     malus,
     normalized_pair_curve,
-    p1,
 )
 
 
@@ -46,15 +45,15 @@ def main(argv=None) -> int:
     rows = []
     for label, model in profiles.items():
         ratio = intensity_ratio(model)
+        singles = model.probabilities(grid)
         curve = normalized_pair_curve(model, grid)
-        worst = float(np.abs(curve - malus(grid)).max())
+        laws = malus(grid)
+        worst = float(np.abs(curve - laws).max())
         print(f"\n{label}")
         print(f"  unpolarized single-polarizer transmission: {ratio:.4f}")
         print(f"  worst |pair curve - cos^2| on the grid:    {worst:.4f}")
         print(f"  {'deg':>5} {'p1':>10} {'pair':>10} {'cos^2':>10} {'diff':>9}")
-        for deg, angle, pair in zip(degrees, grid, curve):
-            single = p1(model, angle)
-            law = malus(angle)
+        for deg, single, pair, law in zip(degrees, singles, curve, laws):
             print(f"  {deg:5.0f} {single:10.6f} {pair:10.6f} {law:10.6f} {pair - law:+9.4f}")
             rows.append((label, deg, single, pair, law))
 

@@ -44,11 +44,11 @@ from .errors import AngleDomainError, BellhvError, DimensionError, ParameterErro
 from .malusfit import FIT_SEARCH, OBJECTIVES, fit as run_fit
 from .montecarlo import (
     CANONICAL_SETTINGS,
-    ExperimentConfig,
     chsh_estimates,
     coincidence_probability_estimate,
     expected_coincidence_probability,
     run_pairs,
+    setting_configs,
 )
 from .rng import RngStream, SearchConfig
 from .transmission import (
@@ -60,7 +60,6 @@ from .transmission import (
     TransmissionParams,
     malus,
     normalized_pair_curve,
-    p1,
 )
 
 SEED_ENV_VAR = "BELLHV_SEED"
@@ -125,7 +124,9 @@ def _load_table(path: str) -> TabulatedModel:
     source = Path(path)
     if not source.is_file():
         raise ParameterError(f"table file not found: {path}")
-    with source.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark (as spreadsheet exports write) is not
+    # part of the first cell
+    with source.open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].strip().startswith("#")]
     if rows:
         try:
@@ -196,11 +197,9 @@ def _execute_curve(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool
     model = _resolve_model(params)
     grid = degrees_grid(params["grid_start"], params["grid_stop"], params["grid_step"])
     degrees = params["grid_start"] + params["grid_step"] * np.arange(grid.size)
+    # the pair curve first: it names an angle outside the window "alpha"
     ratios = normalized_pair_curve(model, grid)
-    rows = [
-        (deg, p1(model, angle), ratio, malus(angle))
-        for deg, angle, ratio in zip(degrees, grid, ratios)
-    ]
+    rows = list(zip(degrees, model.probabilities(grid), ratios, malus(grid)))
     blob = _csv_bytes(("angle_deg", "p1", "pair_ratio", "malus"), rows)
     return {f"{stem_name}.csv": blob}, True
 
@@ -243,18 +242,11 @@ def _z_score(estimate: float, stderr: float, expected: float, n: int) -> float:
     return 0.0 if stderr == 0.0 else (estimate - expected) / stderr
 
 
-def _simulate_one(model, angle_a_deg, angle_b_deg, n, rng):
-    config = ExperimentConfig(
-        model=model,
-        angle_a=float(np.deg2rad(angle_a_deg)),
-        angle_b=float(np.deg2rad(angle_b_deg)),
-        n_pairs=n,
-        rng=rng,
-    )
+def _simulate_one(config, angle_a_deg, angle_b_deg):
     counts = run_pairs(config)
     estimate, stderr = coincidence_probability_estimate(counts)
-    expected = expected_coincidence_probability(model, config.angle_a, config.angle_b)
-    z = _z_score(estimate, stderr, expected, n)
+    expected = expected_coincidence_probability(config.model, config.angle_a, config.angle_b)
+    z = _z_score(estimate, stderr, expected, config.n_pairs)
     summary = {
         "angle_a_deg": angle_a_deg,
         "angle_b_deg": angle_b_deg,
@@ -269,18 +261,17 @@ def _simulate_one(model, angle_a_deg, angle_b_deg, n, rng):
 
 def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
     model = _resolve_model(params)
-    n = params["n"]
-    rng = RngStream(params["seed"])
     if params.get("alpha") is not None:
         settings = [(0.0, float(params["alpha"]))]
     else:
         # exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
         settings = np.rad2deg(CANONICAL_SETTINGS).tolist()
 
+    configs = setting_configs(model, np.deg2rad(settings), params["n"], RngStream(params["seed"]))
     tallies = []
     summaries = []
-    for index, (deg_a, deg_b) in enumerate(settings):
-        counts, summary = _simulate_one(model, deg_a, deg_b, n, rng.substream(index))
+    for config, (deg_a, deg_b) in zip(configs, settings):
+        counts, summary = _simulate_one(config, deg_a, deg_b)
         tallies.append(counts)
         summaries.append(summary)
 

@@ -330,11 +330,13 @@ def minimize(
 def fit(
     start: TransmissionParams = REFERENCE_PARAMS,
     grid: Optional[np.ndarray] = None,
-    spec: Optional[QuadratureSpec] = None,
     config: Optional[SearchConfig] = None,
     objective: str = "chebyshev",
 ) -> FitResult:
     """Minimize the cos^2 residual over (a, e, c) from a starting triple.
+
+    Every residual, and the intensity ratio at the fit, is computed at
+    `FIT_QUADRATURE`.
 
     The returned residual can never exceed the starting triple's residual:
     the start is always among the evaluated candidates.
@@ -343,7 +345,6 @@ def fit(
         raise ParameterError("start must be a TransmissionParams")
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
-    spec = spec or FIT_QUADRATURE
     config = config or FIT_SEARCH
     grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
 
@@ -351,7 +352,7 @@ def fit(
         if np.any(x > 12.0) or np.any(x < _LOG_C_FLOOR):
             return 4.0  # far outside any useful regime; curve is flat there
         try:
-            return residual(_params_from_log(x), grid, spec, objective)
+            return residual(_params_from_log(x), grid, FIT_QUADRATURE, objective)
         except (ParameterError, QuadratureConvergenceError):
             return 4.0
 
@@ -363,7 +364,7 @@ def fit(
         residual=float(result.fun),
         objective=objective,
         grid=grid,
-        intensity_ratio_at_fit=intensity_ratio(StretchedExponentialModel(params), spec),
+        intensity_ratio_at_fit=intensity_ratio(StretchedExponentialModel(params), FIT_QUADRATURE),
         converged=bool(result.success),
         best_restart=best_restart,
         iterations=int(result.nit),

@@ -7,7 +7,9 @@ folded back into the window (axes are direction-free, period pi): the
 wrapped convention of `transmission._coincidence_integral`, described there
 beside the pair curve's absorbing one.  The four
 tally cells (both / A only / B only / neither) support the coincidence
-probability and the two CHSH-style estimators:
+probability and the two CHSH-style estimators.  `chsh` is the one CHSH
+runner: it simulates the four settings once and reads both estimators off
+the same tallies, so they are compared on the very same photon records:
 
 * all-events: E = P(agree) - P(disagree) over every generated pair; a local
   model can never push the CHSH combination past 2.
@@ -18,13 +20,15 @@ probability and the two CHSH-style estimators:
   Phys. Rev. D 2, 1418 (1970) and A. Garg and N. D. Mermin, Phys. Rev. D 35,
   3831 (1987).
 
-Reproducibility: chunk i of a run draws from `rng.substream(i)`, so results
-are identical across platforms.  `run_pairs` tallies its chunks on a thread
-pool with one worker per usable CPU (the process's affinity mask, else
-`os.cpu_count()`), never more workers than chunks.  The sampler's numpy
-loops release the GIL, so the chunks run in parallel, and a tally is an
-integer sum over chunks, so the counts do not depend on the number of
-workers or on their scheduling.
+Reproducibility: setting i of a multi-setting run draws from
+`rng.substream(i)`, a rule written once, in `setting_configs`, which `chsh`
+and the command line share; chunk i of one setting's run draws from
+`config.rng.substream(i)`.  So results are identical across platforms.
+`run_pairs` tallies its chunks on a thread pool with one worker per usable
+CPU (the process's affinity mask, else `os.cpu_count()`), never more
+workers than chunks.  The sampler's numpy loops release the GIL, so the
+chunks run in parallel, and a tally is an integer sum over chunks, so the
+counts do not depend on the number of workers or on their scheduling.
 """
 
 from __future__ import annotations
@@ -211,24 +215,28 @@ class ChshEstimate:
     stderr: float
     correlations: Tuple[float, float, float, float]
     correlation_errors: Tuple[float, float, float, float]
-    counts: Tuple[CoincidenceCounts, ...]
     retained_fraction: Optional[float]
 
 
-def _four_settings(
-    model: TransmissionModel, n_pairs: int, rng: RngStream
-) -> Tuple[CoincidenceCounts, ...]:
-    tallies = []
-    for index, (angle_a, angle_b) in enumerate(CANONICAL_SETTINGS):
-        config = ExperimentConfig(
+def setting_configs(
+    model: TransmissionModel, settings, n_pairs: int, rng: RngStream
+) -> Tuple[ExperimentConfig, ...]:
+    """One ExperimentConfig per (angle_a, angle_b) pair of `settings`.
+
+    Setting i draws from `rng.substream(i)`: the one place that rule is
+    written, so a run of the same settings, pairs and seed replays the same
+    records wherever it is made.
+    """
+    return tuple(
+        ExperimentConfig(
             model=model,
             angle_a=angle_a,
             angle_b=angle_b,
             n_pairs=n_pairs,
             rng=rng.substream(index),
         )
-        tallies.append(run_pairs(config))
-    return tuple(tallies)
+        for index, (angle_a, angle_b) in enumerate(settings)
+    )
 
 
 def all_events_correlation(counts: CoincidenceCounts) -> Tuple[float, float]:
@@ -275,7 +283,6 @@ def _combine(tallies, correlation, retained_fraction) -> ChshEstimate:
         stderr=float(np.sqrt(sum(s * s for s in errors))),
         correlations=correlations,
         correlation_errors=errors,
-        counts=tallies,
         retained_fraction=retained_fraction,
     )
 
@@ -284,8 +291,10 @@ def chsh_estimates(tallies) -> Tuple[ChshEstimate, ChshEstimate]:
     """(all-events, post-selected) CHSH estimates from the same four tallies.
 
     `tallies` holds one CoincidenceCounts per setting, in the order of
-    `CANONICAL_SETTINGS`.  Raises DegenerateModelError when an arm
-    recorded no transmissions, where post-selection is undefined.
+    `CANONICAL_SETTINGS`; both views read the very same records.  Raises
+    DegenerateModelError when an arm recorded no transmissions, where
+    post-selection is undefined; `all_events_correlation` still gives each
+    setting's all-events term from such tallies.
     """
     tallies = tuple(tallies)
     retained = sum(t.n11 for t in tallies) / sum(t.n_pairs for t in tallies)
@@ -295,18 +304,10 @@ def chsh_estimates(tallies) -> Tuple[ChshEstimate, ChshEstimate]:
     )
 
 
-def chsh_all_events(model: TransmissionModel, n_pairs: int, rng: RngStream) -> ChshEstimate:
-    """CHSH from agreement-minus-disagreement over all generated pairs."""
-    tallies = _four_settings(model, n_pairs, rng)
-    # not via chsh_estimates: this view stays defined without detections
-    return _combine(tallies, all_events_correlation, None)
-
-
-def chsh_post_selected(model: TransmissionModel, n_pairs: int, rng: RngStream) -> ChshEstimate:
-    """CHSH from detected coincidences normalized by the singles product.
-
-    Identical (model, n_pairs, rng) arguments replay the very same
-    photon records as `chsh_all_events`, so the two estimators can be
-    compared pair-for-pair; `chsh_estimates` gives both from one draw.
-    """
-    return chsh_estimates(_four_settings(model, n_pairs, rng))[1]
+def chsh(
+    model: TransmissionModel, n_pairs: int, rng: RngStream
+) -> Tuple[ChshEstimate, ChshEstimate]:
+    """(all-events, post-selected) CHSH estimates from one draw of the four
+    `CANONICAL_SETTINGS`, `n_pairs` pairs each; see `chsh_estimates`."""
+    configs = setting_configs(model, CANONICAL_SETTINGS, n_pairs, rng)
+    return chsh_estimates(run_pairs(config) for config in configs)

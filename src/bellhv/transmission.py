@@ -184,11 +184,6 @@ class TabulatedModel(TransmissionModel):
         return np.interp(folded, self.nodes, self.values)
 
 
-def p1(model: TransmissionModel, lam):
-    """Single-polarizer transmission probability; see TransmissionModel."""
-    return model.probabilities(lam)
-
-
 def malus(alpha):
     """The cosine-squared intensity law, for comparison curves."""
     arr = np.asarray(alpha, dtype=float)

@@ -31,7 +31,7 @@ from bellhv.bell import (
     search_bound,
 )
 from bellhv.cli import main as cli_main
-from bellhv.montecarlo import ExperimentConfig, chsh_all_events, run_pairs
+from bellhv.montecarlo import ExperimentConfig, chsh, run_pairs
 from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
     REFERENCE_PARAMS,
@@ -155,7 +155,7 @@ def test_sampler_agrees_with_quadrature_across_the_angle_range():
 def test_all_events_estimator_never_crosses_the_local_limit():
     with Stopwatch() as watch:
         for seed in range(20):
-            estimate = chsh_all_events(REFERENCE_MODEL, 10**5, RngStream(seed))
+            estimate, _ = chsh(REFERENCE_MODEL, 10**5, RngStream(seed))
             assert estimate.value <= 2.0 + 5.0 * estimate.stderr
     assert watch.elapsed < 30.0
 

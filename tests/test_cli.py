@@ -14,6 +14,9 @@ from _frozen import BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 import bellhv
 from bellhv import __version__
 from bellhv.cli import SEED_ENV_VAR, _z_score, main
+from bellhv.montecarlo import chsh
+from bellhv.rng import RngStream
+from bellhv.transmission import REFERENCE_PARAMS, CosineSquaredModel, StretchedExponentialModel
 
 
 def read_rows(path):
@@ -74,6 +77,21 @@ class TestCurve:
         _, rows = read_rows(tmp_path / "tab.csv")
         assert rows[0][2] == "1"
         assert float(rows[-1][2]) < 1.0
+
+    def test_byte_order_mark_is_not_part_of_the_table(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        blobs = set()
+        for encoding in ("utf-8", "utf-8-sig"):
+            for header in ("", "angle_deg,probability\n"):
+                table = tmp_path / "t.csv"
+                table.write_text(header + "0,1\n45,0.5\n90,0\n", encoding=encoding)
+                stem = tmp_path / "tab"
+                argv = ["curve", "--model", f"table:{table}", "--grid-step", "15"]
+                assert main(argv + ["--out", str(stem)]) == 0
+                blobs.add((tmp_path / "tab.csv").read_bytes())
+        assert len(blobs) == 1
+        _, rows = read_rows(tmp_path / "tab.csv")
+        assert rows[0][:2] == ["0", "1"]
 
     @pytest.mark.parametrize(
         "subcommand, text",
@@ -229,6 +247,31 @@ class TestSimulate:
         assert chsh["retained_fraction"] == pytest.approx(expected_retained, abs=5e-3)
         _, rows = read_rows(tmp_path / "chsh.csv")
         assert len(rows) == 4
+
+    @pytest.mark.parametrize(
+        "name, model",
+        [
+            ("reference", StretchedExponentialModel(REFERENCE_PARAMS)),
+            ("belinfante", CosineSquaredModel()),
+        ],
+    )
+    def test_chsh_block_is_the_library_runner(self, tmp_path, name, model):
+        # the command line and chsh() share one per-setting stream rule
+        stem = tmp_path / name
+        argv = ["simulate", "--model", name, "--n", "20000", "--seed", "5"]
+        assert main(argv + ["--out", str(stem)]) == 0
+        block = read_json(tmp_path / f"{name}.json")["chsh"]
+        all_events, post = chsh(model, 20000, RngStream(5))
+        round12 = lambda value: float(format(value, ".12g"))  # the writer's precision
+        assert block == {
+            "all_events_S": round12(all_events.value),
+            "all_events_stderr": round12(all_events.stderr),
+            "post_selected_S": round12(post.value),
+            "post_selected_stderr": round12(post.stderr),
+            "retained_fraction": round12(post.retained_fraction),
+            "correlations_all_events": [round12(e) for e in all_events.correlations],
+            "correlations_post_selected": [round12(e) for e in post.correlations],
+        }
 
     def test_angle_outside_window_is_a_usage_error(self, tmp_path):
         assert main(

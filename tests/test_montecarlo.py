@@ -22,13 +22,13 @@ from bellhv.montecarlo import (
     CoincidenceCounts,
     ExperimentConfig,
     all_events_correlation,
-    chsh_all_events,
+    chsh,
     chsh_estimates,
-    chsh_post_selected,
     coincidence_probability_estimate,
     expected_coincidence_probability,
     post_selected_correlation,
     run_pairs,
+    setting_configs,
 )
 from bellhv.quadrature import DEFAULT_QUADRATURE
 from bellhv.rng import RngStream
@@ -418,48 +418,68 @@ class TestChshAngles:
         assert CHSH_SIGNS == (1, 1, 1, -1)
 
 
+class TestSettingConfigs:
+    def test_setting_i_draws_from_substream_i(self):
+        settings = ((0.0, 0.5), (-1.2, math.pi / 2), (0.3, -0.3))
+        rng = RngStream(5, 9)
+        configs = setting_configs(TABULATED_MODEL, settings, 321, rng)
+        assert len(configs) == len(settings)
+        for index, (config, (angle_a, angle_b)) in enumerate(zip(configs, settings)):
+            assert config.rng == rng.substream(index)
+            assert (config.angle_a, config.angle_b) == (angle_a, angle_b)
+            assert config.model is TABULATED_MODEL
+            assert config.n_pairs == 321
+
+
+@pytest.fixture(scope="module")
+def reference_chsh():
+    """Both CHSH views of the reference model, 10^6 pairs per setting, seed 12."""
+    return chsh(REFERENCE_MODEL, 10**6, RngStream(12))
+
+
 class TestChshEstimators:
     def test_certain_transmission_gives_exactly_two(self):
-        estimate = chsh_all_events(ConstantModel(1.0), 1000, RngStream(0))
+        estimate, _ = chsh(ConstantModel(1.0), 1000, RngStream(0))
         assert estimate.value == 2.0
         assert estimate.stderr == 0.0
 
     def test_certain_absorption_gives_exactly_two(self):
-        estimate = chsh_all_events(ConstantModel(0.0), 1000, RngStream(0))
-        assert estimate.value == 2.0
+        # the post-selected view is undefined here, so chsh() raises; the
+        # all-events view still follows from the tallies
+        configs = setting_configs(ConstantModel(0.0), CANONICAL_SETTINGS, 1000, RngStream(0))
+        correlations = [all_events_correlation(run_pairs(config))[0] for config in configs]
+        assert sum(s * e for s, e in zip(CHSH_SIGNS, correlations)) == 2.0
 
     def test_both_views_come_from_one_set_of_tallies(self):
-        alls = chsh_all_events(REFERENCE_MODEL, 5000, RngStream(3))
-        ps = chsh_post_selected(REFERENCE_MODEL, 5000, RngStream(3))
-        both = chsh_estimates(alls.counts)
-        assert both == (alls, ps)
-        assert ps.retained_fraction == sum(t.n11 for t in alls.counts) / (4.0 * 5000)
+        configs = setting_configs(REFERENCE_MODEL, CANONICAL_SETTINGS, 5000, RngStream(3))
+        tallies = [run_pairs(config) for config in configs]
+        alls, ps = chsh(REFERENCE_MODEL, 5000, RngStream(3))
+        assert chsh_estimates(tallies) == (alls, ps)
+        assert ps.retained_fraction == sum(t.n11 for t in tallies) / (4.0 * 5000)
 
     def test_post_selected_view_needs_detections(self):
-        alls = chsh_all_events(ConstantModel(0.0), 1000, RngStream(0))
         with pytest.raises(DegenerateModelError):
-            chsh_estimates(alls.counts)
+            chsh(ConstantModel(0.0), 1000, RngStream(0))
 
     def test_certain_transmission_post_selection_discards_nothing(self):
-        ps = chsh_post_selected(ConstantModel(1.0), 1000, RngStream(0))
-        alls = chsh_all_events(ConstantModel(1.0), 1000, RngStream(0))
+        alls, ps = chsh(ConstantModel(1.0), 1000, RngStream(0))
         assert ps.retained_fraction == 1.0
         assert ps.value == alls.value
 
-    def test_all_events_stays_local(self):
-        estimate = chsh_all_events(REFERENCE_MODEL, 10**6, RngStream(12))
+    def test_all_events_stays_local(self, reference_chsh):
+        estimate, _ = reference_chsh
         assert abs(estimate.value) <= 2.0 + 5.0 * estimate.stderr
 
-    def test_all_events_matches_frozen_expectations(self):
-        estimate = chsh_all_events(REFERENCE_MODEL, 10**6, RngStream(12))
+    def test_all_events_matches_frozen_expectations(self, reference_chsh):
+        estimate, _ = reference_chsh
         for measured, sigma, expected in zip(
             estimate.correlations, estimate.correlation_errors, MC_REFERENCE["E_all_settings"]
         ):
             assert abs(measured - expected) <= 4.0 * sigma
         assert abs(estimate.value - MC_REFERENCE["S_all"]) <= 4.0 * estimate.stderr
 
-    def test_post_selected_matches_frozen_expectations(self):
-        estimate = chsh_post_selected(REFERENCE_MODEL, 10**6, RngStream(12))
+    def test_post_selected_matches_frozen_expectations(self, reference_chsh):
+        _, estimate = reference_chsh
         for measured, sigma, expected in zip(
             estimate.correlations, estimate.correlation_errors, MC_REFERENCE["E_ps_settings"]
         ):
@@ -469,19 +489,18 @@ class TestChshEstimators:
         assert estimate.retained_fraction == pytest.approx(expected_retained, abs=4e-3)
 
     def test_post_selection_inflates_the_reference_estimate(self):
-        alls = chsh_all_events(REFERENCE_MODEL, 10**5, RngStream(21))
-        ps = chsh_post_selected(REFERENCE_MODEL, 10**5, RngStream(21))
+        alls, ps = chsh(REFERENCE_MODEL, 10**5, RngStream(21))
         assert ps.value > alls.value + 10.0 * math.hypot(ps.stderr, alls.stderr)
 
     def test_cosine_squared_post_selection_sits_at_local_boundary(self):
-        estimate = chsh_post_selected(BELINFANTE_MODEL, 10**6, RngStream(12))
+        _, estimate = chsh(BELINFANTE_MODEL, 10**6, RngStream(12))
         assert abs(estimate.value - MC_BELINFANTE["S_ps"]) <= 4.0 * estimate.stderr
 
     def test_profiles_separate_in_post_selected_estimator(self):
         frozen = REGRESSIONS["post_selection_separation"]
         stream = RngStream(frozen["seed"])
-        ref = chsh_post_selected(REFERENCE_MODEL, frozen["n_pairs"], stream)
-        bel = chsh_post_selected(BELINFANTE_MODEL, frozen["n_pairs"], stream)
+        _, ref = chsh(REFERENCE_MODEL, frozen["n_pairs"], stream)
+        _, bel = chsh(BELINFANTE_MODEL, frozen["n_pairs"], stream)
         assert ref.value == pytest.approx(frozen["S_reference"], abs=1e-12)
         assert bel.value == pytest.approx(frozen["S_belinfante"], abs=1e-12)
         difference = abs(ref.value - bel.value)

@@ -44,7 +44,5 @@ def test_bound_report_within_its_limit(quick_start):
 
 def test_all_events_and_post_selected_chsh(quick_start):
     all_events, post_selected = quick_start["(est_all.value, est_ps.value)"]
-    both_views = quick_start["chsh_estimates(est_ps.counts)"]
-    assert tuple(estimate.value for estimate in both_views) == (all_events, post_selected)
     assert all_events < 0.5
     assert post_selected == pytest.approx(1.98, abs=0.03)

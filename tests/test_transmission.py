@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import _simpson_loop
 from _frozen import BELINFANTE, GRID_DEG, REFERENCE, STEEP, STEEP_TRIPLE
+from bellhv.angles import degrees_grid
 from bellhv.errors import (
     AngleDomainError,
     DegenerateModelError,
@@ -27,7 +28,6 @@ from bellhv.transmission import (
     intensity_ratio,
     malus,
     normalized_pair_curve,
-    p1,
     pair_transmission,
 )
 
@@ -58,29 +58,31 @@ class TestTransmissionParams:
 
 class TestSinglePolarizerProbability:
     def test_unit_at_zero(self):
-        assert p1(REFERENCE_MODEL, 0.0) == 1.0
-        assert p1(STEEP_MODEL, 0.0) == 1.0
+        assert REFERENCE_MODEL.probabilities(0.0) == 1.0
+        assert STEEP_MODEL.probabilities(0.0) == 1.0
 
     @pytest.mark.parametrize(
         "key,angle",
         [("pi/8", math.pi / 8), ("pi/4", math.pi / 4), ("3pi/8", 3 * math.pi / 8), ("pi/2", math.pi / 2)],
     )
     def test_reference_profile_values(self, key, angle):
-        assert p1(REFERENCE_MODEL, angle) == pytest.approx(REFERENCE["p1_at"][key], rel=1e-12)
+        expected = REFERENCE["p1_at"][key]
+        assert REFERENCE_MODEL.probabilities(angle) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "key,angle",
         [("pi/8", math.pi / 8), ("pi/4", math.pi / 4), ("3pi/8", 3 * math.pi / 8), ("pi/2", math.pi / 2)],
     )
     def test_steep_profile_values(self, key, angle):
-        assert p1(STEEP_MODEL, angle) == pytest.approx(STEEP["p1_at"][key], rel=1e-12)
+        expected = STEEP["p1_at"][key]
+        assert STEEP_MODEL.probabilities(angle) == pytest.approx(expected, rel=1e-12)
 
     def test_steep_profile_vanishes_at_edge(self):
-        assert p1(STEEP_MODEL, math.pi / 2) < 1e-20
+        assert STEEP_MODEL.probabilities(math.pi / 2) < 1e-20
 
     def test_cosine_squared_model(self):
-        assert p1(BELINFANTE_MODEL, math.pi / 4) == pytest.approx(0.5, abs=1e-15)
-        assert p1(BELINFANTE_MODEL, 0.0) == 1.0
+        assert BELINFANTE_MODEL.probabilities(math.pi / 4) == pytest.approx(0.5, abs=1e-15)
+        assert BELINFANTE_MODEL.probabilities(0.0) == 1.0
 
     def test_zero_weight_reduces_to_pure_exponential(self):
         params = TransmissionParams(1.7, 2.3, 0.0)
@@ -92,7 +94,21 @@ class TestSinglePolarizerProbability:
 
     def test_domain_error_beyond_window(self):
         with pytest.raises(AngleDomainError):
-            p1(REFERENCE_MODEL, 2.0)
+            REFERENCE_MODEL.probabilities(2.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE_MODEL, STEEP_MODEL, BELINFANTE_MODEL,
+         TabulatedModel([0.0, 0.4, 1.1, math.pi / 2], [1.0, 0.7, 0.2, 0.05])],
+    )
+    @pytest.mark.parametrize("start, step", [(0.0, 0.1), (0.0, 5.0), (0.0, 7.5), (-90.0, 2.5)])
+    def test_array_form_is_bitwise_the_pointwise_form(self, model, start, step):
+        # the curve writers evaluate a whole grid per call; their files were
+        # written one angle per call before, and must not change
+        grid = degrees_grid(start, 90.0, step)
+        pointwise = [model.probabilities(angle) for angle in grid]
+        np.testing.assert_array_equal(model.probabilities(grid), pointwise)
+        np.testing.assert_array_equal(malus(grid), [malus(angle) for angle in grid])
 
     def test_extension_and_wrapping(self):
         assert REFERENCE_MODEL.probabilities_wrapped(math.pi) == pytest.approx(
