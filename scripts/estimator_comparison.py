@@ -18,7 +18,7 @@ import sys
 
 from bellhv.montecarlo import chsh
 from bellhv.rng import RngStream
-from bellhv.transmission import REFERENCE_PARAMS, CosineSquaredModel, StretchedExponentialModel
+from bellhv.transmission import REFERENCE_MODEL, CosineSquaredModel
 
 
 def main(argv=None) -> int:
@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     sizes = [int(n) for n in args.sizes.split(",")]
 
     profiles = {
-        "stretched-exponential reference": StretchedExponentialModel(REFERENCE_PARAMS),
+        "stretched-exponential reference": REFERENCE_MODEL,
         "cos^2 single-polarizer profile": CosineSquaredModel(),
     }
 

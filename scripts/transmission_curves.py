@@ -19,9 +19,8 @@ import numpy as np
 
 from bellhv.angles import degrees_grid
 from bellhv.transmission import (
-    REFERENCE_PARAMS,
+    REFERENCE_MODEL,
     CosineSquaredModel,
-    StretchedExponentialModel,
     intensity_ratio,
     malus,
     normalized_pair_curve,
@@ -35,10 +34,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     grid = degrees_grid(0.0, 90.0, args.step)
-    degrees = np.rad2deg(grid)
+    # the written degrees are start + step i, not a round trip through radians
+    degrees = args.step * np.arange(grid.size)
     profiles = {
-        "stretched-exponential (a=%.1f, e=%.1f, c=%.0f)" % REFERENCE_PARAMS.as_tuple():
-            StretchedExponentialModel(REFERENCE_PARAMS),
+        "stretched-exponential (a=%.1f, e=%.1f, c=%.0f)"
+        % (REFERENCE_MODEL.a, REFERENCE_MODEL.e, REFERENCE_MODEL.c): REFERENCE_MODEL,
         "cos^2 single-polarizer profile": CosineSquaredModel(),
     }
 

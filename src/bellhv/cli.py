@@ -52,12 +52,11 @@ from .montecarlo import (
 )
 from .rng import RngStream, SearchConfig
 from .transmission import (
-    REFERENCE_PARAMS,
+    REFERENCE_MODEL,
     CosineSquaredModel,
     StretchedExponentialModel,
     TabulatedModel,
     TransmissionModel,
-    TransmissionParams,
     malus,
     normalized_pair_curve,
 )
@@ -126,8 +125,11 @@ def _load_table(path: str) -> TabulatedModel:
         raise ParameterError(f"table file not found: {path}")
     # utf-8-sig: a byte-order mark (as spreadsheet exports write) is not
     # part of the first cell
-    with source.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].strip().startswith("#")]
+    try:
+        with source.open(newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row and not row[0].strip().startswith("#")]
+    except UnicodeDecodeError:
+        raise ParameterError(f"table file is not UTF-8 text: {path}") from None
     if rows:
         try:
             float(rows[0][0])
@@ -147,13 +149,13 @@ def _load_table(path: str) -> TabulatedModel:
 
 def _closed_form_overrides(params: dict) -> dict:
     """The closed-form parameters (a, e, c) that the parameter dict sets."""
-    names = (field.name for field in dataclasses.fields(TransmissionParams))
+    names = (field.name for field in dataclasses.fields(StretchedExponentialModel))
     return {name: params[name] for name in names if params.get(name) is not None}
 
 
-def _reference_triple(params: dict) -> TransmissionParams:
-    """REFERENCE_PARAMS with every closed-form parameter the dict sets."""
-    return dataclasses.replace(REFERENCE_PARAMS, **_closed_form_overrides(params))
+def _reference_triple(params: dict) -> StretchedExponentialModel:
+    """REFERENCE_MODEL with every closed-form parameter the dict sets."""
+    return dataclasses.replace(REFERENCE_MODEL, **_closed_form_overrides(params))
 
 
 def _resolve_model(params: dict) -> TransmissionModel:
@@ -165,7 +167,7 @@ def _resolve_model(params: dict) -> TransmissionModel:
     """
     kind = params["model"]
     if kind == "reference":
-        return StretchedExponentialModel(_reference_triple(params))
+        return _reference_triple(params)
     if _closed_form_overrides(params):
         raise ParameterError("--a/--e/--c apply only to the closed-form model")
     if kind == "belinfante":

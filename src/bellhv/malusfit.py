@@ -1,4 +1,7 @@
-"""Fitting the transmission parameters against the cosine-squared law.
+"""Fitting the closed-form profile's (a, e, c) against the cosine-squared law.
+
+`fit` starts from a `StretchedExponentialModel` and returns one, in
+`FitResult.params`; `residual` scores any `TransmissionModel`.
 
 The figure of merit is the worst-case (Chebyshev) deviation of the
 normalized pair curve P(alpha)/P(0) from cos^2(alpha) on a degree grid; a
@@ -39,10 +42,9 @@ from .montecarlo import _usable_cpus
 from .quadrature import QuadratureSpec
 from .rng import SearchConfig
 from .transmission import (
-    REFERENCE_PARAMS,
+    REFERENCE_MODEL,
     StretchedExponentialModel,
     TransmissionModel,
-    TransmissionParams,
     default_angle_grid,
     intensity_ratio,
     malus,
@@ -71,7 +73,7 @@ _LOG_C_FLOOR = -20.0
 
 
 def residual(
-    model_or_params: Union[TransmissionModel, TransmissionParams],
+    model: TransmissionModel,
     grid: Optional[np.ndarray] = None,
     spec: Optional[QuadratureSpec] = None,
     objective: str = "chebyshev",
@@ -82,12 +84,8 @@ def residual(
     """
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
-    if isinstance(model_or_params, TransmissionParams):
-        model: TransmissionModel = StretchedExponentialModel(model_or_params)
-    elif isinstance(model_or_params, TransmissionModel):
-        model = model_or_params
-    else:
-        raise ParameterError("expected a TransmissionModel or TransmissionParams")
+    if not isinstance(model, TransmissionModel):
+        raise ParameterError("expected a TransmissionModel")
     grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
     if grid.size == 0:
         raise ParameterError("grid must contain at least one angle")
@@ -99,7 +97,7 @@ def residual(
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    params: TransmissionParams
+    params: StretchedExponentialModel
     residual: float
     objective: str
     grid: np.ndarray
@@ -109,8 +107,10 @@ class FitResult:
     iterations: int
 
 
-def _params_from_log(x: np.ndarray) -> TransmissionParams:
-    return TransmissionParams(a=float(np.exp(x[0])), e=float(np.exp(x[1])), c=float(np.exp(x[2])))
+def _params_from_log(x: np.ndarray) -> StretchedExponentialModel:
+    return StretchedExponentialModel(
+        a=float(np.exp(x[0])), e=float(np.exp(x[1])), c=float(np.exp(x[2]))
+    )
 
 
 class SimplexResult(NamedTuple):
@@ -328,7 +328,7 @@ def minimize(
 
 
 def fit(
-    start: TransmissionParams = REFERENCE_PARAMS,
+    start: StretchedExponentialModel = REFERENCE_MODEL,
     grid: Optional[np.ndarray] = None,
     config: Optional[SearchConfig] = None,
     objective: str = "chebyshev",
@@ -341,8 +341,8 @@ def fit(
     The returned residual can never exceed the starting triple's residual:
     the start is always among the evaluated candidates.
     """
-    if not isinstance(start, TransmissionParams):
-        raise ParameterError("start must be a TransmissionParams")
+    if not isinstance(start, StretchedExponentialModel):
+        raise ParameterError("start must be a StretchedExponentialModel")
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     config = config or FIT_SEARCH
@@ -364,7 +364,7 @@ def fit(
         residual=float(result.fun),
         objective=objective,
         grid=grid,
-        intensity_ratio_at_fit=intensity_ratio(StretchedExponentialModel(params), FIT_QUADRATURE),
+        intensity_ratio_at_fit=intensity_ratio(params, FIT_QUADRATURE),
         converged=bool(result.success),
         best_restart=best_restart,
         iterations=int(result.nit),

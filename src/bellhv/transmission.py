@@ -10,6 +10,8 @@ family of primary interest is the saturated stretched exponential
 which equals 1 exactly at lambda = 0, decays to ~0 at the window edge, and
 for suitable (a, e, c) makes a *pair* of polarizers reproduce the cosine
 squared intensity law even though a single polarizer does not.
+`StretchedExponentialModel` is this profile and the one type that holds
+(a, e, c); `REFERENCE_MODEL` is its reference triple.
 
 Pair transmission for relative analyzer angle alpha averages over a source
 with uniformly distributed hidden axis:
@@ -27,48 +29,13 @@ kernel :func:`bellhv.quadrature.integrate_rows`, so `pair_transmission` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .angles import HALF_WINDOW, degrees_grid, reduce_axis_angle, require_deviation_angle
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec, integrate, integrate_rows
-
-
-@dataclass(frozen=True)
-class TransmissionParams:
-    """Parameters (a, e, c) of the saturated stretched-exponential profile.
-
-    a scales the deviation angle, e is the stretching exponent, c is the
-    saturation strength pinning p1(0) = 1.
-    """
-
-    a: float
-    e: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "e", "c"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.floating, np.integer)):
-                raise ParameterError(f"{name} must be a real number")
-            object.__setattr__(self, name, float(value))
-        if not (np.isfinite(self.a) and self.a > 0):
-            raise ParameterError("a must be positive and finite")
-        if not (np.isfinite(self.e) and self.e > 0):
-            raise ParameterError("e must be positive and finite")
-        if not (np.isfinite(self.c) and self.c >= 0):
-            raise ParameterError("c must be non-negative and finite")
-
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.a, self.e, self.c)
-
-
-# Reference triple: recovered by the fit module as the operating point whose
-# pair curve tracks cos^2 within 0.05 (worst deviation 0.0459 at 25 degrees)
-# while a single polarizer passes 44.3% of unpolarized light.
-REFERENCE_PARAMS = TransmissionParams(a=2.6, e=2.2, c=45.0)
 
 
 class TransmissionModel:
@@ -98,14 +65,31 @@ class TransmissionModel:
 
 @dataclass(frozen=True)
 class StretchedExponentialModel(TransmissionModel):
-    params: TransmissionParams = REFERENCE_PARAMS
+    """The saturated stretched-exponential profile with parameters (a, e, c).
+
+    a scales the deviation angle, e is the stretching exponent, c is the
+    saturation strength pinning p1(0) = 1.
+    """
+
+    a: float
+    e: float
+    c: float
 
     def __post_init__(self):
-        if not isinstance(self.params, TransmissionParams):
-            raise ParameterError("params must be a TransmissionParams")
+        for name in ("a", "e", "c"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float, np.floating, np.integer)):
+                raise ParameterError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(value))
+        if not (np.isfinite(self.a) and self.a > 0):
+            raise ParameterError("a must be positive and finite")
+        if not (np.isfinite(self.e) and self.e > 0):
+            raise ParameterError("e must be positive and finite")
+        if not (np.isfinite(self.c) and self.c >= 0):
+            raise ParameterError("c must be non-negative and finite")
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
-        a, e, c = self.params.as_tuple()
+        a, e, c = self.a, self.e, self.c
         # algebraically identical to 1 - (1 - E)/(1 + c E) but keeps full
         # precision when E underflows and c E is large; overflow in the
         # power just saturates E at 0, which is the correct limit
@@ -123,26 +107,18 @@ class StretchedExponentialModel(TransmissionModel):
             return np.divide(expo, denominator, out=expo)
 
 
+# Reference triple: recovered by the fit module as the operating point whose
+# pair curve tracks cos^2 within 0.05 (worst deviation 0.0459 at 25 degrees)
+# while a single polarizer passes 44.3% of unpolarized light.
+REFERENCE_MODEL = StretchedExponentialModel(a=2.6, e=2.2, c=45.0)
+
+
 @dataclass(frozen=True)
 class CosineSquaredModel(TransmissionModel):
     """p1 = cos^2(lambda): each polarizer alone already obeys the intensity law."""
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
         return np.cos(folded) ** 2
-
-
-@dataclass(frozen=True)
-class ConstantModel(TransmissionModel):
-    """p1 identically equal to `value`; value 1 models a perfect open channel."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value) and 0.0 <= self.value <= 1.0):
-            raise ParameterError("value must lie in [0, 1]")
-
-    def _profile(self, folded: np.ndarray) -> np.ndarray:
-        return np.full_like(folded, self.value)
 
 
 @dataclass(frozen=True, eq=False)

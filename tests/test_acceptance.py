@@ -34,17 +34,14 @@ from bellhv.cli import main as cli_main
 from bellhv.montecarlo import ExperimentConfig, chsh, run_pairs
 from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
-    REFERENCE_PARAMS,
+    REFERENCE_MODEL,
     CosineSquaredModel,
-    StretchedExponentialModel,
     default_angle_grid,
     intensity_ratio,
     malus,
     normalized_pair_curve,
     pair_transmission,
 )
-
-REFERENCE_MODEL = StretchedExponentialModel(REFERENCE_PARAMS)
 
 
 class Stopwatch:

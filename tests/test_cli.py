@@ -16,7 +16,7 @@ from bellhv import __version__
 from bellhv.cli import SEED_ENV_VAR, _z_score, main
 from bellhv.montecarlo import chsh
 from bellhv.rng import RngStream
-from bellhv.transmission import REFERENCE_PARAMS, CosineSquaredModel, StretchedExponentialModel
+from bellhv.transmission import REFERENCE_MODEL, CosineSquaredModel
 
 
 def read_rows(path):
@@ -118,6 +118,18 @@ class TestCurve:
         assert main(argv) == 2
         assert not (tmp_path / "tab.manifest.json").exists()
         assert "malformed table row" in capsys.readouterr().err
+
+    def test_undecodable_table_is_a_usage_error(self, tmp_path, capsys):
+        # a UTF-16 export is not UTF-8 text: one error line, no traceback
+        table = tmp_path / "t16.csv"
+        table.write_text("0,1\n45,0.5\n90,0\n", encoding="utf-16")
+        stem = tmp_path / "tab"
+        argv = ["curve", "--model", f"table:{table}", "--grid-step", "15", "--out", str(stem)]
+        assert main(argv) == 2
+        assert not (tmp_path / "tab.manifest.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err
 
     def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
         stem = tmp_path / "bad"
@@ -251,7 +263,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "name, model",
         [
-            ("reference", StretchedExponentialModel(REFERENCE_PARAMS)),
+            ("reference", REFERENCE_MODEL),
             ("belinfante", CosineSquaredModel()),
         ],
     )

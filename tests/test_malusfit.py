@@ -24,22 +24,21 @@ from bellhv.malusfit import (
 )
 from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
-    REFERENCE_PARAMS,
+    REFERENCE_MODEL,
     CosineSquaredModel,
     StretchedExponentialModel,
-    TransmissionParams,
     default_angle_grid,
     malus,
     normalized_pair_curve,
 )
 
-STEEP_PARAMS = TransmissionParams(a=1.95, e=3.56, c=500.0)
+STEEP_MODEL = StretchedExponentialModel(a=1.95, e=3.56, c=500.0)
 LIGHT_SEARCH = SearchConfig(restarts=1, max_iterations=60, rng=RngStream(0))
 
 
 class TestResidual:
     def test_reference_profile_residual(self):
-        value = residual(REFERENCE_PARAMS)
+        value = residual(REFERENCE_MODEL)
         assert value == pytest.approx(REFERENCE["malus_residual"], abs=1e-9)
 
     def test_cosine_squared_baseline_residual(self):
@@ -48,44 +47,44 @@ class TestResidual:
         assert value > 0.1
 
     def test_steep_profile_residual(self):
-        value = residual(STEEP_PARAMS)
+        value = residual(STEEP_MODEL)
         assert value == pytest.approx(STEEP["malus_residual"], abs=1e-9)
 
     def test_reference_worst_angle(self):
         grid = default_angle_grid()
         deviations = np.abs(
-            normalized_pair_curve(StretchedExponentialModel(REFERENCE_PARAMS), grid)
+            normalized_pair_curve(REFERENCE_MODEL, grid)
             - malus(grid)
         )
         worst_deg = np.rad2deg(grid[int(np.argmax(deviations))])
         assert worst_deg == pytest.approx(REFERENCE["malus_residual_argmax_deg"], abs=1e-9)
 
     def test_far_start_point_residual(self):
-        value = residual(TransmissionParams(a=1.0, e=2.0, c=100.0))
+        value = residual(StretchedExponentialModel(a=1.0, e=2.0, c=100.0))
         assert value == pytest.approx(REGRESSIONS["residual_at_far_start_point"], abs=1e-9)
 
     def test_grid_order_and_duplicates_do_not_change_chebyshev(self):
         grid = default_angle_grid()
-        base = residual(REFERENCE_PARAMS, grid=grid, spec=FIT_QUADRATURE)
-        shuffled = residual(REFERENCE_PARAMS, grid=grid[::-1], spec=FIT_QUADRATURE)
+        base = residual(REFERENCE_MODEL, grid=grid, spec=FIT_QUADRATURE)
+        shuffled = residual(REFERENCE_MODEL, grid=grid[::-1], spec=FIT_QUADRATURE)
         doubled = residual(
-            REFERENCE_PARAMS, grid=np.concatenate([grid, grid]), spec=FIT_QUADRATURE
+            REFERENCE_MODEL, grid=np.concatenate([grid, grid]), spec=FIT_QUADRATURE
         )
         assert shuffled == pytest.approx(base, abs=1e-12)
         assert doubled == pytest.approx(base, abs=1e-12)
 
     def test_least_squares_never_exceeds_chebyshev(self):
-        for params in (REFERENCE_PARAMS, STEEP_PARAMS):
-            cheb = residual(params, spec=FIT_QUADRATURE, objective="chebyshev")
-            rms = residual(params, spec=FIT_QUADRATURE, objective="least-squares")
+        for model in (REFERENCE_MODEL, STEEP_MODEL):
+            cheb = residual(model, spec=FIT_QUADRATURE, objective="chebyshev")
+            rms = residual(model, spec=FIT_QUADRATURE, objective="least-squares")
             assert 0.0 < rms <= cheb
 
     def test_validation(self):
         assert OBJECTIVES == ("chebyshev", "least-squares")
         with pytest.raises(ParameterError):
-            residual(REFERENCE_PARAMS, objective="l1")
+            residual(REFERENCE_MODEL, objective="l1")
         with pytest.raises(ParameterError):
-            residual(REFERENCE_PARAMS, grid=np.array([]))
+            residual(REFERENCE_MODEL, grid=np.array([]))
         with pytest.raises(ParameterError):
             residual("not a model")  # type: ignore[arg-type]
 
@@ -227,7 +226,7 @@ class TestNelderMeadAgainstScipy:
 
     def test_fit_objective(self, monkeypatch):
         # restart 0 of the default fit: the fit's own objective from the log
-        # of REFERENCE_PARAMS, with the fit's budget and tolerances
+        # of REFERENCE_MODEL, with the fit's budget and tolerances
         calls = []
 
         def record(objective, x0, config):
@@ -237,7 +236,8 @@ class TestNelderMeadAgainstScipy:
         monkeypatch.setattr(malusfit, "minimize", record)
         fit()
         (objective, x0, config), = calls
-        np.testing.assert_array_equal(x0, np.log(REFERENCE_PARAMS.as_tuple()))
+        reference = [REFERENCE_MODEL.a, REFERENCE_MODEL.e, REFERENCE_MODEL.c]
+        np.testing.assert_array_equal(x0, np.log(reference))
         xatol = np.sqrt(_FATOL) / 10.0
         port = nelder_mead(objective, x0, config.max_iterations, xatol, _FATOL)
         assert port.success
@@ -276,7 +276,8 @@ def _tilted_double_well(x):
 
 
 def _fit_bits(result):
-    floats = [*result.params.as_tuple(), result.residual, result.intensity_ratio_at_fit]
+    params = result.params
+    floats = [params.a, params.e, params.c, result.residual, result.intensity_ratio_at_fit]
     return (
         np.array(floats).tobytes(),
         result.grid.tobytes(),
@@ -417,7 +418,7 @@ class TestFit:
         # the frozen run used the fit's own Nelder-Mead tolerance
         assert cfg["tolerance"] == _FATOL
         result = fit(
-            start=TransmissionParams(a=a, e=e, c=c),
+            start=StretchedExponentialModel(a=a, e=e, c=c),
             config=SearchConfig(
                 restarts=cfg["restarts"],
                 max_iterations=cfg["max_iterations"],
@@ -428,22 +429,21 @@ class TestFit:
         assert result.residual <= 2.0 * REFERENCE["malus_residual"]
 
     def test_zero_offset_start_is_accepted(self):
-        result = fit(start=TransmissionParams(a=2.6, e=2.2, c=0.0), config=LIGHT_SEARCH)
+        start = StretchedExponentialModel(a=2.6, e=2.2, c=0.0)
+        result = fit(start=start, config=LIGHT_SEARCH)
         assert np.isfinite(result.residual)
         assert result.params.c >= 0.0
-        assert result.residual <= residual(
-            TransmissionParams(a=2.6, e=2.2, c=0.0), spec=FIT_QUADRATURE
-        ) + 1e-12
+        assert result.residual <= residual(start, spec=FIT_QUADRATURE) + 1e-12
 
     def test_least_squares_objective(self):
         result = fit(config=LIGHT_SEARCH, objective="least-squares")
         assert result.objective == "least-squares"
-        start_rms = residual(REFERENCE_PARAMS, spec=FIT_QUADRATURE, objective="least-squares")
+        start_rms = residual(REFERENCE_MODEL, spec=FIT_QUADRATURE, objective="least-squares")
         assert result.residual <= start_rms + 1e-12
 
     def test_result_fields(self):
         result = fit(config=LIGHT_SEARCH)
-        assert isinstance(result.params, TransmissionParams)
+        assert isinstance(result.params, StretchedExponentialModel)
         assert result.objective == "chebyshev"
         np.testing.assert_array_equal(result.grid, default_angle_grid())
         assert 0.0 < result.intensity_ratio_at_fit < 1.0
@@ -454,6 +454,8 @@ class TestFit:
     def test_validation(self):
         with pytest.raises(ParameterError):
             fit(start=(2.6, 2.2, 45.0))  # type: ignore[arg-type]
+        with pytest.raises(ParameterError, match="StretchedExponentialModel"):
+            fit(start=CosineSquaredModel())  # type: ignore[arg-type]
         with pytest.raises(ParameterError):
             fit(config=LIGHT_SEARCH, objective="l1")
 
@@ -464,7 +466,7 @@ class TestFit:
         c=st.floats(min_value=0.0, max_value=200.0),
     )
     def test_never_worse_than_start(self, a, e, c):
-        start = TransmissionParams(a=a, e=e, c=c)
+        start = StretchedExponentialModel(a=a, e=e, c=c)
         sparse_grid = np.deg2rad([0.0, 30.0, 60.0, 90.0])
         result = fit(
             start=start,

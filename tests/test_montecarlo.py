@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import _chunk_loop
 import _simpson_loop
+from _constant_model import ConstantModel
 from _frozen import MC_BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 from bellhv import montecarlo
 from bellhv.errors import DegenerateModelError, ParameterError
@@ -33,15 +34,12 @@ from bellhv.montecarlo import (
 from bellhv.quadrature import DEFAULT_QUADRATURE
 from bellhv.rng import RngStream
 from bellhv.transmission import (
-    REFERENCE_PARAMS,
-    ConstantModel,
+    REFERENCE_MODEL,
     CosineSquaredModel,
-    StretchedExponentialModel,
     TabulatedModel,
     TransmissionModel,
 )
 
-REFERENCE_MODEL = StretchedExponentialModel(REFERENCE_PARAMS)
 BELINFANTE_MODEL = CosineSquaredModel()
 TABULATED_MODEL = TabulatedModel([0.0, 0.4, 1.1, math.pi / 2], [1.0, 0.7, 0.2, 0.05])
 

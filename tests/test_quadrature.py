@@ -8,7 +8,7 @@ import _simpson_loop
 from _frozen import REFERENCE
 from bellhv.errors import ParameterError, QuadratureConvergenceError
 from bellhv.quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate, integrate_rows
-from bellhv.transmission import REFERENCE_PARAMS, StretchedExponentialModel
+from bellhv.transmission import REFERENCE_MODEL
 
 
 def gauss_legendre(f, lo, hi, nodes=64):
@@ -66,8 +66,7 @@ class TestIntegrate:
         assert value == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_transmission_profile_integral(self):
-        model = StretchedExponentialModel(REFERENCE_PARAMS)
-        value, _ = integrate(model.probabilities, -math.pi / 2, math.pi / 2, None)
+        value, _ = integrate(REFERENCE_MODEL.probabilities, -math.pi / 2, math.pi / 2, None)
         assert value == pytest.approx(math.pi * REFERENCE["intensity_ratio"], abs=1e-9)
         assert math.pi * 0.44 < value < math.pi * 0.46
 

@@ -1,5 +1,6 @@
 """Smoke test: each README experiment script runs to completion on tiny inputs."""
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -21,3 +22,20 @@ def test_script_main_exits_zero(name, argv):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.main(argv) == 0
+
+
+def test_transmission_curves_csv_writes_exact_degrees(tmp_path):
+    # the degree column is start + step i: 7.5 and 15, not 7.499999999999999
+    spec = importlib.util.spec_from_file_location(
+        "transmission_curves", SCRIPTS / "transmission_curves.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "curves.csv"
+    assert module.main(["--step", "7.5", "--csv", str(out)]) == 0
+    with out.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    degrees = [row[1] for row in rows if row[0].startswith("stretched")]
+    assert degrees[1] == "7.5"
+    assert float(degrees[2]) == 15.0
+    assert [float(deg) for deg in degrees] == [7.5 * i for i in range(13)]

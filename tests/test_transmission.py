@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _simpson_loop
+from _constant_model import ConstantModel
 from _frozen import BELINFANTE, GRID_DEG, REFERENCE, STEEP, STEEP_TRIPLE
 from bellhv.angles import degrees_grid
 from bellhv.errors import (
@@ -17,12 +19,10 @@ from bellhv.malusfit import FIT_QUADRATURE
 from bellhv.montecarlo import expected_coincidence_probability
 from bellhv.quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from bellhv.transmission import (
-    REFERENCE_PARAMS,
-    ConstantModel,
+    REFERENCE_MODEL,
     CosineSquaredModel,
     StretchedExponentialModel,
     TabulatedModel,
-    TransmissionParams,
     _coincidence_integral,
     default_angle_grid,
     intensity_ratio,
@@ -31,29 +31,31 @@ from bellhv.transmission import (
     pair_transmission,
 )
 
-REFERENCE_MODEL = StretchedExponentialModel(REFERENCE_PARAMS)
-STEEP_MODEL = StretchedExponentialModel(
-    TransmissionParams(STEEP_TRIPLE["a"], STEEP_TRIPLE["e"], STEEP_TRIPLE["c"])
-)
+STEEP_MODEL = StretchedExponentialModel(**STEEP_TRIPLE)
 BELINFANTE_MODEL = CosineSquaredModel()
 
 
-class TestTransmissionParams:
+class TestStretchedExponentialModel:
     def test_reference_triple(self):
-        assert (REFERENCE_PARAMS.a, REFERENCE_PARAMS.e, REFERENCE_PARAMS.c) == (2.6, 2.2, 45.0)
+        assert (REFERENCE_MODEL.a, REFERENCE_MODEL.e, REFERENCE_MODEL.c) == (2.6, 2.2, 45.0)
 
     def test_zero_weight_allowed(self):
-        TransmissionParams(1.0, 1.0, 0.0)
+        StretchedExponentialModel(1.0, 1.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            TransmissionParams(0.0, 1.0, 1.0)
+            StretchedExponentialModel(0.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            TransmissionParams(1.0, 0.0, 1.0)
+            StretchedExponentialModel(1.0, 0.0, 1.0)
         with pytest.raises(ParameterError):
-            TransmissionParams(1.0, 1.0, -0.1)
+            StretchedExponentialModel(1.0, 1.0, -0.1)
         with pytest.raises(ParameterError):
-            TransmissionParams(float("nan"), 1.0, 1.0)
+            StretchedExponentialModel(float("nan"), 1.0, 1.0)
+
+    def test_replace_is_validated(self):
+        # the path of the command line's --a/--e/--c overrides
+        with pytest.raises(ParameterError, match="a must be positive"):
+            dataclasses.replace(REFERENCE_MODEL, a=0.0)
 
 
 class TestSinglePolarizerProbability:
@@ -85,8 +87,7 @@ class TestSinglePolarizerProbability:
         assert BELINFANTE_MODEL.probabilities(0.0) == 1.0
 
     def test_zero_weight_reduces_to_pure_exponential(self):
-        params = TransmissionParams(1.7, 2.3, 0.0)
-        model = StretchedExponentialModel(params)
+        model = StretchedExponentialModel(1.7, 2.3, 0.0)
         lam = np.linspace(0.0, math.pi / 2, 101)
         np.testing.assert_allclose(
             model.probabilities(lam), np.exp(-((1.7 * np.abs(lam)) ** 2.3)), atol=1e-15
@@ -121,7 +122,7 @@ class TestSinglePolarizerProbability:
         c=st.floats(min_value=0.0, max_value=1e4),
     )
     def test_profile_family_invariants(self, a, e, c):
-        model = StretchedExponentialModel(TransmissionParams(a, e, c))
+        model = StretchedExponentialModel(a, e, c)
         lam = np.linspace(0.0, math.pi / 2, 10_001)
         probs = model.probabilities(lam)
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
@@ -238,7 +239,7 @@ class TestPairTransmission:
     def test_broad_profile_converges(self):
         # broad profiles keep substantial transmission at the window edge;
         # the piecewise integration must still meet its refinement target
-        model = StretchedExponentialModel(TransmissionParams(1.0, 2.0, 100.0))
+        model = StretchedExponentialModel(1.0, 2.0, 100.0)
         spec = QuadratureSpec(panels=512, refine_until=1e-7, max_refinements=6)
         value = pair_transmission(model, math.pi / 2, spec)
         assert value == pytest.approx(pair_transmission(model, math.pi / 2), abs=1e-6)
@@ -323,9 +324,7 @@ class TestAgainstPerPieceLoop:
         spec=st.sampled_from([FIT_QUADRATURE, DEFAULT_QUADRATURE]),
     )
     def test_random_triples_bitwise(self, log_a, log_e, log_c, spec):
-        model = StretchedExponentialModel(
-            TransmissionParams(math.exp(log_a), math.exp(log_e), math.exp(log_c))
-        )
+        model = StretchedExponentialModel(math.exp(log_a), math.exp(log_e), math.exp(log_c))
         grid = default_angle_grid()
         try:
             expected = _simpson_loop.normalized_pair_curve(model, grid, spec)
