@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         print(f"  worst |pair curve - cos^2| on the grid:    {worst:.4f}")
         print(f"  {'deg':>5} {'p1':>10} {'pair':>10} {'cos^2':>10} {'diff':>9}")
         for deg, single, pair, law in zip(degrees, singles, curve, laws):
-            print(f"  {deg:5.0f} {single:10.6f} {pair:10.6f} {law:10.6f} {pair - law:+9.4f}")
+            print(f"  {deg:5g} {single:10.6f} {pair:10.6f} {law:10.6f} {pair - law:+9.4f}")
             rows.append((label, deg, single, pair, law))
 
     if args.csv:

@@ -1,14 +1,16 @@
 """Bell-type correlation operators under three commutation regimes.
 
 The object of study is B = a1 b1 + a1 b2 + a2 b1 - a2 b2 built from four
-Hermitian measurement contractions (operator norm <= 1).  How large |<B>|
-can get depends only on which operators are required to commute:
+Hermitian measurement contractions (operator norm <= 1).  A `BellScenario`
+holds the four matrices and the regime, and validates both.  How large
+|<B>| can get depends only on which operators are required to commute:
 
 * CLASSICAL: all four commute pairwise.  |<B>| <= 2 and <B B^dag> <= 4.
 * COMMUTING_SUBSYSTEMS: each a_j commutes with each b_k (realized here as a
   tensor product, a_j on one factor and b_k on the other).  |<B>| <= 2*sqrt(2)
   and <B B^dag> <= 8.  For involutions the identity
-  B^2 = 4 I - [a1, a2] (x) [b1, b2] pins the square down exactly.
+  B^2 = 4 I - [a1, a2] (x) [b1, b2] pins the square down exactly (the tests
+  check it on canonical and random involutory scenarios).
 * UNRESTRICTED: no commutation at all.  |<B>| <= 2*sqrt(3) and
   <B B^dag> <= 12.  B is then generally non-Hermitian, so the expectation
   maximum is its numerical radius rather than a spectral radius.
@@ -38,7 +40,7 @@ from .linalg import (
     require_hermitian,
     symmetric_extreme_eigen,
 )
-from .rng import RngStream, SearchConfig
+from .rng import SearchConfig
 
 
 class Regime(enum.Enum):
@@ -67,33 +69,16 @@ _COMMUTATOR_TOL = 1e-10
 # limit attains the limit rather than violating it
 _LIMIT_ROUNDOFF = 1e-12
 
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Validated Hermitian measurement operator with norm at most 1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = require_hermitian(self.matrix, name="measurement operator")
-        ext = symmetric_extreme_eigen(arr)
-        norm = max(abs(ext.smallest), abs(ext.largest))
-        if norm > 1.0 + _NORM_SLACK:
-            raise ParameterError(
-                f"measurement operator norm {norm:.6f} exceeds 1"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+_OPERATORS = ("a1", "a2", "b1", "b2")
 
 
 @dataclass(frozen=True, eq=False)
 class BellScenario:
-    """Four measurement operators plus the regime constraining them.
+    """Four measurement matrices plus the regime constraining them.
 
+    Each of a1, a2, b1 and b2 must be Hermitian within round-off with
+    operator norm at most 1; the scenario stores it symmetrized and
+    write-locked, so callers read `scenario.a1` as the matrix itself.
     COMMUTING_SUBSYSTEMS scenarios keep the a-side and b-side operators on
     separate factors (dims may differ); the other regimes put all four on a
     single space of equal dimension.  CLASSICAL additionally checks that all
@@ -101,39 +86,44 @@ class BellScenario:
     """
 
     regime: Regime
-    a1: HermitianOperator
-    a2: HermitianOperator
-    b1: HermitianOperator
-    b2: HermitianOperator
+    a1: np.ndarray
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
 
     def __post_init__(self):
+        for name in _OPERATORS:
+            arr = require_hermitian(getattr(self, name), name="measurement operator")
+            ext = symmetric_extreme_eigen(arr)
+            norm = max(abs(ext.smallest), abs(ext.largest))
+            if norm > 1.0 + _NORM_SLACK:
+                raise ParameterError(
+                    f"measurement operator norm {norm:.6f} exceeds 1"
+                )
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
         if not isinstance(self.regime, Regime):
             raise ParameterError("regime must be a Regime")
-        for name in ("a1", "a2", "b1", "b2"):
-            if not isinstance(getattr(self, name), HermitianOperator):
-                raise ParameterError(f"{name} must be a HermitianOperator")
-        if self.a1.dim != self.a2.dim or self.b1.dim != self.b2.dim:
+        a_dim, b_dim = self.a1.shape[0], self.b1.shape[0]
+        if a_dim != self.a2.shape[0] or b_dim != self.b2.shape[0]:
             raise DimensionError("operators within one side must share a dimension")
 
-        if self.regime is not Regime.COMMUTING_SUBSYSTEMS and self.a1.dim != self.b1.dim:
+        if self.regime is not Regime.COMMUTING_SUBSYSTEMS and a_dim != b_dim:
             raise DimensionError(
                 "a-side and b-side must act on the same space in this regime"
             )
-        _total_dim(self.regime, self.a1.dim, self.b1.dim)
+        _total_dim(self.regime, a_dim, b_dim)
 
         if self.regime is Regime.CLASSICAL:
-            for x, y in itertools.combinations(("a1", "a2", "b1", "b2"), 2):
-                commuted = commutator(getattr(self, x).matrix, getattr(self, y).matrix)
+            for x, y in itertools.combinations(_OPERATORS, 2):
+                commuted = commutator(getattr(self, x), getattr(self, y))
                 deviation = float(np.abs(commuted).max())
                 if deviation > _COMMUTATOR_TOL:
                     raise RegimeError(
                         f"classical regime requires [{x}, {y}] = 0; "
                         f"max deviation {deviation:.3e}"
                     )
-
-    @property
-    def total_dim(self) -> int:
-        return _total_dim(self.regime, self.a1.dim, self.b1.dim)
 
 
 def _total_dim(regime: Regime, a_dim: int, b_dim: int) -> int:
@@ -142,12 +132,6 @@ def _total_dim(regime: Regime, a_dim: int, b_dim: int) -> int:
     if total > MAX_TOTAL_DIM:
         raise DimensionError(f"total dimension {total} exceeds the supported cap {MAX_TOTAL_DIM}")
     return total
-
-
-def _scenario(regime: Regime, ops) -> BellScenario:
-    """The scenario of four matrices, in the order a1, a2, b1, b2."""
-    a1, a2, b1, b2 = (HermitianOperator(op) for op in ops)
-    return BellScenario(regime=regime, a1=a1, a2=a2, b1=b1, b2=b2)
 
 
 def _combination(a1, a2, b1, b2, product):
@@ -162,9 +146,7 @@ def _combination(a1, a2, b1, b2, product):
 def bell_operator(scenario: BellScenario) -> np.ndarray:
     """The matrix of B for the scenario, on the total space."""
     product = np.kron if scenario.regime is Regime.COMMUTING_SUBSYSTEMS else np.matmul
-    return _combination(
-        scenario.a1.matrix, scenario.a2.matrix, scenario.b1.matrix, scenario.b2.matrix, product
-    )
+    return _combination(scenario.a1, scenario.a2, scenario.b1, scenario.b2, product)
 
 
 def max_expectation(scenario: BellScenario) -> float:
@@ -190,32 +172,9 @@ def classical_bound_bruteforce() -> float:
     return best
 
 
-def chsh_square_identity_check(scenario: BellScenario) -> float:
-    """max-abs deviation of B^2 from 4 I - [a1,a2] (x) [b1,b2].
-
-    Only meaningful for COMMUTING_SUBSYSTEMS scenarios whose operators are
-    involutions (op^2 = I); both preconditions are enforced.
-    """
-    if scenario.regime is not Regime.COMMUTING_SUBSYSTEMS:
-        raise RegimeError("the square identity requires the commuting-subsystems regime")
-    for name in ("a1", "a2", "b1", "b2"):
-        op = getattr(scenario, name).matrix
-        deviation = float(np.abs(op @ op - np.eye(op.shape[0])).max())
-        if deviation > 1e-12:
-            raise RegimeError(
-                f"{name} is not an involution (|{name}^2 - I| = {deviation:.3e})"
-            )
-    b = bell_operator(scenario)
-    total = b.shape[0]
-    comm_a = commutator(scenario.a1.matrix, scenario.a2.matrix)
-    comm_b = commutator(scenario.b1.matrix, scenario.b2.matrix)
-    target = 4.0 * np.eye(total) - np.kron(comm_a, comm_b)
-    return float(np.abs(b @ b - target).max())
-
-
 def canonical_chsh_scenario() -> BellScenario:
     """The standard qubit pair saturating 2*sqrt(2): Z, X vs (Z+/-X)/sqrt(2)."""
-    return _scenario(Regime.COMMUTING_SUBSYSTEMS, _canonical_block_tuple(2))
+    return BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +193,6 @@ def random_contraction(dim: int, generator: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with eigenvalues uniform in [-1, 1]."""
     v = haar_unitary(dim, generator)
     return hermitian_part((v * generator.uniform(-1.0, 1.0, size=dim)) @ v.conj().T)
-
-
-def random_involution(dim: int, generator: np.random.Generator) -> np.ndarray:
-    """Random Hermitian involution: Haar frame with +/-1 eigenvalues."""
-    v = haar_unitary(dim, generator)
-    signs = np.where(generator.uniform(size=dim) < 0.5, -1.0, 1.0)
-    return hermitian_part((v * signs) @ v.conj().T)
-
-
-def random_commuting_involutory_scenario(
-    dim_a: int, dim_b: int, stream: RngStream
-) -> BellScenario:
-    """Commuting-subsystems scenario with four random involutions."""
-    gen = stream.generator()
-    return _scenario(
-        Regime.COMMUTING_SUBSYSTEMS,
-        [random_involution(dim, gen) for dim in (dim_a, dim_a, dim_b, dim_b)],
-    )
 
 
 def _sign_operator(matrix: np.ndarray) -> np.ndarray:
@@ -427,8 +368,8 @@ class BoundReport:
         if self.regime is Regime.CLASSICAL:
             return classical_bound_bruteforce()
         w = self.witness
-        a = np.hstack([w.a1.matrix, w.a2.matrix])
-        b = np.vstack([w.b1.matrix + w.b2.matrix, w.b1.matrix - w.b2.matrix])
+        a = np.hstack([w.a1, w.a2])
+        b = np.vstack([w.b1 + w.b2, w.b1 - w.b2])
         return float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
 
 
@@ -475,7 +416,7 @@ def search_bound(
             best = (value, ops, state, restart, iterations)
 
     _, ops, state, best_restart, iterations = best
-    witness = _scenario(regime, ops)
+    witness = BellScenario(regime, *ops)
     return BoundReport(
         regime=regime,
         dim=dim,

@@ -33,7 +33,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -60,8 +60,6 @@ from .transmission import (
     malus,
     normalized_pair_curve,
 )
-
-SEED_ENV_VAR = "BELLHV_SEED"
 
 # CoincidenceCounts fields a simulate run records per setting
 _TALLY_CELLS = ("n11", "n10", "n01", "n00", "n_pairs")
@@ -179,18 +177,6 @@ def _resolve_model(params: dict) -> TransmissionModel:
     )
 
 
-def _resolve_seed(seed: Optional[int]) -> int:
-    if seed is not None:
-        return int(seed)
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand execution: parameters dict -> {basename suffix: bytes}, converged
 
@@ -224,7 +210,7 @@ def _execute_bounds(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], boo
         "theoretical_limit_expectation": report.theoretical_limit_expectation,
         "theoretical_limit_bb": report.theoretical_limit_bb,
         "witness": {
-            name: getattr(report.witness, name).matrix for name in ("a1", "a2", "b1", "b2")
+            name: getattr(report.witness, name) for name in ("a1", "a2", "b1", "b2")
         },
         "witness_state": report.witness_state,
     }
@@ -498,7 +484,7 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
         default=2,
         help="space dimension (per subsystem for the commuting regime)",
     )
-    bounds.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
+    bounds.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     bounds.add_argument(
         "--restarts", type=int, default=SearchConfig().restarts, help="search restarts"
     )
@@ -514,7 +500,7 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
         "CHSH settings 0/45/22.5/67.5)",
     )
     simulate.add_argument("--n", type=int, default=10**6, help="pairs per setting")
-    simulate.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
+    simulate.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     simulate.add_argument("--out", required=True, help="output path stem")
 
     fit = sub.add_parser("fit", help="recover (a, e, c) against the cos^2 law")
@@ -526,7 +512,7 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
         choices=OBJECTIVES,
         help="deviation measure over the grid",
     )
-    fit.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
+    fit.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     fit.add_argument("--restarts", type=int, default=FIT_SEARCH.restarts, help="search restarts")
     fit.add_argument("--out", required=True, help="output path stem")
 
@@ -540,8 +526,6 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
 def _params_from_args(args: argparse.Namespace) -> dict:
     """The run's parameters: every parsed flag except the output stem."""
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "out")}
-    if "seed" in params:
-        params["seed"] = _resolve_seed(params["seed"])
     if args.subcommand == "fit":
         params.update(dataclasses.asdict(_reference_triple(params)))
     return params

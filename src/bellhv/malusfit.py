@@ -37,6 +37,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from .angles import require_deviation_angle
 from .errors import ParameterError, QuadratureConvergenceError
 from .montecarlo import _usable_cpus
 from .quadrature import QuadratureSpec
@@ -347,6 +348,11 @@ def fit(
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     config = config or FIT_SEARCH
     grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
+    # the objective maps a ParameterError to its 4.0 sentinel, so a bad grid
+    # must fail here, before any restart runs
+    if grid.size == 0:
+        raise ParameterError("grid must contain at least one angle")
+    require_deviation_angle(grid, "alpha")
 
     def objective_fn(x: np.ndarray) -> float:
         if np.any(x > 12.0) or np.any(x < _LOG_C_FLOOR):

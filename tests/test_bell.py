@@ -10,23 +10,20 @@ import numpy as np
 import pytest
 
 import bellhv
+from _square_identity import random_involutory_scenario, square_identity_deviation
 from bellhv.bell import (
     BB_DAGGER_LIMITS,
     EXPECTATION_LIMITS,
     MAX_TOTAL_DIM,
     BellScenario,
-    HermitianOperator,
     Regime,
     bb_dagger_expectation,
     bell_operator,
     canonical_chsh_scenario,
-    chsh_square_identity_check,
     classical_bound_bruteforce,
     haar_unitary,
     max_expectation,
-    random_commuting_involutory_scenario,
     random_contraction,
-    random_involution,
     search_bound,
 )
 from bellhv.errors import DimensionError, HermiticityError, ParameterError, RegimeError
@@ -38,13 +35,13 @@ ROOT12 = 2.0 * math.sqrt(3.0)
 
 
 def unrestricted(a1, a2, b1, b2):
-    return BellScenario(
-        regime=Regime.UNRESTRICTED,
-        a1=HermitianOperator(a1),
-        a2=HermitianOperator(a2),
-        b1=HermitianOperator(b1),
-        b2=HermitianOperator(b2),
-    )
+    return BellScenario(regime=Regime.UNRESTRICTED, a1=a1, a2=a2, b1=b1, b2=b2)
+
+
+def in_each_slot(op):
+    """The four operator tuples with `op` in one slot and I in the others."""
+    identity = np.eye(op.shape[0])
+    return [tuple(op if k == slot else identity for k in range(4)) for slot in range(4)]
 
 
 class TestLimitsTables:
@@ -59,63 +56,79 @@ class TestLimitsTables:
         assert BB_DAGGER_LIMITS[Regime.UNRESTRICTED] == 12.0
 
 
-class TestHermitianOperator:
+class TestBellScenarioValidation:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for ops in in_each_slot(np.array([[0.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(HermiticityError, match="measurement operator"):
+                unrestricted(*ops)
 
     def test_rejects_expansive_operator(self):
-        with pytest.raises(ParameterError):
-            HermitianOperator(np.diag([1.5, 0.0]))
+        for ops in in_each_slot(np.diag([1.5, 0.0])):
+            with pytest.raises(ParameterError, match="norm 1.500000 exceeds 1"):
+                unrestricted(*ops)
 
     def test_accepts_boundary_norm(self):
-        HermitianOperator(np.diag([1.0, -1.0]))
+        for ops in in_each_slot(np.diag([1.0, -1.0])):
+            unrestricted(*ops)
 
-    def test_matrix_is_write_locked(self):
-        op = HermitianOperator(np.eye(2))
-        with pytest.raises(ValueError):
-            op.matrix[0, 0] = 5.0
+    def test_matrices_are_write_locked(self):
+        s = unrestricted(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        for op in (s.a1, s.a2, s.b1, s.b2):
+            with pytest.raises(ValueError):
+                op[0, 0] = 5.0
 
+    def test_near_hermitian_matrix_is_stored_symmetrized(self):
+        m = np.array([[0.0, 0.5 + 1e-13], [0.5, 0.0]])
+        s = unrestricted(m, np.eye(2), np.eye(2), np.eye(2))
+        np.testing.assert_array_equal(s.a1, 0.5 * (m + m.T))
+        np.testing.assert_array_equal(s.a1, s.a1.conj().T)
+        # the caller's array is neither stored nor locked
+        assert s.a1 is not m and m.flags.writeable
 
-class TestBellScenarioValidation:
+    def test_validates_operators_before_the_regime(self):
+        with pytest.raises(HermiticityError):
+            BellScenario("unrestricted", np.array([[0.0, 1.0], [0.0, 0.0]]), *[np.eye(2)] * 3)
+        with pytest.raises(ParameterError, match="regime must be a Regime"):
+            BellScenario("unrestricted", *[np.eye(2)] * 4)
+
     def test_side_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             BellScenario(
                 regime=Regime.UNRESTRICTED,
-                a1=HermitianOperator(np.eye(2)),
-                a2=HermitianOperator(np.eye(3)),
-                b1=HermitianOperator(np.eye(2)),
-                b2=HermitianOperator(np.eye(2)),
+                a1=np.eye(2),
+                a2=np.eye(3),
+                b1=np.eye(2),
+                b2=np.eye(2),
             )
 
     def test_cross_side_mismatch_outside_product_regime(self):
         with pytest.raises(DimensionError):
             BellScenario(
                 regime=Regime.UNRESTRICTED,
-                a1=HermitianOperator(np.eye(2)),
-                a2=HermitianOperator(np.eye(2)),
-                b1=HermitianOperator(np.eye(3)),
-                b2=HermitianOperator(np.eye(3)),
+                a1=np.eye(2),
+                a2=np.eye(2),
+                b1=np.eye(3),
+                b2=np.eye(3),
             )
 
     def test_product_regime_allows_unequal_sides_within_cap(self):
         s = BellScenario(
             regime=Regime.COMMUTING_SUBSYSTEMS,
-            a1=HermitianOperator(np.eye(2)),
-            a2=HermitianOperator(np.eye(2)),
-            b1=HermitianOperator(np.eye(4)),
-            b2=HermitianOperator(np.eye(4)),
+            a1=np.eye(2),
+            a2=np.eye(2),
+            b1=np.eye(4),
+            b2=np.eye(4),
         )
-        assert s.total_dim == 8
+        assert bell_operator(s).shape == (8, 8)
 
     def test_total_dimension_cap(self):
         with pytest.raises(DimensionError):
             BellScenario(
                 regime=Regime.COMMUTING_SUBSYSTEMS,
-                a1=HermitianOperator(np.eye(5)),
-                a2=HermitianOperator(np.eye(5)),
-                b1=HermitianOperator(np.eye(4)),
-                b2=HermitianOperator(np.eye(4)),
+                a1=np.eye(5),
+                a2=np.eye(5),
+                b1=np.eye(4),
+                b2=np.eye(4),
             )
 
     def test_classical_requires_commuting_operators(self):
@@ -124,10 +137,10 @@ class TestBellScenarioValidation:
         with pytest.raises(RegimeError):
             BellScenario(
                 regime=Regime.CLASSICAL,
-                a1=HermitianOperator(z),
-                a2=HermitianOperator(x),
-                b1=HermitianOperator(z),
-                b2=HermitianOperator(z),
+                a1=z,
+                a2=x,
+                b1=z,
+                b2=z,
             )
 
 
@@ -182,7 +195,7 @@ class TestCanonicalScenario:
     def test_operators_are_involutory(self):
         s = canonical_chsh_scenario()
         for op in (s.a1, s.a2, s.b1, s.b2):
-            np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(op.dim), atol=1e-12)
+            np.testing.assert_allclose(op @ op, np.eye(op.shape[0]), atol=1e-12)
 
     def test_tsirelson_point(self):
         s = canonical_chsh_scenario()
@@ -190,7 +203,7 @@ class TestCanonicalScenario:
         assert bb_dagger_expectation(s) == pytest.approx(8.0, abs=1e-9)
 
     def test_square_identity(self):
-        assert chsh_square_identity_check(canonical_chsh_scenario()) <= 1e-10
+        assert square_identity_deviation(canonical_chsh_scenario()) <= 1e-10
 
 
 class TestSquareIdentity:
@@ -199,37 +212,18 @@ class TestSquareIdentity:
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         s = BellScenario(
             regime=Regime.COMMUTING_SUBSYSTEMS,
-            a1=HermitianOperator(z),
-            a2=HermitianOperator(z),
-            b1=HermitianOperator(z),
-            b2=HermitianOperator(x),
+            a1=z,
+            a2=z,
+            b1=z,
+            b2=x,
         )
-        assert chsh_square_identity_check(s) <= 1e-10
+        assert square_identity_deviation(s) <= 1e-10
         assert max_expectation(s) <= 2.0 + 1e-9
 
     def test_ten_random_involutory_scenarios(self):
         for seed in range(10):
-            s = random_commuting_involutory_scenario(2, 2, RngStream(seed))
-            assert chsh_square_identity_check(s) <= 1e-10
-
-    def test_rejects_non_involutory_operator(self):
-        z = np.diag([1.0, -1.0])
-        half = np.diag([0.5, -0.5])
-        s = BellScenario(
-            regime=Regime.COMMUTING_SUBSYSTEMS,
-            a1=HermitianOperator(half),
-            a2=HermitianOperator(z),
-            b1=HermitianOperator(z),
-            b2=HermitianOperator(z),
-        )
-        with pytest.raises(RegimeError, match="a1"):
-            chsh_square_identity_check(s)
-
-    def test_rejects_wrong_regime(self):
-        z = np.diag([1.0, -1.0])
-        s = unrestricted(z, z, z, z)
-        with pytest.raises(RegimeError):
-            chsh_square_identity_check(s)
+            s = random_involutory_scenario(2, 2, RngStream(seed))
+            assert square_identity_deviation(s) <= 1e-10
 
 
 class TestRandomOperatorFactories:
@@ -237,12 +231,6 @@ class TestRandomOperatorFactories:
         gen = np.random.default_rng(3)
         u = haar_unitary(4, gen)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-
-    def test_random_involution_squares_to_identity(self):
-        gen = np.random.default_rng(4)
-        m = random_involution(4, gen)
-        assert np.abs(m - m.conj().T).max() < 1e-12
-        np.testing.assert_allclose(m @ m, np.eye(4), atol=1e-12)
 
     def test_random_contraction_is_hermitian_contraction(self):
         gen = np.random.default_rng(6)
@@ -320,7 +308,7 @@ class TestSearchBound:
 
     def test_product_regime_dim_counts_one_side(self):
         report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 4, LIGHT)
-        assert report.witness.total_dim == 16
+        assert bell_operator(report.witness).shape == (16, 16)
 
     def test_deterministic_given_config(self):
         r1 = search_bound(Regime.UNRESTRICTED, 2, LIGHT)
@@ -335,7 +323,7 @@ def random_contraction_scenario(regime, dim_a, dim_b, gen):
         ops = [np.diag(gen.uniform(-1.0, 1.0, size=dim_a)) for _ in range(4)]
     else:
         ops = [random_contraction(d, gen) for d in (dim_a, dim_a, dim_b, dim_b)]
-    return BellScenario(regime, *(HermitianOperator(op) for op in ops))
+    return BellScenario(regime, *ops)
 
 
 def side_dims(regime):

@@ -13,7 +13,7 @@ import pytest
 from _frozen import BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 import bellhv
 from bellhv import __version__
-from bellhv.cli import SEED_ENV_VAR, _z_score, main
+from bellhv.cli import _z_score, main
 from bellhv.montecarlo import chsh
 from bellhv.rng import RngStream
 from bellhv.transmission import REFERENCE_MODEL, CosineSquaredModel
@@ -445,30 +445,18 @@ class TestReplay:
 
 
 class TestSeedResolution:
-    def test_environment_seed_is_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
-        stem = tmp_path / "env"
-        assert main(["simulate", "--alpha", "0", "--n", "100", "--out", str(stem)]) == 0
-        assert read_json(tmp_path / "env.manifest.json")["parameters"]["seed"] == 123
-
-    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
-        stem = tmp_path / "flag"
-        assert main(
-            ["simulate", "--alpha", "0", "--n", "100", "--seed", "5", "--out", str(stem)]
-        ) == 0
-        assert read_json(tmp_path / "flag.manifest.json")["parameters"]["seed"] == 5
-
-    def test_default_seed_is_zero(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_default_seed_is_zero(self, tmp_path):
         stem = tmp_path / "zero"
         assert main(["simulate", "--alpha", "0", "--n", "100", "--out", str(stem)]) == 0
         assert read_json(tmp_path / "zero.manifest.json")["parameters"]["seed"] == 0
 
-    def test_malformed_environment_seed_is_a_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "abc")
-        assert main(["simulate", "--alpha", "0", "--n", "100",
-                     "--out", str(tmp_path / "x")]) == 2
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
+        # --seed is the only way to set a seed: a value left in the
+        # environment must not change a run that omits the flag
+        monkeypatch.setenv("BELLHV_SEED", "123")
+        stem = tmp_path / "env"
+        assert main(["simulate", "--alpha", "0", "--n", "100", "--out", str(stem)]) == 0
+        assert read_json(tmp_path / "env.manifest.json")["parameters"]["seed"] == 0
 
 
 class TestUsage:

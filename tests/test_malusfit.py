@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
 import bellhv.malusfit as malusfit
-from bellhv.errors import ParameterError, QuadratureConvergenceError
+from bellhv.errors import AngleDomainError, ParameterError, QuadratureConvergenceError
 from bellhv.malusfit import (
     _FATOL,
     FIT_QUADRATURE,
@@ -391,6 +391,14 @@ class TestRestartWorkers:
         _assert_bitwise_equal(result, expected)
         _assert_no_child_processes()
 
+    def test_grid_outside_the_window_fails_before_any_worker_starts(self, monkeypatch):
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
+        started = _count_process_starts(monkeypatch)
+        with pytest.raises(AngleDomainError, match="alpha"):
+            fit(grid=np.deg2rad([0.0, 45.0, 100.0]), config=SearchConfig(restarts=2))
+        assert started == []
+        _assert_no_child_processes()
+
 
 class TestFit:
     def test_default_run_from_reference_start(self):
@@ -458,6 +466,11 @@ class TestFit:
             fit(start=CosineSquaredModel())  # type: ignore[arg-type]
         with pytest.raises(ParameterError):
             fit(config=LIGHT_SEARCH, objective="l1")
+
+    def test_empty_grid_is_an_error(self):
+        # the same error as residual's, not the objective's 4.0 sentinel
+        with pytest.raises(ParameterError, match="at least one angle"):
+            fit(grid=np.array([]), config=LIGHT_SEARCH)
 
     @settings(max_examples=6)
     @given(

@@ -39,3 +39,19 @@ def test_transmission_curves_csv_writes_exact_degrees(tmp_path):
     assert degrees[1] == "7.5"
     assert float(degrees[2]) == 15.0
     assert [float(deg) for deg in degrees] == [7.5 * i for i in range(13)]
+
+
+def test_transmission_curves_stdout_prints_half_degrees(capsys):
+    # a half-degree grid prints its degrees exactly: 7.5 and 52.5
+    spec = importlib.util.spec_from_file_location(
+        "transmission_curves", SCRIPTS / "transmission_curves.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--step", "7.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:1] == ["deg"])
+    degrees = [line[:7] for line in lines[header + 1 : header + 14]]
+    assert degrees[:3] == ["      0", "    7.5", "     15"]
+    assert degrees[7] == "   52.5"
+    assert [float(deg) for deg in degrees] == [7.5 * i for i in range(13)]
