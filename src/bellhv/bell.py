@@ -65,9 +65,6 @@ MAX_TOTAL_DIM = 16
 
 _NORM_SLACK = 1e-9
 _COMMUTATOR_TOL = 1e-10
-# relative eigensolver round-off: a searched value this close to its regime
-# limit attains the limit rather than violating it
-_LIMIT_ROUNDOFF = 1e-12
 
 _OPERATORS = ("a1", "a2", "b1", "b2")
 
@@ -93,13 +90,12 @@ class BellScenario:
 
     def __post_init__(self):
         for name in _OPERATORS:
-            arr = require_hermitian(getattr(self, name), name="measurement operator")
+            label = f"measurement operator {name}"
+            arr = require_hermitian(getattr(self, name), name=label)
             ext = symmetric_extreme_eigen(arr)
             norm = max(abs(ext.smallest), abs(ext.largest))
             if norm > 1.0 + _NORM_SLACK:
-                raise ParameterError(
-                    f"measurement operator norm {norm:.6f} exceeds 1"
-                )
+                raise ParameterError(f"{label} norm {norm:.6f} exceeds 1")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -342,18 +338,6 @@ class BoundReport:
     witness_state: np.ndarray
 
     @property
-    def expectation_margin(self) -> float:
-        """Distance below the regime limit (negative would mean violation).
-
-        A value within round-off of the limit attains it: margin 0.0.
-        """
-        return _margin(self.theoretical_limit_expectation, self.best_expectation)
-
-    @property
-    def bb_dagger_margin(self) -> float:
-        return _margin(self.theoretical_limit_bb, self.best_bb_dagger)
-
-    @property
     def certified_expectation(self) -> float:
         """An upper bound on |<B>| for the witness, from its operators alone.
 
@@ -371,11 +355,6 @@ class BoundReport:
         a = np.hstack([w.a1, w.a2])
         b = np.vstack([w.b1 + w.b2, w.b1 - w.b2])
         return float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
-
-
-def _margin(limit: float, value: float) -> float:
-    margin = limit - value
-    return 0.0 if abs(margin) <= _LIMIT_ROUNDOFF * limit else margin
 
 
 def search_bound(

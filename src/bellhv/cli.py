@@ -64,6 +64,9 @@ from .transmission import (
 # CoincidenceCounts fields a simulate run records per setting
 _TALLY_CELLS = ("n11", "n10", "n01", "n00", "n_pairs")
 
+# exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
+_CANONICAL_DEGREES = np.rad2deg(CANONICAL_SETTINGS)
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
@@ -109,8 +112,19 @@ def _csv_bytes(header, rows) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def _sha256(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
+def _write_files(directory: Path, files: Dict[str, bytes]) -> Dict[str, str]:
+    """Write each named blob into directory; returns each name's SHA-256."""
+    directory.mkdir(parents=True, exist_ok=True)
+    hashes = {}
+    for name, blob in sorted(files.items()):
+        (directory / name).write_bytes(blob)
+        hashes[name] = hashlib.sha256(blob).hexdigest()
+    return hashes
+
+
+def _is_plain_name(name) -> bool:
+    """A file name with no directory part, so it lands where it is written."""
+    return isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +195,15 @@ def _resolve_model(params: dict) -> TransmissionModel:
 # subcommand execution: parameters dict -> {basename suffix: bytes}, converged
 
 
+def _grid(params: dict) -> Tuple[np.ndarray, np.ndarray]:
+    """The run's angle grid in degrees, as written (start + step * i), and in radians."""
+    radians = degrees_grid(params["grid_start"], params["grid_stop"], params["grid_step"])
+    return params["grid_start"] + params["grid_step"] * np.arange(radians.size), radians
+
+
 def _execute_curve(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
     model = _resolve_model(params)
-    grid = degrees_grid(params["grid_start"], params["grid_stop"], params["grid_step"])
-    degrees = params["grid_start"] + params["grid_step"] * np.arange(grid.size)
+    degrees, grid = _grid(params)
     # the pair curve first: it names an angle outside the window "alpha"
     ratios = normalized_pair_curve(model, grid)
     rows = list(zip(degrees, model.probabilities(grid), ratios, malus(grid)))
@@ -230,38 +249,32 @@ def _z_score(estimate: float, stderr: float, expected: float, n: int) -> float:
     return 0.0 if stderr == 0.0 else (estimate - expected) / stderr
 
 
-def _simulate_one(config, angle_a_deg, angle_b_deg):
-    counts = run_pairs(config)
-    estimate, stderr = coincidence_probability_estimate(counts)
-    expected = expected_coincidence_probability(config.model, config.angle_a, config.angle_b)
-    z = _z_score(estimate, stderr, expected, config.n_pairs)
-    summary = {
-        "angle_a_deg": angle_a_deg,
-        "angle_b_deg": angle_b_deg,
-        **{cell: getattr(counts, cell) for cell in _TALLY_CELLS},
-        "p11": estimate,
-        "p11_stderr": stderr,
-        "p11_expected": expected,
-        "z_score": z,
-    }
-    return counts, summary
-
-
 def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
     model = _resolve_model(params)
     if params.get("alpha") is not None:
         settings = [(0.0, float(params["alpha"]))]
     else:
-        # exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
-        settings = np.rad2deg(CANONICAL_SETTINGS).tolist()
+        settings = _CANONICAL_DEGREES.tolist()
 
     configs = setting_configs(model, np.deg2rad(settings), params["n"], RngStream(params["seed"]))
     tallies = []
     summaries = []
     for config, (deg_a, deg_b) in zip(configs, settings):
-        counts, summary = _simulate_one(config, deg_a, deg_b)
+        counts = run_pairs(config)
+        estimate, stderr = coincidence_probability_estimate(counts)
+        expected = expected_coincidence_probability(config.model, config.angle_a, config.angle_b)
         tallies.append(counts)
-        summaries.append(summary)
+        summaries.append(
+            {
+                "angle_a_deg": deg_a,
+                "angle_b_deg": deg_b,
+                **{cell: getattr(counts, cell) for cell in _TALLY_CELLS},
+                "p11": estimate,
+                "p11_stderr": stderr,
+                "p11_expected": expected,
+                "z_score": _z_score(estimate, stderr, expected, config.n_pairs),
+            }
+        )
 
     header = ("setting", "angle_a_deg", "angle_b_deg", *_TALLY_CELLS)
     rows = [
@@ -290,7 +303,7 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
 
 def _execute_fit(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
     start = _reference_triple(params)
-    grid = degrees_grid(params["grid_start"], params["grid_stop"], params["grid_step"])
+    degrees, grid = _grid(params)
     config = dataclasses.replace(
         FIT_SEARCH, restarts=params["restarts"], rng=RngStream(params["seed"])
     )
@@ -302,7 +315,7 @@ def _execute_fit(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
         "params": dataclasses.asdict(result.params),
         "residual": result.residual,
         "objective": result.objective,
-        "grid_deg": np.rad2deg(result.grid),
+        "grid_deg": degrees,
         "intensity_ratio_at_fit": result.intensity_ratio_at_fit,
         "converged": result.converged,
         "best_restart": result.best_restart,
@@ -322,11 +335,7 @@ _EXECUTORS = {
 def _write_run(stem: Path, subcommand: str, params: dict) -> Tuple[Path, bool]:
     """Execute and write data files plus the manifest; returns manifest path."""
     files, converged = _EXECUTORS[subcommand](params, stem.name)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    outputs = {}
-    for name, blob in sorted(files.items()):
-        (stem.parent / name).write_bytes(blob)
-        outputs[name] = _sha256(blob)
+    outputs = _write_files(stem.parent, files)
     manifest = {
         "artifact": "bellhv",
         "version": __version__,
@@ -404,29 +413,25 @@ def _run_replay(manifest_path: str, out_dir: str) -> int:
         raise ParameterError("manifest names neither a stem nor any output")
     # replayed files land in out_dir and nowhere else
     for name in ([] if stem is None else [stem]) + list(outputs):
-        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        if not _is_plain_name(name):
             raise ParameterError(f"manifest names {name!r}, which is not a plain file name")
     stem_name = stem or sorted(outputs)[0].split(".")[0]
     params = _replayed_params(subcommand, stem_name, manifest["parameters"])
 
-    target = Path(out_dir)
-    target.mkdir(parents=True, exist_ok=True)
     files, converged = _EXECUTORS[subcommand](params, stem_name)
+    fresh = _write_files(Path(out_dir), files)
 
-    all_match = True
+    all_match = converged
     for name, recorded_hash in sorted(outputs.items()):
-        blob = files.get(name)
-        if blob is None:
+        if name not in fresh:
             print(f"{name}: missing from replay", file=sys.stderr)
             all_match = False
-            continue
-        (target / name).write_bytes(blob)
-        fresh = _sha256(blob)
-        status = "ok" if fresh == recorded_hash else "MISMATCH"
-        if fresh != recorded_hash:
+        elif fresh[name] == recorded_hash:
+            print(f"{name}: ok")
+        else:
+            print(f"{name}: MISMATCH")
             all_match = False
-        print(f"{name}: {status}")
-    return 0 if (all_match and converged) else 1
+    return 0 if all_match else 1
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +474,6 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="p1, pair ratio, and cos^2 on a degree grid")
     _add_model_flags(curve)
     _add_grid_flags(curve)
-    curve.add_argument("--out", required=True, help="output path stem")
 
     bounds = sub.add_parser("bounds", help="randomized Bell-operator bound search")
     bounds.add_argument(
@@ -484,24 +488,22 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
         default=2,
         help="space dimension (per subsystem for the commuting regime)",
     )
-    bounds.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     bounds.add_argument(
         "--restarts", type=int, default=SearchConfig().restarts, help="search restarts"
     )
-    bounds.add_argument("--out", required=True, help="output path stem")
 
     simulate = sub.add_parser("simulate", help="coincidence Monte Carlo run")
     _add_model_flags(simulate)
+    # the distinct canonical angles, the a side's first
+    canonical = dict.fromkeys(_CANONICAL_DEGREES.T.ravel().tolist())
     simulate.add_argument(
         "--alpha",
         type=float,
         default=None,
         help="relative analyzer angle in degrees (omit to run the canonical "
-        "CHSH settings 0/45/22.5/67.5)",
+        f"CHSH settings {'/'.join(map(_fmt, canonical))})",
     )
     simulate.add_argument("--n", type=int, default=10**6, help="pairs per setting")
-    simulate.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    simulate.add_argument("--out", required=True, help="output path stem")
 
     fit = sub.add_parser("fit", help="recover (a, e, c) against the cos^2 law")
     _add_closed_form_flags(fit)
@@ -512,9 +514,12 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
         choices=OBJECTIVES,
         help="deviation measure over the grid",
     )
-    fit.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     fit.add_argument("--restarts", type=int, default=FIT_SEARCH.restarts, help="search restarts")
-    fit.add_argument("--out", required=True, help="output path stem")
+
+    for run in (bounds, simulate, fit):
+        run.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    for run in (curve, bounds, simulate, fit):
+        run.add_argument("--out", required=True, help="output path stem")
 
     replay = sub.add_parser("replay", help="re-run a manifest and verify outputs")
     replay.add_argument("manifest", help="path to a <stem>.manifest.json file")
@@ -538,7 +543,7 @@ def main(argv=None) -> int:
         if args.subcommand == "replay":
             return _run_replay(args.manifest, args.out_dir)
         stem = Path(args.out)
-        if stem.name in ("", ".."):
+        if not _is_plain_name(stem.name):
             # a manifest whose stem is not a plain file name does not replay
             raise ParameterError(f"--out {args.out!r} names no file stem")
         manifest_path, converged = _write_run(stem, args.subcommand, _params_from_args(args))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError
+from .errors import DimensionError, HermiticityError, ParameterError
 
 # largest deviation from Hermitian, relative to the matrix's scale, that
 # counts as round-off
@@ -36,7 +36,10 @@ _PHASE_TOL = 1e-9
 
 
 def require_square(matrix, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
+    try:
+        arr = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a numeric matrix") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):

@@ -73,6 +73,14 @@ _RESTART_SPREAD = 0.3
 _LOG_C_FLOOR = -20.0
 
 
+def _angle_grid(grid: Optional[np.ndarray]) -> np.ndarray:
+    """The default angle grid, else `grid` as a 1-D float array; never empty."""
+    grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
+    if grid.size == 0:
+        raise ParameterError("grid must contain at least one angle")
+    return grid
+
+
 def residual(
     model: TransmissionModel,
     grid: Optional[np.ndarray] = None,
@@ -87,9 +95,7 @@ def residual(
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     if not isinstance(model, TransmissionModel):
         raise ParameterError("expected a TransmissionModel")
-    grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
-    if grid.size == 0:
-        raise ParameterError("grid must contain at least one angle")
+    grid = _angle_grid(grid)
     deviations = normalized_pair_curve(model, grid, spec) - malus(grid)
     if objective == "chebyshev":
         return float(np.abs(deviations).max())
@@ -347,11 +353,9 @@ def fit(
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     config = config or FIT_SEARCH
-    grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
     # the objective maps a ParameterError to its 4.0 sentinel, so a bad grid
     # must fail here, before any restart runs
-    if grid.size == 0:
-        raise ParameterError("grid must contain at least one angle")
+    grid = _angle_grid(grid)
     require_deviation_angle(grid, "alpha")
 
     def objective_fn(x: np.ndarray) -> float:

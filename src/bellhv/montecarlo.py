@@ -50,7 +50,10 @@ from .transmission import TransmissionModel, _coincidence_integral, _wrapped_pro
 CHUNK_PAIRS = 1 << 16
 
 # pairs per arm evaluation inside a chunk: keeps the profile's temporaries
-# small while several chunks are in flight
+# small while several chunks are in flight.  Evaluating each chunk's arms
+# whole gives the same counts and is faster (benchmark chsh wall_s median
+# 3.087 -> 2.673 s, 6 alternating pairs on a 2-vCPU host), but peak RSS grew
+# from 40.54 to 45.12 MB, +11.3 %, over the benchmark's 10 % bound
 _ARM_BLOCK = 8192
 
 MAX_PAIRS = 10**8

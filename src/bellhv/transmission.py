@@ -143,18 +143,11 @@ class TabulatedModel(TransmissionModel):
         folded = np.abs(require_deviation_angle(nodes, "table nodes"))
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ParameterError("table values must lie in [0, 1]")
-        order = np.argsort(folded, kind="stable")
-        folded = folded[order]
-        values = values[order]
         unique, inverse = np.unique(folded, return_inverse=True)
         if unique.size < 2:
             raise ParameterError("need at least two distinct folded nodes")
-        averaged = np.zeros_like(unique)
-        counts = np.zeros_like(unique)
-        np.add.at(averaged, inverse, values)
-        np.add.at(counts, inverse, 1.0)
         object.__setattr__(self, "nodes", unique)
-        object.__setattr__(self, "values", averaged / counts)
+        object.__setattr__(self, "values", np.bincount(inverse, values) / np.bincount(inverse))
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
         return np.interp(folded, self.nodes, self.values)

@@ -38,6 +38,9 @@ def unrestricted(a1, a2, b1, b2):
     return BellScenario(regime=Regime.UNRESTRICTED, a1=a1, a2=a2, b1=b1, b2=b2)
 
 
+SLOTS = ("a1", "a2", "b1", "b2")
+
+
 def in_each_slot(op):
     """The four operator tuples with `op` in one slot and I in the others."""
     identity = np.eye(op.shape[0])
@@ -58,13 +61,26 @@ class TestLimitsTables:
 
 class TestBellScenarioValidation:
     def test_rejects_non_hermitian(self):
-        for ops in in_each_slot(np.array([[0.0, 1.0], [0.0, 0.0]])):
-            with pytest.raises(HermiticityError, match="measurement operator"):
+        for slot, ops in zip(SLOTS, in_each_slot(np.array([[0.0, 1.0], [0.0, 0.0]]))):
+            with pytest.raises(HermiticityError, match=f"^measurement operator {slot} deviates"):
                 unrestricted(*ops)
 
     def test_rejects_expansive_operator(self):
-        for ops in in_each_slot(np.diag([1.5, 0.0])):
-            with pytest.raises(ParameterError, match="norm 1.500000 exceeds 1"):
+        for slot, ops in zip(SLOTS, in_each_slot(np.diag([1.5, 0.0]))):
+            with pytest.raises(
+                ParameterError, match=f"^measurement operator {slot} norm 1.500000 exceeds 1$"
+            ):
+                unrestricted(*ops)
+
+    @pytest.mark.parametrize("bad", ["x", [[1, 2], [3]], {"a": 1}], ids=["str", "ragged", "dict"])
+    def test_rejects_non_numeric_operator(self, bad):
+        identity = np.eye(2)
+        for k, slot in enumerate(SLOTS):
+            ops = [identity] * 4
+            ops[k] = bad
+            with pytest.raises(
+                ParameterError, match=f"^measurement operator {slot} must be a numeric matrix$"
+            ):
                 unrestricted(*ops)
 
     def test_accepts_boundary_norm(self):
@@ -245,11 +261,20 @@ LIGHT = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(0))
 
 class TestSearchBound:
     def test_classical_search_saturates_two(self):
-        report = search_bound(Regime.CLASSICAL, 4, LIGHT)
-        assert report.best_expectation == pytest.approx(2.0, abs=1e-9)
-        assert report.best_expectation <= 2.0 + 1e-6
-        assert report.theoretical_limit_expectation == 2.0
-        assert report.theoretical_limit_bb == 4.0
+        # any start reaches 2 in one pass, so no random restart beats the
+        # warm restart 0, whose witness is four identities
+        for seed, restarts in itertools.product(range(5), (1, 3, 8)):
+            config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(seed))
+            for dim in (1, 2, 3, 16):
+                report = search_bound(Regime.CLASSICAL, dim, config)
+                assert report.best_expectation == 2.0
+                assert report.best_bb_dagger == 4.0
+                assert report.best_restart == 0
+                assert report.iterations == 2
+                for slot in SLOTS:
+                    np.testing.assert_array_equal(getattr(report.witness, slot), np.eye(dim))
+                assert report.theoretical_limit_expectation == 2.0
+                assert report.theoretical_limit_bb == 4.0
 
     def test_product_regime_search_reaches_tsirelson(self):
         report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 2, LIGHT)
@@ -277,16 +302,6 @@ class TestSearchBound:
         # the default commuting d=4 search lands a few ulp above 2*sqrt(2)
         report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 4)
         assert report.best_expectation == pytest.approx(ROOT8, abs=1e-12)
-        assert report.expectation_margin == 0.0
-        assert report.bb_dagger_margin == 0.0
-
-    def test_clear_excess_over_the_limit_stays_negative(self):
-        report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 2, LIGHT)
-        above = dataclasses.replace(
-            report, best_expectation=ROOT8 + 1e-6, best_bb_dagger=8.0 + 1e-6
-        )
-        assert above.expectation_margin == pytest.approx(-1e-6, rel=1e-6)
-        assert above.bb_dagger_margin == pytest.approx(-1e-6, rel=1e-6)
 
     def test_regime_monotonicity_chain(self):
         for seed in range(5):

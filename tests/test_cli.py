@@ -360,6 +360,33 @@ class TestReplay:
         for name in ("sim.csv", "sim.json"):
             assert (replay_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_replay_writes_every_file_of_the_run(self, tmp_path, capsys):
+        # the manifest lists one output; the replay still writes both
+        stem = tmp_path / "sim"
+        assert main(["simulate", "--alpha", "30", "--n", "2000", "--out", str(stem)]) == 0
+        manifest_path = tmp_path / "sim.manifest.json"
+        manifest = read_json(manifest_path)
+        del manifest["outputs"]["sim.json"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(manifest_path), "--out-dir", str(replay_dir)]) == 0
+        assert capsys.readouterr().out == "sim.csv: ok\n"
+        for name in ("sim.csv", "sim.json"):
+            assert (replay_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_output_the_replay_does_not_produce_is_reported(self, tmp_path, capsys):
+        assert main(["curve", "--grid-step", "30", "--out", str(tmp_path / "orig")]) == 0
+        manifest_path = tmp_path / "orig.manifest.json"
+        manifest = read_json(manifest_path)
+        manifest["outputs"]["orig.json"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(manifest_path), "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "orig.csv: ok\n"
+        assert captured.err == "orig.json: missing from replay\n"
+
     def test_tampered_manifest_is_reported(self, tmp_path, capsys):
         stem = tmp_path / "victim"
         assert main(["curve", "--grid-step", "30", "--out", str(stem)]) == 0

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from _brent_radius import brent_numerical_radius
 from _jacobi import jacobi_eigensystem
 from bellhv.bell import Regime, bell_operator, search_bound
-from bellhv.errors import DimensionError, HermiticityError
+from bellhv.errors import DimensionError, HermiticityError, ParameterError
 from bellhv.linalg import (
     commutator,
     hermitian_part,
@@ -35,6 +35,12 @@ class TestRequireHermitian:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             require_hermitian(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", ["x", [[1, 2], [3]], {"a": 1}], ids=["str", "ragged", "dict"])
+    @pytest.mark.parametrize("routine", [numerical_radius, symmetric_extreme_eigen])
+    def test_non_numeric_matrix_is_a_parameter_error(self, routine, bad):
+        with pytest.raises(ParameterError, match="^matrix must be a numeric matrix$"):
+            routine(bad)
 
 
 class TestHermitianEigensystem:

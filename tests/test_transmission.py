@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import _simpson_loop
 from _constant_model import ConstantModel
 from _frozen import BELINFANTE, GRID_DEG, REFERENCE, STEEP, STEEP_TRIPLE
-from bellhv.angles import degrees_grid
+from bellhv.angles import degrees_grid, require_deviation_angle
 from bellhv.errors import (
     AngleDomainError,
     DegenerateModelError,
@@ -160,6 +160,54 @@ class TestTabulatedModel:
         # an ulp past the window edge folds onto it
         model = TabulatedModel([0.0, -(math.pi / 2 + 1e-12)], [1.0, 0.0])
         np.testing.assert_array_equal(model.nodes, [0.0, math.pi / 2])
+
+
+def sorted_average(nodes, values):
+    """TabulatedModel's duplicate averaging before np.bincount: a stable sort,
+    then np.add.at per folded node, kept as the oracle for the bincount form."""
+    folded = np.abs(require_deviation_angle(np.asarray(nodes, dtype=float), "table nodes"))
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(folded, kind="stable")
+    folded = folded[order]
+    values = values[order]
+    unique, inverse = np.unique(folded, return_inverse=True)
+    averaged = np.zeros_like(unique)
+    counts = np.zeros_like(unique)
+    np.add.at(averaged, inverse, values)
+    np.add.at(counts, inverse, 1.0)
+    return unique, averaged / counts
+
+
+@st.composite
+def tables_with_repeats(draw):
+    """(nodes, values) drawn from a few distinct |node|s, each node repeated
+    and mirrored at will, with at least two distinct folded nodes."""
+    magnitudes = draw(
+        st.lists(st.floats(0.0, math.pi / 2), min_size=2, max_size=5, unique=True)
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(magnitudes), st.booleans(), st.floats(0.0, 1.0)),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    assume(len({magnitude for magnitude, _, _ in rows}) >= 2)
+    nodes = [-magnitude if mirrored else magnitude for magnitude, mirrored, _ in rows]
+    return nodes, [value for _, _, value in rows]
+
+
+class TestTabulatedAveraging:
+    @given(tables_with_repeats())
+    def test_bitwise_equal_to_the_sorted_average(self, table):
+        nodes, values = table
+        model = TabulatedModel(nodes, values)
+        expected_nodes, expected_values = sorted_average(nodes, values)
+        # compared as bit patterns: 0.0 and -0.0, or a last-ulp change, differ
+        np.testing.assert_array_equal(model.nodes.view(np.uint64), expected_nodes.view(np.uint64))
+        np.testing.assert_array_equal(
+            model.values.view(np.uint64), expected_values.view(np.uint64)
+        )
 
 
 class TestConstantModel:
