@@ -29,6 +29,18 @@ CPU (the process's affinity mask, else `os.cpu_count()`), never more
 workers than chunks.  The sampler's numpy loops release the GIL, so the
 chunks run in parallel, and a tally is an integer sum over chunks, so the
 counts do not depend on the number of workers or on their scheduling.
+
+The sampler decides most transmissions without evaluating the profile: the
+squeeze of rejection sampling (G. Marsaglia, Comput. Math. Appl. 3, 321
+(1977)).  Before the chunks, `run_pairs` builds one bound table per arm
+(`_bound_table`): for each of _BINS bins of the hidden axis, a lower and an
+upper bound of that arm's transmission probability.  A pair whose uniform
+lies below the lower bound passes, one at or above the upper bound is
+absorbed, and only the pairs in between (about 0.15 % of an arm's pairs for
+the built-in models) have their profile evaluated.  Because the bounds bracket
+the very floating-point values the profile returns, each decision is the
+one `u < p1` would make, so the counts are bit-identical to evaluating
+every pair.  The sampler thus stays an independent check of the quadrature.
 """
 
 from __future__ import annotations
@@ -40,21 +52,33 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .angles import HALF_WINDOW, require_deviation_angle
+from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
 from .errors import DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec
 from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
 from .rng import RngStream
-from .transmission import TransmissionModel, _coincidence_integral, _wrapped_profile
+from .transmission import (
+    TransmissionModel,
+    _clipped_profile,
+    _coincidence_integral,
+    _wrapped_profile,
+)
 
 CHUNK_PAIRS = 1 << 16
 
-# pairs per arm evaluation inside a chunk: keeps the profile's temporaries
-# small while several chunks are in flight.  Evaluating each chunk's arms
-# whole gives the same counts and is faster (benchmark chsh wall_s median
-# 3.087 -> 2.673 s, 6 alternating pairs on a 2-vCPU host), but peak RSS grew
-# from 40.54 to 45.12 MB, +11.3 %, over the benchmark's 10 % bound
+# pairs per bound-table lookup inside a chunk: keeps the lookup's
+# temporaries small while several chunks are in flight.  Looking up each
+# chunk whole gave the same counts at about the same speed, but benchmark
+# chsh peak RSS reached 43.5 MB, against 41.5 MB blocked and 40.7 MB before
+# the bound tables (2-vCPU host)
 _ARM_BLOCK = 8192
+
+# bins of each arm's bound table over the hidden-axis window: a power of
+# two, so that a pair's bin is read off its raw uniform draw exactly
+_BINS = 4096
+
+# absolute margin on every bound, far above the profile's rounding error
+_BOUND_PAD = 1e-9
 
 MAX_PAIRS = 10**8
 
@@ -133,26 +157,76 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _to_axes(raw: np.ndarray) -> np.ndarray:
+    """Hidden axes from raw uniforms, in place: the operations, in order, of
+    uniform(-pi/2, pi/2), so that the axes are bit for bit its draws."""
+    raw *= np.pi
+    raw += -HALF_WINDOW
+    return raw
+
+
+def _bound_table(model: TransmissionModel, angle: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): bounds of p1(fold(lambda - angle)) on each of _BINS bins.
+
+    Bin i holds the hidden axes drawn from raw uniforms in [i, i + 1)/_BINS.
+    Its edges are scaled by the sampler's own `_to_axes`, so each of its
+    axes lies between them, and the profile at both edges enters its bounds.
+    So does the profile at each point where the composite may turn: at
+    deviations 0 and pi/2, where the fold turns, and at the model's
+    `_turning_points()`, all at angle +/- point mod pi.  Between those
+    points the composite is monotone.  The bin of such a point is computed
+    with rounding, so every bound is widened by one bin on each side
+    (periodically: lambda and lambda + pi are one axis) and padded by
+    _BOUND_PAD.  A model whose turning points are unknown gets the bounds
+    (-inf, inf), which decide no pair.
+    """
+    turning = model._turning_points()
+    if turning is None:
+        return np.full(_BINS, -np.inf), np.full(_BINS, np.inf)
+    edges = _to_axes(np.arange(_BINS + 1) / _BINS)
+    at_edges = _wrapped_profile(model, edges - angle)
+    lower = np.minimum(at_edges[:-1], at_edges[1:])
+    upper = np.maximum(at_edges[:-1], at_edges[1:])
+    folded = np.concatenate(([0.0, HALF_WINDOW], turning))
+    at_turns = np.tile(_clipped_profile(model, folded), 2)
+    axes = reduce_axis_angle(np.concatenate((angle + folded, angle - folded)))
+    bins = np.floor((axes + HALF_WINDOW) * (_BINS / np.pi)).astype(np.intp) % _BINS
+    np.minimum.at(lower, bins, at_turns)
+    np.maximum.at(upper, bins, at_turns)
+    lower = np.minimum(np.minimum(np.roll(lower, 1), lower), np.roll(lower, -1))
+    upper = np.maximum(np.maximum(np.roll(upper, 1), upper), np.roll(upper, -1))
+    return lower - _BOUND_PAD, upper + _BOUND_PAD
+
+
 def _tally_chunk(
-    config: ExperimentConfig, generator: np.random.Generator, count: int
+    config: ExperimentConfig, tables, generator: np.random.Generator, count: int
 ) -> Tuple[int, int, int]:
     """(n11, n10, n01) of `count` pairs drawn from `generator`.
 
-    Runs on worker threads, so it calls none of the validating model or
-    stream methods; the deviations it folds are finite by construction.
+    `tables` holds the bound tables of arms A and B.  Runs on worker
+    threads, so it calls none of the validating model or stream methods; the
+    deviations it folds are finite by construction.
     """
-    lam = generator.uniform(-HALF_WINDOW, HALF_WINDOW, size=count)
-    u_a = generator.uniform(size=count)
-    u_b = generator.uniform(size=count)
-    n11 = n10 = n01 = 0
+    # one call, bit for bit the draws of uniform(-pi/2, pi/2), uniform() and
+    # uniform(); lam holds raw uniforms until `_to_axes` scales it below
+    draws = generator.random(3 * count)
+    lam, u = draws[:count], draws[count:].reshape(2, count)
+    passed = np.empty((2, count), dtype=bool)
+    below_upper = np.empty((2, count), dtype=bool)
     for start in range(0, count, _ARM_BLOCK):
         block = slice(start, start + _ARM_BLOCK)
-        passed_a = u_a[block] < _wrapped_profile(config.model, lam[block] - config.angle_a)
-        passed_b = u_b[block] < _wrapped_profile(config.model, lam[block] - config.angle_b)
-        n11 += int(np.count_nonzero(passed_a & passed_b))
-        n10 += int(np.count_nonzero(passed_a & ~passed_b))
-        n01 += int(np.count_nonzero(~passed_a & passed_b))
-    return n11, n10, n01
+        bins = np.multiply(lam[block], _BINS).astype(np.intp)  # exact: a power of two
+        for arm, (lower, upper) in enumerate(tables):
+            np.less(u[arm, block], lower.take(bins), out=passed[arm, block])
+            np.less(u[arm, block], upper.take(bins), out=below_upper[arm, block])
+    _to_axes(lam)
+    for arm, angle in enumerate((config.angle_a, config.angle_b)):
+        pairs = np.flatnonzero(below_upper[arm] & ~passed[arm])  # undecided
+        passed[arm, pairs] = u[arm, pairs] < _wrapped_profile(config.model, lam[pairs] - angle)
+    n_a = int(np.count_nonzero(passed[0]))
+    n_b = int(np.count_nonzero(passed[1]))
+    n11 = int(np.count_nonzero(passed[0] & passed[1]))
+    return n11, n_a - n11, n_b - n11
 
 
 def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:
@@ -168,7 +242,8 @@ def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:
     # built here, in chunk order: workers call no stream or validating model
     # method, which per-layer tracing wraps with one-thread bookkeeping
     generators = [config.rng.substream(i).generator() for i in range(len(sizes))]
-    tally = functools.partial(_tally_chunk, config)
+    tables = (_bound_table(config.model, config.angle_a), _bound_table(config.model, config.angle_b))
+    tally = functools.partial(_tally_chunk, config, tables)
     # imported here, not at module level: it costs every CLI start ~13 ms
     from concurrent.futures import ThreadPoolExecutor
 

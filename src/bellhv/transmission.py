@@ -41,16 +41,27 @@ from .quadrature import QuadratureSpec, integrate, integrate_rows
 class TransmissionModel:
     """Even transmission-probability profile on the deviation window.
 
-    Subclasses implement only `_profile(folded)` for folded = |lambda| in
+    Subclasses implement `_profile(folded)` for folded = |lambda| in
     [0, pi/2]; the base class handles validation, evenness, and periodic
     axis reduction.  `_profile` must be a pure, thread-safe function of its
     argument that returns a fresh float array: the Monte Carlo sampler calls
-    it directly, bypassing `probabilities` and `probabilities_wrapped`, from
-    several threads at once, and the profile is clipped in place.
+    it directly, bypassing `probabilities` and `probabilities_wrapped`, and
+    the profile is clipped in place.  The sampler's bound tables call it in
+    the calling thread; its workers call it, several at once, only on the
+    pairs those tables leave undecided.
+
+    A subclass may also override `_turning_points()`: the folded points in
+    [0, pi/2] where the profile may change direction, so that it is monotone
+    between consecutive ones.  The sampler's bound tables include the
+    profile at these points.  The base class returns None, "unknown": the
+    sampler then bounds nothing and evaluates every pair's profile.
     """
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _turning_points(self) -> Optional[np.ndarray]:
+        return None
 
     def probabilities(self, lam):
         """p1 evaluated on the closed window [-pi/2, pi/2]."""
@@ -106,6 +117,10 @@ class StretchedExponentialModel(TransmissionModel):
             np.multiply(expo, c + 1.0, out=expo)
             return np.divide(expo, denominator, out=expo)
 
+    def _turning_points(self) -> np.ndarray:
+        # E falls with |lambda| and p1 rises with E: monotone on [0, pi/2]
+        return np.empty(0)
+
 
 # Reference triple: recovered by the fit module as the operating point whose
 # pair curve tracks cos^2 within 0.05 (worst deviation 0.0459 at 25 degrees)
@@ -119,6 +134,9 @@ class CosineSquaredModel(TransmissionModel):
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
         return np.cos(folded) ** 2
+
+    def _turning_points(self) -> np.ndarray:
+        return np.empty(0)  # monotone on [0, pi/2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +169,9 @@ class TabulatedModel(TransmissionModel):
 
     def _profile(self, folded: np.ndarray) -> np.ndarray:
         return np.interp(folded, self.nodes, self.values)
+
+    def _turning_points(self) -> np.ndarray:
+        return self.nodes  # linear, so monotone, between consecutive nodes
 
 
 def malus(alpha):

@@ -14,6 +14,7 @@ import _simpson_loop
 from _constant_model import ConstantModel
 from _frozen import MC_BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 from bellhv import montecarlo
+from bellhv.angles import reduce_axis_angle
 from bellhv.errors import DegenerateModelError, ParameterError
 from bellhv.malusfit import FIT_QUADRATURE
 from bellhv.montecarlo import (
@@ -36,12 +37,36 @@ from bellhv.rng import RngStream
 from bellhv.transmission import (
     REFERENCE_MODEL,
     CosineSquaredModel,
+    StretchedExponentialModel,
     TabulatedModel,
     TransmissionModel,
+    _wrapped_profile,
 )
 
 BELINFANTE_MODEL = CosineSquaredModel()
 TABULATED_MODEL = TabulatedModel([0.0, 0.4, 1.1, math.pi / 2], [1.0, 0.7, 0.2, 0.05])
+# not monotone: it turns at every node, 0 to 90 degrees in 11.25-degree steps
+BUMPY_MODEL = TabulatedModel(
+    np.deg2rad(11.25 * np.arange(9)), [1.0, 0.2, 0.9, 0.1, 0.8, 0.3, 0.7, 0.05, 0.6]
+)
+# falls from 0.99 to 0.01 between deviations 0.0269 and 0.0276
+STEEP_MODEL = StretchedExponentialModel(40.0, 30.0, 1e6)
+
+
+def tables():
+    """Random tables with 2 to 8 nodes, monotone or not."""
+    return st.integers(min_value=2, max_value=8).flatmap(
+        lambda size: st.builds(
+            TabulatedModel,
+            st.lists(
+                st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+                min_size=size,
+                max_size=size,
+                unique_by=abs,
+            ),
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=size, max_size=size),
+        )
+    )
 
 
 def simulate(model, alpha_deg, n, seed):
@@ -198,6 +223,43 @@ class TestAgainstSerialChunkLoop:
         config = _config(model, n)
         assert run_pairs(config) == _chunk_loop.run_pairs(config)
 
+    @pytest.mark.parametrize(
+        "angle_a,angle_b",
+        [(0.0, math.pi / 2), (-math.pi / 2, 0.0), (math.pi / 2, -math.pi / 2), (0.0, 0.0)],
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE_MODEL, BELINFANTE_MODEL, BUMPY_MODEL, STEEP_MODEL],
+        ids=["reference", "belinfante", "bumpy", "steep"],
+    )
+    def test_window_edge_angles_exact(self, model, angle_a, angle_b):
+        config = _config(model, 2 * CHUNK_PAIRS + 5, 7, angle_a, angle_b)
+        assert run_pairs(config) == _chunk_loop.run_pairs(config)
+
+    def test_non_monotone_table_exact(self):
+        # a bound table that ignored the table's turning points gave n11 131895
+        config = _config(BUMPY_MODEL, 500_000, 1, 0.1, 0.9)
+        counts = run_pairs(config)
+        assert counts == _chunk_loop.run_pairs(config)
+        assert counts.n11 == 131896
+
+    def test_steep_model_exact(self):
+        config = _config(STEEP_MODEL, 5 * CHUNK_PAIRS, 2, 0.0, 0.01)
+        counts = run_pairs(config)
+        assert counts == _chunk_loop.run_pairs(config)
+        assert 0 < counts.n11 < counts.singles_a
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        model=tables(),
+        angle_a=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+        angle_b=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+        n=st.integers(min_value=1, max_value=20_000),
+    )
+    def test_random_tables_exact(self, seed, model, angle_a, angle_b, n):
+        config = _config(model, n, seed, angle_a, angle_b)
+        assert run_pairs(config) == _chunk_loop.run_pairs(config)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         angle_a=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
@@ -272,11 +334,12 @@ class TestAgainstSerialChunkLoop:
 
     def test_later_chunk_failure_propagates(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        blocks = CHUNK_PAIRS // montecarlo._ARM_BLOCK
-        # two arms per block: the first two chunks pass, a later one raises
-        model = FailsAfter(calls=2 * 2 * blocks)
+        # FailsAfter declares no turning points, so its bound tables decide
+        # no pair: one profile call per arm and chunk, all in the workers
+        run_pairs(_config(FailsAfter(calls=2 * 6), 6 * CHUNK_PAIRS))
+        # the first two chunks pass, a later one raises
         with pytest.raises(ProfileFailure):
-            run_pairs(_config(model, 6 * CHUNK_PAIRS))
+            run_pairs(_config(FailsAfter(calls=2 * 2), 6 * CHUNK_PAIRS))
 
     def test_usable_cpus_reads_affinity_else_cpu_count(self, monkeypatch):
         assert montecarlo._usable_cpus() >= 1
@@ -288,6 +351,80 @@ class TestAgainstSerialChunkLoop:
         assert montecarlo._usable_cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert montecarlo._usable_cpus() == 1
+
+
+def _bins_and_axes(raw):
+    """The sampler's bin and hidden axis of each raw uniform draw."""
+    return (raw * montecarlo._BINS).astype(np.intp), raw * np.pi + -math.pi / 2
+
+
+def _edge_draws():
+    """Raw draws at every bin edge and at their ulp neighbours."""
+    edges = np.arange(montecarlo._BINS) / montecarlo._BINS
+    return np.concatenate(
+        (edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)])
+    )
+
+
+def _bracketed(model, angle, raw):
+    lower, upper = montecarlo._bound_table(model, angle)
+    bins, axes = _bins_and_axes(raw)
+    exact = _wrapped_profile(model, axes - angle)
+    return np.all(lower[bins] <= exact) and np.all(exact <= upper[bins])
+
+
+class TestBoundTables:
+    """Each bin's bounds bracket the profile of every axis the sampler puts there."""
+
+    @given(
+        model=st.one_of(
+            st.builds(
+                StretchedExponentialModel,
+                a=st.floats(min_value=0.1, max_value=60.0),
+                e=st.floats(min_value=0.2, max_value=40.0),
+                c=st.floats(min_value=0.0, max_value=1e6),
+            ),
+            st.just(BELINFANTE_MODEL),
+            tables(),
+        ),
+        angle=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_brackets_random_axes_edges_and_their_neighbours(self, model, angle, seed):
+        # the draws nearest the axes where the fold turns: deviation 0 and pi/2
+        turns = (reduce_axis_angle(angle + np.array([0.0, math.pi / 2])) + math.pi / 2) / math.pi
+        turns = np.clip(turns[:, None] + np.spacing(1.0) * np.arange(-4, 5), 0.0, np.nextafter(1.0, 0.0))
+        raw = np.concatenate(
+            (np.random.default_rng(seed).random(2000), _edge_draws(), turns.ravel())
+        )
+        assert _bracketed(model, angle, raw)
+
+    @pytest.mark.parametrize("angle", [-1.0, 0.0, 0.5])
+    def test_pad_covers_the_profiles_rounding(self, angle):
+        # this profile's floating-point values are not monotone where the
+        # formula is: at some draws they pass both edges of their bin by an ulp
+        raw = np.concatenate((np.random.default_rng(0).random(5000), _edge_draws()))
+        assert _bracketed(StretchedExponentialModel(1.0, 40.0, 1e6), angle, raw)
+
+    def test_turning_point_within_rounding_of_a_bin_edge(self):
+        # a spike whose axis lies an ulp or two from a bin edge: the bin its
+        # rounded axis is counted in may be the neighbour of the bin of the
+        # draws that reach its peak, which the one-bin widening covers
+        raw_edges = np.arange(montecarlo._BINS // 2 + 1, montecarlo._BINS) / montecarlo._BINS
+        _, edges = _bins_and_axes(raw_edges[::13])
+        for edge in edges:
+            for step in (-2, -1, 1, 2):
+                peak = edge + step * np.spacing(edge)
+                model = TabulatedModel(
+                    [0.0, peak - 1e-12, peak, peak + 1e-12, math.pi / 2], [0.0, 0.0, 1.0, 0.0, 0.0]
+                )
+                centre = (peak + math.pi / 2) / math.pi
+                raw = centre + np.spacing(centre) * np.arange(-8, 9)
+                assert _bracketed(model, 0.0, raw), (edge, step)
+
+    def test_unknown_model_decides_no_pair(self):
+        lower, upper = montecarlo._bound_table(FailsAfter(calls=0), 0.3)
+        assert np.all(lower == -np.inf) and np.all(upper == np.inf)
 
 
 class TestCountsValidationAndEstimates:
