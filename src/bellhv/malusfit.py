@@ -18,22 +18,22 @@ the last bit.  The tests keep scipy as its oracle; the package needs only
 numpy.
 
 The restarts are independent, so `minimize` runs them at the same time on
-min(restarts, usable CPUs) processes, the count that sizes the sampler's
-thread pool in `bellhv.montecarlo`.  The calling process runs restart 0 and
-forks the other processes with the `fork` start method, so they inherit the
-objective (closures and lambdas included) and only their results are
-pickled.  Each restart computes the same bits in any process, and the best
-is chosen by restart index (lowest value, earliest on ties), so the result
-does not depend on the number of processes.  Without `os.fork`, with one
-usable CPU, or inside a daemonic process (which may not have children) the
-caller runs every restart itself.
+a pool of min(restarts, usable CPUs) processes, the count that sizes the
+sampler's thread pool in `bellhv.montecarlo`.  The pool forks its workers
+with the `fork` start method, so they inherit the objective (closures and
+lambdas included) and only restart indices and results are pickled.  Each
+restart computes the same bits in any process, and the best is chosen by
+restart index (lowest value, earliest on ties), so the result does not
+depend on the number of processes.  Without `os.fork`, with one usable CPU,
+or inside a daemonic process (which may not have children) the caller runs
+every restart itself.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -215,56 +215,35 @@ def nelder_mead(
     )
 
 
-# what one restart leaves: its result, or the error its objective raised
-_Outcome = Union[SimplexResult, Exception]
+def _restart(
+    objective: Callable[[np.ndarray], float], x0: np.ndarray, config: SearchConfig, restart: int
+) -> SimplexResult:
+    """Nelder-Mead from x0 for restart 0, else from restart's perturbed start."""
+    start = x0
+    if restart > 0:
+        draws = config.rng.substream(restart).generator().standard_normal(x0.size)
+        start = x0 + _RESTART_SPREAD * draws
+    # Nelder-Mead stops only when BOTH simplex spreads are met, so a fixed
+    # tiny xatol would block termination on flat valleys where the simplex
+    # stays elongated; tie it to the value tolerance.
+    return nelder_mead(
+        objective, start, config.max_iterations, xatol=np.sqrt(_FATOL) / 10.0, fatol=_FATOL
+    )
 
 
-def _run_restarts(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    config: SearchConfig,
-    restarts: Iterable[int],
-) -> Dict[int, _Outcome]:
-    """Outcome of each restart, in order, up to and including the first that
-    raises: what a serial run would have computed of these restarts."""
-    outcomes: Dict[int, _Outcome] = {}
-    for restart in restarts:
-        start = x0
-        if restart > 0:
-            draws = config.rng.substream(restart).generator().standard_normal(x0.size)
-            start = x0 + _RESTART_SPREAD * draws
-        try:
-            # Nelder-Mead stops only when BOTH simplex spreads are met, so a
-            # fixed tiny xatol would block termination on flat valleys where
-            # the simplex stays elongated; tie it to the value tolerance.
-            outcomes[restart] = nelder_mead(
-                objective, start, config.max_iterations, xatol=np.sqrt(_FATOL) / 10.0, fatol=_FATOL
-            )
-        except Exception as exc:
-            outcomes[restart] = exc
-            break
-    return outcomes
+# (objective, x0, config) of the fit a pool worker was forked for; set only
+# in pool workers, by `_inherit`
+_inherited: tuple = ()
 
 
-def _send_outcomes(connection, *restart_args) -> None:
-    """Body of a forked worker: run its restarts, send back their outcomes."""
-    connection.send(_run_restarts(*restart_args))
-    connection.close()
+def _inherit(*restart_args) -> None:
+    """Pool initializer: keep the objective, x0 and config the fork handed over."""
+    global _inherited
+    _inherited = restart_args
 
 
-def _start_worker(*restart_args):
-    """Fork one worker for `_run_restarts(*restart_args)`; returns the process
-    and the receiving end of its pipe."""
-    # imported here, not at module level: only a fit with workers needs it
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=_send_outcomes, args=(sender, *restart_args))
-    process.start()
-    # the worker holds the only sending end, so its death reads as EOF
-    sender.close()
-    return process, receiver
+def _inherited_restart(restart: int) -> SimplexResult:
+    return _restart(*_inherited, restart)
 
 
 def _worker_count(restarts: int) -> int:
@@ -290,48 +269,31 @@ def minimize(
     as a simplex vertex and Nelder-Mead never loses its best vertex, so the
     result is never worse than x0.
 
-    The restarts run on w = min(restarts, usable CPUs) processes: the caller
-    runs restarts 0, w, 2w, ... and a worker forked with the `fork` start
-    method runs each other residue class.  Workers get the objective through
-    the fork and send back only their `SimplexResult`s; every worker has
-    exited when this returns or raises.  If an objective raises, the error of
-    the earliest restart that raised reaches the caller, as in a serial run,
-    so the error as well as the result is the same for every w.
+    With w = min(restarts, usable CPUs) above 1, a pool of w processes,
+    forked with the `fork` start method, runs every restart: the workers get
+    the objective through the fork, and only restart indices and
+    `SimplexResult`s are pickled.  Every worker has exited when this returns
+    or raises.  Results come back in restart order, so if objectives raise,
+    the error of the earliest restart that raised reaches the caller, as in a
+    serial run, and the error as well as the result is the same for every w.
     """
     workers = _worker_count(config.restarts)
-    restart_args = [
-        (objective, x0, config, range(k, config.restarts, workers)) for k in range(workers)
-    ]
-    started = []
-    try:
-        for args in restart_args[1:]:
-            started.append(_start_worker(*args))
-        outcomes = _run_restarts(*restart_args[0])
-        for process, receiver in started:
-            try:
-                outcomes.update(receiver.recv())
-            except EOFError:
-                process.join()
-                raise ChildProcessError(
-                    f"fit restart worker exited with code {process.exitcode} before its results"
-                ) from None
-    except BaseException:
-        for process, _ in started:
-            process.terminate()
-        raise
-    finally:
-        for process, receiver in started:
-            process.join()
-            process.close()
-            receiver.close()
-    best = None
-    for restart in sorted(outcomes):
-        outcome = outcomes[restart]
-        if isinstance(outcome, Exception):
-            raise outcome
-        if best is None or outcome.fun < best[1].fun:
-            best = (restart, outcome)
-    return best
+    if workers == 1:
+        results = [_restart(objective, x0, config, r) for r in range(config.restarts)]
+    else:
+        # imported here, not at module level: only a fit with workers needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers,
+            multiprocessing.get_context("fork"),
+            initializer=_inherit,
+            initargs=(objective, x0, config),
+        ) as pool:
+            results = list(pool.map(_inherited_restart, range(config.restarts)))
+    best = min(range(len(results)), key=lambda r: results[r].fun)
+    return best, results[best]
 
 
 def fit(

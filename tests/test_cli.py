@@ -540,7 +540,7 @@ class TestUsage:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the package needs no scipy at all; concurrent.futures is loaded only
-    # by a multi-chunk run_pairs
+    # by a multi-chunk run_pairs or a fit on more than one process
     env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
     code = (
         "import sys, bellhv.cli; "

@@ -1,6 +1,8 @@
 import multiprocessing
 import multiprocessing.process
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -265,6 +267,12 @@ def _count_process_starts(monkeypatch):
     return started
 
 
+def _pool_size(restarts, cpus):
+    """Processes `minimize` starts: a pool of min(restarts, cpus), if above 1."""
+    workers = min(restarts, cpus)
+    return workers if workers > 1 else 0
+
+
 def _plateau_at_start(x):
     # 1 within 0.05 of the origin, 0 elsewhere: restart 0 (from the origin)
     # ends at 1, while every perturbed start ties at 0
@@ -289,7 +297,8 @@ WORKER_OBJECTIVES = {"plateau": (_plateau_at_start, 1), "double-well": (_tilted_
 
 
 class TestRestartWorkers:
-    """Restarts on forked workers: the same bits for 1, 2 and 3 processes."""
+    """Restarts on a pool of forked workers: the same bits for 1, 2 and 3
+    processes."""
 
     @pytest.mark.parametrize("name", sorted(WORKER_OBJECTIVES))
     @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
@@ -302,7 +311,7 @@ class TestRestartWorkers:
             monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
             started.clear()
             outcomes.append(minimize(objective, np.full(dim, 0.0), config))
-            assert len(started) == min(restarts, cpus) - 1
+            assert len(started) == _pool_size(restarts, cpus)
             _assert_no_child_processes()
         (best, result), *others = outcomes
         for other_best, other in others:
@@ -310,7 +319,7 @@ class TestRestartWorkers:
             _assert_bitwise_equal(other, result)
         if name == "plateau":
             # restarts 1, 2 and 3 all tie at 0; the earliest wins, wherever
-            # it ran (restart 1 is on a worker for 2 and 3 processes)
+            # it ran (on a pool worker for 2 and 3 processes)
             starts = [
                 malusfit._RESTART_SPREAD * config.rng.substream(r).generator().standard_normal(1)
                 for r in range(1, restarts)
@@ -328,7 +337,7 @@ class TestRestartWorkers:
             monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
             started.clear()
             results.append(fit(grid=grid, config=config))
-            assert len(started) == min(restarts, cpus) - 1
+            assert len(started) == _pool_size(restarts, cpus)
             _assert_no_child_processes()
         first, *others = [_fit_bits(result) for result in results]
         assert all(other == first for other in others)
@@ -365,9 +374,38 @@ class TestRestartWorkers:
             return x[0] ** 2
 
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        with pytest.raises(ChildProcessError, match="code 3"):
+        with pytest.raises(BrokenProcessPool):
             minimize(objective, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50))
         _assert_no_child_processes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_earliest_restart_error_wins_not_the_first_raised(self, monkeypatch, cpus):
+        # restart 0 (from the origin) raises after a sleep, the perturbed
+        # restarts at once: on a pool, restart 0's error arrives last, yet it
+        # is the one that reaches the caller
+        def objective(x):
+            if abs(x[0]) < 0.05:
+                time.sleep(0.2)
+                raise ValueError("restart 0")
+            raise ValueError("perturbed restart")
+
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
+        config = SearchConfig(restarts=3, max_iterations=50, rng=RngStream(3))
+        with pytest.raises(ValueError, match="^restart 0$"):
+            minimize(objective, np.array([0.0]), config)
+        _assert_no_child_processes()
+
+    def test_platform_without_fork_runs_every_restart_in_the_caller(self, monkeypatch):
+        config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(2)
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
+        expected_best, expected = minimize(_tilted_double_well, x0, config)
+        monkeypatch.delattr(os, "fork")
+        started = _count_process_starts(monkeypatch)
+        best, result = minimize(_tilted_double_well, x0, config)
+        assert started == []
+        assert best == expected_best
+        _assert_bitwise_equal(result, expected)
 
     def test_daemonic_caller_runs_every_restart_itself(self, monkeypatch):
         # a daemonic process may not start children, so a fit inside a
