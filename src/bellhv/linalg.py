@@ -9,8 +9,8 @@ radius max_psi |<psi|M|psi>| needed for non-Hermitian Bell operators.  The
 radius is the maximum over phases theta of the largest eigenvalue of the
 Hermitian part of e^{i theta} M, the support function of the numerical
 range (Johnson, SIAM J. Numer. Anal. 15, 595 (1978)): one batched
-eigensolve over a grid of phases, then safeguarded Newton steps on the
-phase with first and second derivatives from perturbation theory.  It uses
+eigenvalue solve over a grid of phases, then nested grids, each sampling
+the best phase's bracket at a quarter of the previous spacing.  It uses
 numpy only; the tests check it against scipy's bounded Brent search.
 """
 
@@ -26,12 +26,11 @@ from .errors import DimensionError, HermiticityError, ParameterError
 # counts as round-off
 _HERMITIAN_TOL = 1e-12
 
-# numerical radius: coarse phases over the full turn, the cap on Newton
-# steps, the relative gap below which two top eigenvalues count as one, and
-# the Newton step (radians) below which h is at its maximum to round-off
+# numerical radius: phases over the full turn, steps across the best phase's
+# bracket at each nested level, and the spacing (radians) at which h's best
+# sample is its maximum to round-off
 _PHASES = 96
-_NEWTON_STEPS = 50
-_DEGENERATE_GAP = 1e-12
+_LEVEL_STEPS = 8
 _PHASE_TOL = 1e-9
 
 
@@ -98,18 +97,12 @@ def numerical_radius(matrix) -> float:
     e^{i theta} M, is the support function of the numerical range, and the
     radius is its maximum over the full turn (Johnson, SIAM J. Numer. Anal.
     15, 595 (1978)).  A Hermitian M short-circuits to its spectral radius.
-    Otherwise one batched eigensolve samples h at _PHASES phases, and
-    Newton steps refine the best sample inside its bracket, using
-
-        h'  = <v|H'|v>,   H' = (i e^{i theta} M - i e^{-i theta} M^dag) / 2,
-        h'' = -h + 2 sum_k |<u_k|H'|v>|^2 / (h - lambda_k),
-
-    both from the same eigendecomposition (H'' = -H).  Partners within
-    round-off of a degenerate top eigenvalue leave the sum: a degeneracy
-    that persists in theta (a repeated block) is one smooth branch, and at
-    an isolated crossing the bracket keeps the steps safe.  A step that
-    leaves the bracket, or fails to halve the previous one, bisects it.
-    The result is the largest h evaluated, so never below the best sample.
+    Otherwise one batched eigenvalue solve samples h at _PHASES phases, and
+    each nested level samples the best phase's bracket, one spacing to
+    either side, at _LEVEL_STEPS steps (the spacing shrinks 4x per level)
+    until the spacing is below _PHASE_TOL.  The result is the largest h
+    sampled.  No derivative of h is taken, so a repeated top eigenvalue or
+    a crossing at the maximum needs no case of its own.
     """
     m = require_square(matrix)
     if _is_hermitian(m):
@@ -117,39 +110,17 @@ def numerical_radius(matrix) -> float:
         return float(max(abs(ext.smallest), abs(ext.largest)))
 
     adjoint = m.conj().T
-
-    def phase_part(turn):
-        # H(theta) for turn = e^{i theta}; a (K, 1, 1) turn gives K matrices
-        return 0.5 * (turn * m + np.conj(turn) * adjoint)
-
     spacing = 2.0 * np.pi / _PHASES
     thetas = spacing * np.arange(_PHASES)
-    samples = np.linalg.eigvalsh(phase_part(np.exp(1j * thetas)[:, np.newaxis, np.newaxis]))[:, -1]
-    k = int(np.argmax(samples))
-    best = float(samples[k])
-    theta = thetas[k]
-    lo, hi = theta - spacing, theta + spacing
-    moved = hi - lo
-    for _ in range(_NEWTON_STEPS):
-        turn = np.exp(1j * theta)
-        w, v = np.linalg.eigh(phase_part(turn))
-        top = float(w[-1])
-        best = max(best, top)
-        gaps = top - w[:-1]
-        apart = gaps > _DEGENERATE_GAP * max(1.0, abs(top))
-        coupling = v.conj().T @ (0.5j * (turn * m - np.conj(turn) * adjoint) @ v[:, -1])
-        slope = float(coupling[-1].real)
-        curvature = -top + 2.0 * float(np.sum(np.abs(coupling[:-1][apart]) ** 2 / gaps[apart]))
-        newton = -slope / curvature if curvature < 0.0 else np.inf
-        if abs(newton) <= _PHASE_TOL:
-            break
-        if slope > 0.0:
-            lo = theta
-        else:
-            hi = theta
-        proposal = theta + newton
-        if not lo < proposal < hi or 2.0 * abs(newton) > moved:
-            proposal = 0.5 * (lo + hi)
-        moved = abs(proposal - theta)
-        theta = proposal
-    return best
+    level = np.linspace(-1.0, 1.0, _LEVEL_STEPS + 1)
+    best = -np.inf
+    while True:
+        # h at every phase, from one batched solve of the H(theta)
+        turn = np.exp(1j * thetas)[:, np.newaxis, np.newaxis]
+        samples = np.linalg.eigvalsh(0.5 * (turn * m + np.conj(turn) * adjoint))[:, -1]
+        k = int(np.argmax(samples))
+        best = max(best, float(samples[k]))
+        if spacing < _PHASE_TOL:
+            return best
+        thetas = thetas[k] + spacing * level
+        spacing *= 2.0 / _LEVEL_STEPS

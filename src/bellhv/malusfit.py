@@ -22,15 +22,16 @@ a pool of min(restarts, usable CPUs) processes, the count that sizes the
 sampler's thread pool in `bellhv.montecarlo`.  The pool forks its workers
 with the `fork` start method, so they inherit the objective (closures and
 lambdas included) and only restart indices and results are pickled.  Each
-restart computes the same bits in any process, and the best is chosen by
-restart index (lowest value, earliest on ties), so the result does not
-depend on the number of processes.  Without `os.fork`, with one usable CPU,
-or inside a daemonic process (which may not have children) the caller runs
-every restart itself.
+worker takes one contiguous block of restarts.  Each restart computes the
+same bits in any process, and the best is chosen by restart index (lowest
+value, earliest on ties), so the result does not depend on the number of
+processes.  Without `os.fork`, with one usable CPU, or inside a daemonic
+process (which may not have children) the caller runs every restart itself.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -272,10 +273,14 @@ def minimize(
     With w = min(restarts, usable CPUs) above 1, a pool of w processes,
     forked with the `fork` start method, runs every restart: the workers get
     the objective through the fork, and only restart indices and
-    `SimplexResult`s are pickled.  Every worker has exited when this returns
-    or raises.  Results come back in restart order, so if objectives raise,
-    the error of the earliest restart that raised reaches the caller, as in a
-    serial run, and the error as well as the result is the same for every w.
+    `SimplexResult`s are pickled.  The restarts go out in contiguous blocks
+    of ceil(restarts / w), one per worker, and a block stops at its first
+    error, so one Ctrl-C (which reaches every worker) ends the whole fit at
+    once; any other error still waits for the other workers' blocks.  Every
+    worker has exited when this returns or raises.  Results come back in
+    restart order, so if objectives raise, the error of the earliest restart
+    that raised reaches the caller, as in a serial run, and the error as
+    well as the result is the same for every w.
     """
     workers = _worker_count(config.restarts)
     if workers == 1:
@@ -291,7 +296,8 @@ def minimize(
             initializer=_inherit,
             initargs=(objective, x0, config),
         ) as pool:
-            results = list(pool.map(_inherited_restart, range(config.restarts)))
+            block = math.ceil(config.restarts / workers)
+            results = list(pool.map(_inherited_restart, range(config.restarts), chunksize=block))
     best = min(range(len(results)), key=lambda r: results[r].fun)
     return best, results[best]
 

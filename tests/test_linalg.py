@@ -170,16 +170,23 @@ class TestNumericalRadiusAgainstBrent:
         assert numerical_radius(m) == pytest.approx(numerical_radius(block), rel=1e-14)
         assert_matches_brent(m)
 
-    def test_refinement_is_second_order(self, monkeypatch):
-        # one eigensolve per Newton step; a first-order step (h'' = -h)
-        # also reaches the maximum inside its bracket, but with many more
-        solves = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(1) or eigh(a))
+    def test_cost_is_one_batched_solve_per_level(self, monkeypatch):
+        # eigenvalues only: one batched eigvalsh over the 96 coarse phases,
+        # then one per nested level, whose spacing shrinks 4x from 2 pi / 96
+        # rad until it is below 1e-9 rad, which takes 13 levels
+        levels = 13
+        vectors, batches = [], []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: vectors.append(1) or eigh(a))
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: batches.append(np.shape(a)) or eigvalsh(a)
+        )
         for seed in range(50):
-            solves.clear()
-            numerical_radius(random_square(1 + seed % 16, seed))
-            assert len(solves) <= 6
+            dim = 1 + seed % 16
+            batches.clear()
+            numerical_radius(random_square(dim, seed))
+            assert batches == [(96, dim, dim)] + [(9, dim, dim)] * levels
+        assert vectors == []
 
     @pytest.mark.parametrize("dim,seed", [(2, 0), (3, 1)])
     def test_not_below_a_dense_jacobi_grid(self, dim, seed):

@@ -1,6 +1,7 @@
 import multiprocessing
 import multiprocessing.process
 import os
+import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -394,6 +395,21 @@ class TestRestartWorkers:
         with pytest.raises(ValueError, match="^restart 0$"):
             minimize(objective, np.array([0.0]), config)
         _assert_no_child_processes()
+
+    def test_interrupt_ends_every_workers_block(self, monkeypatch, tmp_path):
+        # each restart leaves one file and raises KeyboardInterrupt, as one
+        # Ctrl-C to the process group does in every worker: each worker's
+        # block of 3 restarts stops at its first, and no other restart starts
+        def objective(x):
+            os.close(tempfile.mkstemp(dir=tmp_path)[0])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
+        config = SearchConfig(restarts=6, max_iterations=50, rng=RngStream(3))
+        with pytest.raises(KeyboardInterrupt):
+            minimize(objective, np.array([0.0]), config)
+        _assert_no_child_processes()
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_platform_without_fork_runs_every_restart_in_the_caller(self, monkeypatch):
         config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
