@@ -20,12 +20,18 @@ chosen regime: each block update (state, a-side, b-side) maximizes the
 objective exactly over the full set of Hermitian contractions, whose extreme
 points are sign operators of the effective Hermitian matrix.  This makes the
 ascent monotone, and restarts from a seeded stream make it reproducible.
+In the unrestricted regime the effective matrix of each operator has rank
+at most two, (x psi^dag + psi x^dag) / 2, so its sign has a closed form
+(`_rank_two_sign`) and the ascent runs one eigendecomposition per
+iteration, for the state; the commuting regime takes its signs from full
+eigendecompositions (`_sign_operator`).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -192,10 +198,48 @@ def random_contraction(dim: int, generator: np.random.Generator) -> np.ndarray:
 
 
 def _sign_operator(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian sign function; optimal contraction for tr(A M) ascent."""
+    """Sign of the Hermitian part of `matrix`, with sign(0) = +1.
+
+    The optimal contraction for the tr(A M) ascent of the commuting regime,
+    from one full eigendecomposition.
+    """
     w, v = np.linalg.eigh(hermitian_part(matrix))
     signs = np.where(w >= 0.0, 1.0, -1.0)
     return hermitian_part((v * signs) @ v.conj().T)
+
+
+def _rank_two_sign(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sign of H = (x psi^dag + psi x^dag) / 2 for a unit psi, in closed form.
+
+    With alpha = psi^dag x, x_perp = x - alpha psi and beta = ||x_perp||, H
+    is [[Re alpha, beta/2], [beta/2, 0]] on span{psi, x_perp / beta} and 0
+    off it.  Its one eigenvalue that may be negative is the smaller root lam
+    of lam^2 - Re(alpha) lam - beta^2 / 4, with eigenvector
+    n = x_perp + 2 lam psi, so the sign is I - 2 n n^dag / ||n||^2.
+
+    alpha and x_perp carry round-off of order eps ||x||, so a lam within
+    dim * eps * ||x|| of 0 (the `np.linalg.matrix_rank` tolerance for
+    x psi^dag, whose one singular value is ||x||) counts as 0, whose sign is
+    +1 as in `_sign_operator`: then the sign is I.  This is what makes
+    x = c psi, which H = Re(c) psi psi^dag would give in exact arithmetic,
+    come out as I for Re c >= 0.  No eigendecomposition runs, and no
+    round-off eigenvalue of the null space picks a sign.
+    """
+    alpha = complex(np.vdot(psi, x))
+    x_perp = x - alpha * psi
+    beta = math.sqrt(float(np.vdot(x_perp, x_perp).real))
+    radius = math.hypot(alpha.real, beta)
+    # the same root for Re alpha > 0, without the cancellation of Re alpha - radius
+    if alpha.real <= 0.0:
+        lam = 0.5 * (alpha.real - radius)
+    else:
+        lam = -0.5 * beta * beta / (alpha.real + radius)
+    sign = np.eye(psi.size, dtype=complex)
+    if lam < -psi.size * np.finfo(float).eps * math.hypot(abs(alpha), beta):
+        n = x_perp + (2.0 * lam) * psi  # ||n||^2 = 4 lam^2 + beta^2
+        n *= math.sqrt(2.0 / (4.0 * lam * lam + beta * beta))
+        sign -= n[:, None] * n.conj()
+    return sign
 
 
 def _canonical_block_tuple(dim: int) -> Tuple[np.ndarray, ...]:
@@ -296,28 +340,35 @@ def _ascend_unrestricted(
     dim: int, generator: np.random.Generator, max_iterations: int, warm: bool = False
 ):
     a1, a2, b1, b2 = _start_tuple(dim, generator, warm)
+    bell = _combination(a1, a2, b1, b2, np.matmul)
     if warm:
-        psi, _ = _top_state(_combination(a1, a2, b1, b2, np.matmul))
+        psi, _ = _top_state(bell)
     else:
         gauss = generator.standard_normal(dim) + 1j * generator.standard_normal(dim)
         psi = gauss / np.linalg.norm(gauss)
     value = -np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        expectation = complex(psi.conj() @ _combination(a1, a2, b1, b2, np.matmul) @ psi)
+        expectation = complex(np.vdot(psi, bell @ psi))
         new_value = abs(expectation)
         if new_value <= value + 1e-13:
             value = max(value, new_value)
             break
         value = new_value
-        theta = -np.angle(expectation) if expectation != 0 else 0.0
-        phase = np.exp(1j * theta)
-        rho = np.outer(psi, psi.conj())
-        a1 = _sign_operator(phase * (b1 + b2) @ rho)
-        a2 = _sign_operator(phase * (b1 - b2) @ rho)
-        b1 = _sign_operator(phase * rho @ (a1 + a2))
-        b2 = _sign_operator(phase * rho @ (a1 - a2))
-        psi, _ = _top_state(phase * _combination(a1, a2, b1, b2, np.matmul))
+        # e^{-i arg <B>}, which makes phase <B> real and positive
+        phase = expectation.conjugate() / new_value if new_value > 0.0 else 1.0
+        # phase <B> = tr(a1 x1 psi^dag) + tr(a2 x2 psi^dag) with
+        # x_j = phase (b1 +/- b2) psi, so a_j = sign(x_j psi^dag + h.c.), and
+        # likewise b_k with x_k = conj(phase) (a1 +/- a2) psi
+        phased = phase * psi
+        a1 = _rank_two_sign(psi, (b1 + b2) @ phased)
+        a2 = _rank_two_sign(psi, (b1 - b2) @ phased)
+        a_sum, a_diff = a1 + a2, a1 - a2
+        phased = phase.conjugate() * psi
+        b1 = _rank_two_sign(psi, a_sum @ phased)
+        b2 = _rank_two_sign(psi, a_diff @ phased)
+        bell = a_sum @ b1 + a_diff @ b2  # _combination, with two products
+        psi, _ = _top_state(phase * bell)
     return value, (a1, a2, b1, b2), psi, iterations
 
 

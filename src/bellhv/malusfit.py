@@ -18,13 +18,14 @@ the last bit.  The tests keep scipy as its oracle; the package needs only
 numpy.
 
 The restarts are independent, so `minimize` runs them at the same time on
-a pool of min(restarts, usable CPUs) processes, the count that sizes the
-sampler's thread pool in `bellhv.montecarlo`.  The pool forks its workers
-with the `fork` start method, so they inherit the objective (closures and
-lambdas included) and only restart indices and results are pickled.  Each
-worker takes one contiguous block of restarts.  Each restart computes the
-same bits in any process, and the best is chosen by restart index (lowest
-value, earliest on ties), so the result does not depend on the number of
+a pool of forked processes.  The usable CPUs, the count that sizes the
+sampler's thread pool in `bellhv.montecarlo`, set the block of restarts
+one worker takes, ceil(restarts / CPUs), and the pool has one worker per
+block.  The pool forks its workers with the `fork` start method, so they
+inherit the objective (closures and lambdas included) and only restart
+indices and results are pickled.  Each restart computes the same bits in
+any process, and the best is chosen by restart index (lowest value,
+earliest on ties), so the result does not depend on the number of
 processes.  Without `os.fork`, with one usable CPU, or inside a daemonic
 process (which may not have children) the caller runs every restart itself.
 """
@@ -248,9 +249,15 @@ def _inherited_restart(restart: int) -> SimplexResult:
 
 
 def _worker_count(restarts: int) -> int:
-    """Processes for `restarts` restarts: one per usable CPU, at most one per
-    restart, and only the caller where it cannot fork children."""
-    workers = min(restarts, _usable_cpus()) if hasattr(os, "fork") else 1
+    """Processes for `restarts` restarts: one per block of ceil(restarts /
+    usable CPUs) restarts, and only the caller where it cannot fork children.
+
+    Sizing by blocks starts no process that would get no block: 4 restarts
+    on 3 CPUs go out in blocks of 2, to 2 processes.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    workers = math.ceil(restarts / math.ceil(restarts / _usable_cpus()))
     if workers > 1:
         import multiprocessing
 
@@ -270,13 +277,13 @@ def minimize(
     as a simplex vertex and Nelder-Mead never loses its best vertex, so the
     result is never worse than x0.
 
-    With w = min(restarts, usable CPUs) above 1, a pool of w processes,
-    forked with the `fork` start method, runs every restart: the workers get
-    the objective through the fork, and only restart indices and
-    `SimplexResult`s are pickled.  The restarts go out in contiguous blocks
-    of ceil(restarts / w), one per worker, and a block stops at its first
-    error, so one Ctrl-C (which reaches every worker) ends the whole fit at
-    once; any other error still waits for the other workers' blocks.  Every
+    The restarts go out in contiguous blocks of ceil(restarts / usable
+    CPUs), one per worker.  With w = ceil(restarts / block) above 1, a pool
+    of w processes, forked with the `fork` start method, runs every restart:
+    the workers get the objective through the fork, and only restart indices
+    and `SimplexResult`s are pickled.  A block stops at its first error, so
+    one Ctrl-C (which reaches every worker) ends the whole fit at once; any
+    other error still waits for the other workers' blocks.  Every
     worker has exited when this returns or raises.  Results come back in
     restart order, so if objectives raise, the error of the earliest restart
     that raised reaches the caller, as in a serial run, and the error as

@@ -12,6 +12,9 @@ import pytest
 import bellhv
 from _square_identity import random_involutory_scenario, square_identity_deviation
 from bellhv.bell import (
+    _ascend_unrestricted,
+    _rank_two_sign,
+    _sign_operator,
     BB_DAGGER_LIMITS,
     EXPECTATION_LIMITS,
     MAX_TOTAL_DIM,
@@ -330,6 +333,89 @@ class TestSearchBound:
         r2 = search_bound(Regime.UNRESTRICTED, 2, LIGHT)
         assert r1.best_expectation == r2.best_expectation
         assert r1.best_restart == r2.best_restart
+
+
+def rank_two_case(dim, gen):
+    """A random unit psi and x = phase X psi, X Hermitian with norm <= 2, as
+    the ascent's (b1 +/- b2) and (a1 +/- a2) are."""
+    psi = haar_unitary(dim, gen)[:, 0]
+    phase = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi))
+    x = phase * ((random_contraction(dim, gen) + random_contraction(dim, gen)) @ psi)
+    return psi, x
+
+
+def rank_two_matrix(psi, x):
+    return 0.5 * (np.outer(x, psi.conj()) + np.outer(psi, x.conj()))
+
+
+class TestRankTwoSign:
+    @pytest.mark.parametrize("dim", range(1, MAX_TOTAL_DIM + 1))
+    def test_hermitian_involution_attaining_the_trace_norm(self, dim):
+        gen = np.random.default_rng(100 + dim)
+        for _ in range(20):
+            psi, x = rank_two_case(dim, gen)
+            sign = _rank_two_sign(psi, x)
+            np.testing.assert_allclose(sign, sign.conj().T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(sign @ sign, np.eye(dim), rtol=0, atol=1e-12)
+            # tr(S H) is largest, sum |lambda(H)|, exactly when S = sign(H)
+            h = rank_two_matrix(psi, x)
+            trace_norm = np.abs(np.linalg.eigvalsh(h)).sum()
+            assert abs(np.trace(sign @ h) - trace_norm) <= 1e-12
+
+    @pytest.mark.parametrize("dim", range(3, MAX_TOTAL_DIM + 1))
+    def test_identity_off_the_span_of_psi_and_x(self, dim):
+        gen = np.random.default_rng(200 + dim)
+        for _ in range(20):
+            psi, x = rank_two_case(dim, gen)
+            span, _ = np.linalg.qr(np.column_stack([psi, x]))
+            v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+            v -= span @ (span.conj().T @ v)
+            np.testing.assert_allclose(_rank_two_sign(psi, x) @ v, v, rtol=0, atol=1e-12)
+
+    def test_qubit_sign_equals_the_eigendecomposition_sign(self):
+        # for d = 2 a generic H has no zero eigenvalue, so both signs are defined
+        gen = np.random.default_rng(2)
+        for _ in range(100):
+            psi, x = rank_two_case(2, gen)
+            assert min(abs(np.linalg.eigvalsh(rank_two_matrix(psi, x)))) > 1e-6
+            np.testing.assert_allclose(
+                _rank_two_sign(psi, x), _sign_operator(np.outer(x, psi.conj())), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("dim", range(1, MAX_TOTAL_DIM + 1))
+    def test_degenerate_inputs(self, dim):
+        # x = c psi gives H = Re(c) psi psi^dag: the sign flips psi only for
+        # Re c < 0; x = 0 and x = i psi give H = 0, whose sign is I
+        psi = haar_unitary(dim, np.random.default_rng(300 + dim))[:, 0]
+        identity = np.eye(dim)
+        flip = identity - 2.0 * np.outer(psi, psi.conj())
+        cases = [
+            (np.zeros(dim, dtype=complex), identity),
+            ((0.7 - 2.0j) * psi, identity),
+            ((-0.7 + 2.0j) * psi, flip),
+            (1j * psi, identity),
+        ]
+        for x, expected in cases:
+            np.testing.assert_allclose(_rank_two_sign(psi, x), expected, rtol=0, atol=1e-12)
+
+
+class TestUnrestrictedAscentCost:
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "random"])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_one_eigendecomposition_per_iteration(self, monkeypatch, dim, warm):
+        # the operator updates take closed-form signs; only the state update
+        # (and a warm start's first state) runs an eigensolver
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        _, _, _, iterations = _ascend_unrestricted(dim, np.random.default_rng(dim), 400, warm)
+        assert iterations >= 2
+        assert len(calls) <= iterations + 1
 
 
 def random_contraction_scenario(regime, dim_a, dim_b, gen):

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import multiprocessing.process
 import os
@@ -269,8 +270,8 @@ def _count_process_starts(monkeypatch):
 
 
 def _pool_size(restarts, cpus):
-    """Processes `minimize` starts: a pool of min(restarts, cpus), if above 1."""
-    workers = min(restarts, cpus)
+    """Processes `minimize` starts: one per block of ceil(restarts / cpus), if above 1."""
+    workers = math.ceil(restarts / math.ceil(restarts / cpus))
     return workers if workers > 1 else 0
 
 
@@ -342,6 +343,21 @@ class TestRestartWorkers:
             _assert_no_child_processes()
         first, *others = [_fit_bits(result) for result in results]
         assert all(other == first for other in others)
+
+    def test_no_process_starts_without_a_block(self, monkeypatch):
+        # 4 restarts on 3 CPUs go out in blocks of ceil(4 / 3) = 2, so a
+        # third process would get no block and is never started
+        config = SearchConfig(restarts=4, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(2)
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 1)
+        expected_best, expected = minimize(_tilted_double_well, x0, config)
+        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 3)
+        started = _count_process_starts(monkeypatch)
+        best, result = minimize(_tilted_double_well, x0, config)
+        assert len(started) == 2
+        _assert_no_child_processes()
+        assert best == expected_best
+        _assert_bitwise_equal(result, expected)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # only the perturbed starts raise, so the error comes from restart 1,
