@@ -20,11 +20,11 @@ chosen regime: each block update (state, a-side, b-side) maximizes the
 objective exactly over the full set of Hermitian contractions, whose extreme
 points are sign operators of the effective Hermitian matrix.  This makes the
 ascent monotone, and restarts from a seeded stream make it reproducible.
-In the unrestricted regime the effective matrix of each operator has rank
-at most two, (x psi^dag + psi x^dag) / 2, so its sign has a closed form
-(`_rank_two_sign`) and the ascent runs one eigendecomposition per
-iteration, for the state; the commuting regime takes its signs from full
-eigendecompositions (`_sign_operator`).
+Every ascent signs by one rule (`_negative`): an eigenvalue within
+dim * eps * scale of 0 (scale bounds the update's inputs) has sign +1.
+The commuting ascent signs eigendecompositions (`_sign_operator`); the
+unrestricted one signs its rank-two (x psi^dag + psi x^dag) / 2 in closed
+form (`_rank_two_sign`) and runs one eigh per iteration, for the state.
 """
 
 from __future__ import annotations
@@ -197,15 +197,19 @@ def random_contraction(dim: int, generator: np.random.Generator) -> np.ndarray:
     return hermitian_part((v * generator.uniform(-1.0, 1.0, size=dim)) @ v.conj().T)
 
 
-def _sign_operator(matrix: np.ndarray) -> np.ndarray:
-    """Sign of the Hermitian part of `matrix`, with sign(0) = +1.
-
-    The optimal contraction for the tr(A M) ascent of the commuting regime,
-    from one full eigendecomposition.
+def _negative(w, dim: int, scale: float):
+    """The sign rule of every ascent, for eigenvalues w of a dim x dim matrix
+    formed from inputs of norm <= `scale`: w is negative only below
+    -dim * eps * scale, its round-off; else it counts as 0, with sign +1.
+    The scale is not the spectrum's own, all round-off for a 0 matrix.
     """
+    return w < -dim * np.finfo(float).eps * scale
+
+
+def _sign_operator(matrix: np.ndarray, scale: float) -> np.ndarray:
+    """Sign of the Hermitian part of `matrix`, one eigh, `_negative` rule."""
     w, v = np.linalg.eigh(hermitian_part(matrix))
-    signs = np.where(w >= 0.0, 1.0, -1.0)
-    return hermitian_part((v * signs) @ v.conj().T)
+    return hermitian_part((v * np.where(_negative(w, w.size, scale), -1.0, 1.0)) @ v.conj().T)
 
 
 def _rank_two_sign(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -215,18 +219,13 @@ def _rank_two_sign(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
     is [[Re alpha, beta/2], [beta/2, 0]] on span{psi, x_perp / beta} and 0
     off it.  Its one eigenvalue that may be negative is the smaller root lam
     of lam^2 - Re(alpha) lam - beta^2 / 4, with eigenvector
-    n = x_perp + 2 lam psi, so the sign is I - 2 n n^dag / ||n||^2.
-
-    alpha and x_perp carry round-off of order eps ||x||, so a lam within
-    dim * eps * ||x|| of 0 (the `np.linalg.matrix_rank` tolerance for
-    x psi^dag, whose one singular value is ||x||) counts as 0, whose sign is
-    +1 as in `_sign_operator`: then the sign is I.  This is what makes
-    x = c psi, which H = Re(c) psi psi^dag would give in exact arithmetic,
-    come out as I for Re c >= 0.  No eigendecomposition runs, and no
-    round-off eigenvalue of the null space picks a sign.
+    n = x_perp + 2 lam psi.  The sign is I - 2 n n^dag / ||n||^2 if lam is
+    negative by `_negative` with scale ||x||, else I.  Projected twice, x_perp
+    keeps its round-off for x = c psi below that tolerance at d <= 2 too.
     """
     alpha = complex(np.vdot(psi, x))
     x_perp = x - alpha * psi
+    x_perp -= np.vdot(psi, x_perp) * psi
     beta = math.sqrt(float(np.vdot(x_perp, x_perp).real))
     radius = math.hypot(alpha.real, beta)
     # the same root for Re alpha > 0, without the cancellation of Re alpha - radius
@@ -235,7 +234,7 @@ def _rank_two_sign(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
     else:
         lam = -0.5 * beta * beta / (alpha.real + radius)
     sign = np.eye(psi.size, dtype=complex)
-    if lam < -psi.size * np.finfo(float).eps * math.hypot(abs(alpha), beta):
+    if _negative(lam, psi.size, math.hypot(abs(alpha), beta)):
         n = x_perp + (2.0 * lam) * psi  # ||n||^2 = 4 lam^2 + beta^2
         n *= math.sqrt(2.0 / (4.0 * lam * lam + beta * beta))
         sign -= n[:, None] * n.conj()
@@ -297,10 +296,10 @@ def _ascend_classical(
     value = 0.0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        a1 = np.where(b1 + b2 >= 0.0, 1.0, -1.0)
-        a2 = np.where(b1 - b2 >= 0.0, 1.0, -1.0)
-        b1 = np.where(a1 + a2 >= 0.0, 1.0, -1.0)
-        b2 = np.where(a1 - a2 >= 0.0, 1.0, -1.0)
+        a1 = np.where(_negative(b1 + b2, dim, 2.0), -1.0, 1.0)
+        a2 = np.where(_negative(b1 - b2, dim, 2.0), -1.0, 1.0)
+        b1 = np.where(_negative(a1 + a2, dim, 2.0), -1.0, 1.0)
+        b2 = np.where(_negative(a1 - a2, dim, 2.0), -1.0, 1.0)
         # entries are +/-1, so every sum is exact
         per_index = _combination(a1, a2, b1, b2, np.multiply)
         new_value = float(per_index.max())
@@ -328,11 +327,12 @@ def _ascend_commuting(
             value = max(value, new_value)
             break
         value = new_value
+        # ||m||_2 <= ||m||_F = 1 and ||a1 +/- a2||, ||b1 +/- b2|| <= 2
         m = psi.reshape(dim, dim)
-        a1 = _sign_operator(m @ (b1 + b2).T @ m.conj().T)
-        a2 = _sign_operator(m @ (b1 - b2).T @ m.conj().T)
-        b1 = _sign_operator(m.T @ (a1 + a2).T @ m.conj())
-        b2 = _sign_operator(m.T @ (a1 - a2).T @ m.conj())
+        a1 = _sign_operator(m @ (b1 + b2).T @ m.conj().T, 2.0)
+        a2 = _sign_operator(m @ (b1 - b2).T @ m.conj().T, 2.0)
+        b1 = _sign_operator(m.T @ (a1 + a2).T @ m.conj(), 2.0)
+        b2 = _sign_operator(m.T @ (a1 - a2).T @ m.conj(), 2.0)
     return value, (a1, a2, b1, b2), psi, iterations
 
 

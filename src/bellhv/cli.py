@@ -10,7 +10,8 @@ machine-readable files:
   replay    re-run a manifest and verify byte equality
 
 `--out` is a path stem; every run also writes `<out>.manifest.json` naming
-the resolved parameters and the SHA-256 of each data file.  Data files are
+the resolved parameters, the SHA-256 of each data file, and the numpy
+version and platform that wrote them.  Data files are
 deterministic functions of the parameters (angles in degrees at this
 boundary, 12 significant digits, CSV with LF endings, complex numbers as
 [re, im] pairs), so replaying a manifest byte-reproduces them; only the
@@ -30,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 from pathlib import Path
@@ -336,9 +338,17 @@ def _write_run(stem: Path, subcommand: str, params: dict) -> Tuple[Path, bool]:
     """Execute and write data files plus the manifest; returns manifest path."""
     files, converged = _EXECUTORS[subcommand](params, stem.name)
     outputs = _write_files(stem.parent, files)
+    # system, kernel release, machine and C library, read without the
+    # processor that platform.platform() also looks up, which runs `uname -p`
+    # in a subprocess (about 10 ms a run on Linux)
+    uname = platform.uname()
+    host = (uname.system, uname.release, uname.machine, *platform.libc_ver())
     manifest = {
         "artifact": "bellhv",
         "version": __version__,
+        # a replay MISMATCH on another host may come from its numpy or LAPACK
+        "numpy_version": np.__version__,
+        "platform": "-".join(filter(None, host)),
         "subcommand": subcommand,
         "stem": stem.name,
         "parameters": params,

@@ -13,6 +13,7 @@ import bellhv
 from _square_identity import random_involutory_scenario, square_identity_deviation
 from bellhv.bell import (
     _ascend_unrestricted,
+    _canonical_block_tuple,
     _rank_two_sign,
     _sign_operator,
     BB_DAGGER_LIMITS,
@@ -283,6 +284,10 @@ class TestSearchBound:
         report = search_bound(Regime.COMMUTING_SUBSYSTEMS, 2, LIGHT)
         assert ROOT8 - 1e-3 <= report.best_expectation <= ROOT8 + 1e-6
         assert report.best_bb_dagger <= 8.0 + 1e-6
+        for dim, seed in itertools.product((2, 3, 4), range(20)):
+            config = SearchConfig(rng=RngStream(seed))
+            report = search_bound(Regime.COMMUTING_SUBSYSTEMS, dim, config)
+            assert report.best_expectation == pytest.approx(ROOT8, abs=1e-9)
 
     def test_unrestricted_search_bracketed(self):
         report = search_bound(Regime.UNRESTRICTED, 4, LIGHT)
@@ -372,15 +377,20 @@ class TestRankTwoSign:
             v -= span @ (span.conj().T @ v)
             np.testing.assert_allclose(_rank_two_sign(psi, x) @ v, v, rtol=0, atol=1e-12)
 
-    def test_qubit_sign_equals_the_eigendecomposition_sign(self):
-        # for d = 2 a generic H has no zero eigenvalue, so both signs are defined
-        gen = np.random.default_rng(2)
-        for _ in range(100):
-            psi, x = rank_two_case(2, gen)
-            assert min(abs(np.linalg.eigvalsh(rank_two_matrix(psi, x)))) > 1e-6
-            np.testing.assert_allclose(
-                _rank_two_sign(psi, x), _sign_operator(np.outer(x, psi.conj())), rtol=0, atol=1e-12
-            )
+    @pytest.mark.parametrize("dim", range(1, MAX_TOTAL_DIM + 1))
+    def test_sign_equals_the_eigendecomposition_sign(self, dim):
+        # one sign rule, taken in closed form and from the eigensolver, with
+        # scale ||x||: they agree also where H has eigenvalues that are pure
+        # round-off, as for x = c psi (H = Re(c) psi psi^dag) and x = 0
+        gen = np.random.default_rng(400 + dim)
+        zero = np.zeros(dim, dtype=complex)
+        for _ in range(20):
+            psi, x = rank_two_case(dim, gen)
+            # at d = 1 nothing but 0 is orthogonal to psi
+            x_perp = x - np.vdot(psi, x) * psi if dim > 1 else zero
+            for y in (x, 2.0 * psi, -2.0 * psi, 3j * psi, zero, x_perp, x_perp - 0.5 * psi):
+                eigen_sign = _sign_operator(rank_two_matrix(psi, y), np.linalg.norm(y))
+                np.testing.assert_allclose(_rank_two_sign(psi, y), eigen_sign, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("dim", range(1, MAX_TOTAL_DIM + 1))
     def test_degenerate_inputs(self, dim):
@@ -397,6 +407,24 @@ class TestRankTwoSign:
         ]
         for x, expected in cases:
             np.testing.assert_allclose(_rank_two_sign(psi, x), expected, rtol=0, atol=1e-12)
+
+
+class TestCommutingSign:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_identity_off_the_support_of_the_state(self, seed):
+        # a maximally entangled qubit pair in the first 2x2 corner of d = 4,
+        # turned by U (x) V, has the rank-two Schmidt matrix
+        # m = U diag(1, 1, 0, 0) V^T / sqrt(2); the a-side inputs m X m^dag,
+        # with the scale 2 of `_ascend_commuting`, are round-off off the
+        # range of U[:, :2], so their signs must be I there
+        gen = np.random.default_rng(seed)
+        u, v = haar_unitary(4, gen), haar_unitary(4, gen)
+        m = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ v.T / math.sqrt(2.0)
+        _, _, b1, b2 = _canonical_block_tuple(4)
+        off_support = u[:, 2:]
+        for x in (b1 + b2, b1 - b2):
+            sign = _sign_operator(m @ x.T @ m.conj().T, 2.0)
+            np.testing.assert_allclose(sign @ off_support, off_support, rtol=0, atol=1e-12)
 
 
 class TestUnrestrictedAscentCost:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,9 @@ class TestCurve:
         manifest = read_json(tmp_path / "ref.manifest.json")
         assert manifest["artifact"] == "bellhv"
         assert manifest["version"] == __version__
+        assert (manifest["numpy_version"], manifest["platform"].split("-")[0]) == (
+            np.__version__, platform.system()
+        )
         assert manifest["subcommand"] == "curve"
         assert manifest["stem"] == "ref"
         assert manifest["converged"] is True
