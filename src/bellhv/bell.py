@@ -71,6 +71,7 @@ MAX_TOTAL_DIM = 16
 
 _NORM_SLACK = 1e-9
 _COMMUTATOR_TOL = 1e-10
+_ASCENT_TOL = 1e-13  # an ascent stops at a gain no larger than this
 
 _OPERATORS = ("a1", "a2", "b1", "b2")
 
@@ -136,13 +137,16 @@ def _total_dim(regime: Regime, a_dim: int, b_dim: int) -> int:
     return total
 
 
-def _combination(a1, a2, b1, b2, product):
-    """a1 b1 + a1 b2 + a2 b1 - a2 b2, with `product` as the multiplication.
+def _chsh(t11, t12, t21, t22):
+    """The CHSH sign pattern, written only here, over the terms of a1 b1,
+    a1 b2, a2 b1 and a2 b2, as operators or as correlations."""
+    return t11 + t12 + t21 - t22
 
-    np.matmul for one space, np.kron for two factors, elementwise for
-    scalars and commuting diagonals.
-    """
-    return product(a1, b1) + product(a1, b2) + product(a2, b1) - product(a2, b2)
+
+def _combination(a1, a2, b1, b2, product):
+    """`_chsh` of the four products, by np.matmul for one space, np.kron for
+    two factors, elementwise for scalars and commuting diagonals."""
+    return _chsh(product(a1, b1), product(a1, b2), product(a2, b1), product(a2, b2))
 
 
 def bell_operator(scenario: BellScenario) -> np.ndarray:
@@ -303,7 +307,7 @@ def _ascend_classical(
         # entries are +/-1, so every sum is exact
         per_index = _combination(a1, a2, b1, b2, np.multiply)
         new_value = float(per_index.max())
-        if new_value <= value + 1e-13:
+        if new_value <= value + _ASCENT_TOL:
             value = max(value, new_value)
             break
         value = new_value
@@ -323,7 +327,7 @@ def _ascend_commuting(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         psi, new_value = _top_state(_combination(a1, a2, b1, b2, np.kron))
-        if new_value <= value + 1e-13:
+        if new_value <= value + _ASCENT_TOL:
             value = max(value, new_value)
             break
         value = new_value
@@ -351,7 +355,7 @@ def _ascend_unrestricted(
     for iterations in range(1, max_iterations + 1):
         expectation = complex(np.vdot(psi, bell @ psi))
         new_value = abs(expectation)
-        if new_value <= value + 1e-13:
+        if new_value <= value + _ASCENT_TOL:
             value = max(value, new_value)
             break
         value = new_value

@@ -45,6 +45,7 @@ from .bell import Regime, search_bound
 from .errors import AngleDomainError, BellhvError, DimensionError, ParameterError
 from .malusfit import FIT_SEARCH, OBJECTIVES, fit as run_fit
 from .montecarlo import (
+    CANONICAL_ANGLES,
     CANONICAL_SETTINGS,
     chsh_estimates,
     coincidence_probability_estimate,
@@ -65,9 +66,6 @@ from .transmission import (
 
 # CoincidenceCounts fields a simulate run records per setting
 _TALLY_CELLS = ("n11", "n10", "n01", "n00", "n_pairs")
-
-# exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
-_CANONICAL_DEGREES = np.rad2deg(CANONICAL_SETTINGS)
 
 
 def _fmt(value: float) -> str:
@@ -256,7 +254,8 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
     if params.get("alpha") is not None:
         settings = [(0.0, float(params["alpha"]))]
     else:
-        settings = _CANONICAL_DEGREES.tolist()
+        # exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
+        settings = np.rad2deg(CANONICAL_SETTINGS).tolist()
 
     configs = setting_configs(model, np.deg2rad(settings), params["n"], RngStream(params["seed"]))
     tallies = []
@@ -504,14 +503,12 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="coincidence Monte Carlo run")
     _add_model_flags(simulate)
-    # the distinct canonical angles, the a side's first
-    canonical = dict.fromkeys(_CANONICAL_DEGREES.T.ravel().tolist())
     simulate.add_argument(
         "--alpha",
         type=float,
         default=None,
         help="relative analyzer angle in degrees (omit to run the canonical "
-        f"CHSH settings {'/'.join(map(_fmt, canonical))})",
+        f"CHSH settings {'/'.join(map(_fmt, np.rad2deg(CANONICAL_ANGLES)))})",
     )
     simulate.add_argument("--n", type=int, default=10**6, help="pairs per setting")
 

@@ -74,6 +74,14 @@ _RESTART_SPREAD = 0.3
 # log(c) is pinned above this floor so c = 0 stays representable in fits
 _LOG_C_FLOOR = -20.0
 
+# no log-parameter goes above this, far outside any useful regime
+_LOG_CEILING = 12.0
+
+
+def _outside_box(x: np.ndarray) -> bool:
+    """Whether log-parameters x leave the search box [_LOG_C_FLOOR, _LOG_CEILING]^3."""
+    return bool(np.any(x > _LOG_CEILING) or np.any(x < _LOG_C_FLOOR))
+
 
 def _angle_grid(grid: Optional[np.ndarray]) -> np.ndarray:
     """The default angle grid, else `grid` as a 1-D float array; never empty."""
@@ -321,7 +329,10 @@ def fit(
     `FIT_QUADRATURE`.
 
     The returned residual can never exceed the starting triple's residual:
-    the start is always among the evaluated candidates.
+    the start is always among the evaluated candidates.  Raises
+    ParameterError for a start outside the search box, where the objective
+    returns a flat 4.0: a, e or c above exp(_LOG_CEILING), or a or e below
+    exp(_LOG_C_FLOOR) (c below it is raised to it, so c = 0 still fits).
     """
     if not isinstance(start, StretchedExponentialModel):
         raise ParameterError("start must be a StretchedExponentialModel")
@@ -333,15 +344,21 @@ def fit(
     grid = _angle_grid(grid)
     require_deviation_angle(grid, "alpha")
 
+    x0 = np.log([start.a, start.e, max(start.c, np.exp(_LOG_C_FLOOR))])
+    if _outside_box(x0):
+        raise ParameterError(
+            f"start {start} lies outside the fit's box: a, e, c <= exp({_LOG_CEILING:g}) "
+            f"and a, e >= exp({_LOG_C_FLOOR:g})"
+        )
+
     def objective_fn(x: np.ndarray) -> float:
-        if np.any(x > 12.0) or np.any(x < _LOG_C_FLOOR):
-            return 4.0  # far outside any useful regime; curve is flat there
+        if _outside_box(x):
+            return 4.0
         try:
             return residual(_params_from_log(x), grid, FIT_QUADRATURE, objective)
         except (ParameterError, QuadratureConvergenceError):
             return 4.0
 
-    x0 = np.log([start.a, start.e, max(start.c, np.exp(_LOG_C_FLOOR))])
     best_restart, result = minimize(objective_fn, x0, config)
     params = _params_from_log(result.x)
     return FitResult(

@@ -9,7 +9,8 @@ beside the pair curve's absorbing one.  The four
 tally cells (both / A only / B only / neither) support the coincidence
 probability and the two CHSH-style estimators.  `chsh` is the one CHSH
 runner: it simulates the four settings once and reads both estimators off
-the same tallies, so they are compared on the very same photon records:
+the same tallies, combined by `bell._chsh` (the sign pattern's one home),
+so they are compared on the very same photon records:
 
 * all-events: E = P(agree) - P(disagree) over every generated pair; a local
   model can never push the CHSH combination past 2.
@@ -46,6 +47,7 @@ every pair.  The sampler thus stays an independent check of the quadrature.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -53,6 +55,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
+from .bell import _chsh
 from .errors import DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec
 from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
@@ -82,17 +85,11 @@ _BOUND_PAD = 1e-9
 
 MAX_PAIRS = 10**8
 
-# sign pattern of the Bell combination E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)
-CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+# analyzer angles (a1, a2, b1, b2)
+CANONICAL_ANGLES = (0.0, np.pi / 4.0, np.pi / 8.0, 3.0 * np.pi / 8.0)
 
-# (angle_a, angle_b) of the terms a1b1, a1b2, a2b1, a2b2, with a1 = 0,
-# a2 = pi/4, b1 = pi/8 and b2 = 3pi/8
-CANONICAL_SETTINGS = (
-    (0.0, np.pi / 8.0),
-    (0.0, 3.0 * np.pi / 8.0),
-    (np.pi / 4.0, np.pi / 8.0),
-    (np.pi / 4.0, 3.0 * np.pi / 8.0),
-)
+# (angle_a, angle_b) of the terms a1b1, a1b2, a2b1, a2b2, in `bell._chsh`'s order
+CANONICAL_SETTINGS = tuple(itertools.product(CANONICAL_ANGLES[:2], CANONICAL_ANGLES[2:]))
 
 
 @dataclass(frozen=True)
@@ -355,9 +352,8 @@ def _combine(tallies, correlation, retained_fraction) -> ChshEstimate:
     pairs = [correlation(t) for t in tallies]
     correlations = tuple(e for e, _ in pairs)
     errors = tuple(s for _, s in pairs)
-    value = sum(s * e for s, e in zip(CHSH_SIGNS, correlations))
     return ChshEstimate(
-        value=float(value),
+        value=float(_chsh(*correlations)),
         stderr=float(np.sqrt(sum(s * s for s in errors))),
         correlations=correlations,
         correlation_errors=errors,

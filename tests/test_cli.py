@@ -332,6 +332,12 @@ class TestFit:
     def test_invalid_start_is_a_usage_error(self, tmp_path):
         assert main(["fit", "--a", "-1", "--out", str(tmp_path / "x")]) == 2
 
+    def test_start_outside_the_box_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["fit", "--c", "1e6", "--restarts", "1", "--grid-step", "30"]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert "outside the fit's box" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fit_requires_the_closed_form_model(self, tmp_path, capsys):
         # fit takes no --model: the closed-form family is the only one it adjusts
         with pytest.raises(SystemExit) as excinfo:
@@ -535,6 +541,12 @@ class TestUsage:
             spaced = (tmp_path / "spaced" / name).read_bytes()
             assert spaced == (tmp_path / "joined" / name).read_bytes()
 
+    def test_simulate_help_lists_the_canonical_angles(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--help"])
+        assert excinfo.value.code == 0
+        assert "CHSH settings 0/45/22.5/67.5)" in " ".join(capsys.readouterr().out.split())
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
@@ -542,18 +554,29 @@ class TestUsage:
         assert __version__ in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the package needs no scipy at all; concurrent.futures is loaded only
-    # by a multi-chunk run_pairs or a fit on more than one process
+def _scipy_and_futures_loaded_by(module: str) -> str:
+    """Whether importing `module` in a fresh interpreter loads scipy and
+    concurrent.futures, as "<bool> <bool>"."""
     env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
     code = (
-        "import sys, bellhv.cli; "
+        f"import sys, {module}; "
         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert done.stdout.strip() == "False False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the package needs no scipy at all; concurrent.futures is loaded only
+    # by a multi-chunk run_pairs or a fit on more than one process
+    assert _scipy_and_futures_loaded_by("bellhv.cli") == "False False"
+
+
+def test_montecarlo_import_leaves_scipy_and_futures_unloaded():
+    # the sampler imports bell for the CHSH sign pattern, and bell no more
+    assert _scipy_and_futures_loaded_by("bellhv.montecarlo") == "False False"
 
 
 def test_fit_loads_no_scipy(tmp_path):

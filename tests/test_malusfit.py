@@ -537,6 +537,17 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit(config=LIGHT_SEARCH, objective="l1")
 
+    @pytest.mark.parametrize(
+        "start",
+        [StretchedExponentialModel(2.6, 2.2, 1e6), StretchedExponentialModel(1e-10, 2.2, 45.0)],
+        ids=["c_above_the_ceiling", "a_below_the_floor"],
+    )
+    def test_start_outside_the_box_is_an_error(self, start):
+        # the objective is a flat 4.0 out there, which the search would report
+        # as a converged residual, above the start's own
+        with pytest.raises(ParameterError, match="outside the fit's box"):
+            fit(start=start, config=LIGHT_SEARCH)
+
     def test_empty_grid_is_an_error(self):
         # the same error as residual's, not the objective's 4.0 sentinel
         with pytest.raises(ParameterError, match="at least one angle"):

@@ -17,9 +17,10 @@ from bellhv import montecarlo
 from bellhv.angles import reduce_axis_angle
 from bellhv.errors import DegenerateModelError, ParameterError
 from bellhv.malusfit import FIT_QUADRATURE
+from bellhv.bell import _chsh
 from bellhv.montecarlo import (
+    CANONICAL_ANGLES,
     CANONICAL_SETTINGS,
-    CHSH_SIGNS,
     CHUNK_PAIRS,
     CoincidenceCounts,
     ExperimentConfig,
@@ -547,10 +548,10 @@ class TestChshAngles:
 
     def test_settings_order_and_signs(self):
         # terms a1b1, a1b2, a2b1, a2b2: the minus sign falls on a2b2
-        (a1, b1), (a1_again, b2), (a2, b1_again), (a2_again, b2_again) = CANONICAL_SETTINGS
-        assert (a1_again, a2_again, b1_again, b2_again) == (a1, a2, b1, b2)
+        a1, a2, b1, b2 = CANONICAL_ANGLES
+        assert CANONICAL_SETTINGS == ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
         assert a1 < a2 and b1 < b2
-        assert CHSH_SIGNS == (1, 1, 1, -1)
+        assert [_chsh(*term) for term in np.eye(4)] == [1, 1, 1, -1]
 
 
 class TestSettingConfigs:
@@ -583,7 +584,7 @@ class TestChshEstimators:
         # all-events view still follows from the tallies
         configs = setting_configs(ConstantModel(0.0), CANONICAL_SETTINGS, 1000, RngStream(0))
         correlations = [all_events_correlation(run_pairs(config))[0] for config in configs]
-        assert sum(s * e for s, e in zip(CHSH_SIGNS, correlations)) == 2.0
+        assert _chsh(*correlations) == 2.0
 
     def test_both_views_come_from_one_set_of_tallies(self):
         configs = setting_configs(REFERENCE_MODEL, CANONICAL_SETTINGS, 5000, RngStream(3))
