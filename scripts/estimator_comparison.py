@@ -5,10 +5,11 @@ For each transmission profile the script simulates the four canonical analyzer
 settings once per sample size and evaluates both estimators on the very same
 photon records (same seed, same substreams).  The all-events combination,
 which scores every generated pair as +/-1, stays at or below the deterministic
-limit of 2 up to sampling noise.  The post-selected combination, which
-normalizes detected coincidences by the singles product, discards most pairs
-and climbs toward 2 -- approaching the limit only by throwing events away, not
-by exceeding the underlying model's reach.
+limit of 2 up to sampling noise (about 1.94 for the reference profile).  The
+post-selected combination, which normalizes detected coincidences by the
+singles product, discards most pairs and exceeds 2 (about 4.44 and 3.41) --
+passing the limit only by throwing events away, although the underlying
+model is local.
 
 Usage: python3 scripts/estimator_comparison.py [--seed S] [--sizes 1000,...]
 """

@@ -1,9 +1,11 @@
 """Bell-type correlation operators under three commutation regimes.
 
 The object of study is B = a1 b1 + a1 b2 + a2 b1 - a2 b2 built from four
-Hermitian measurement contractions (operator norm <= 1).  A `BellScenario`
-holds the four matrices and the regime, and validates both.  How large
-|<B>| can get depends only on which operators are required to commute:
+Hermitian measurement contractions (operator norm <= 1).  The canonical four
+are written once, in `CANONICAL_ANALYZERS`, which the Monte Carlo's CHSH
+angles are derived from too.  A `BellScenario` holds the four matrices and
+the regime, and validates both.  How large |<B>| can get depends only on
+which operators are required to commute:
 
 * CLASSICAL: all four commute pairwise.  |<B>| <= 2 and <B B^dag> <= 4.
 * COMMUTING_SUBSYSTEMS: each a_j commutes with each b_k (realized here as a
@@ -74,6 +76,9 @@ _COMMUTATOR_TOL = 1e-10
 _ASCENT_TOL = 1e-13  # an ascent stops at a gain no larger than this
 
 _OPERATORS = ("a1", "a2", "b1", "b2")
+# exact (cos 2 theta, sin 2 theta) of the canonical analyzers: 0, 45, 22.5, -22.5 degrees
+_S = 1.0 / math.sqrt(2.0)
+CANONICAL_ANALYZERS = ((1.0, 0.0), (0.0, 1.0), (_S, _S), (_S, -_S))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,16 +251,15 @@ def _rank_two_sign(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _canonical_block_tuple(dim: int) -> Tuple[np.ndarray, ...]:
-    """The canonical qubit tuple tiled along the diagonal of a dim space.
+    """The canonical analyzers tiled along the diagonal of a dim space.
 
-    Any 2x2 corner realizes the Tsirelson-point operators, so the tuple is a
-    structured starting point whose Bell combination already evaluates to
-    2*sqrt(2) for dim >= 2 (a leftover odd diagonal entry contributes a
-    harmless classical block of value 2).
+    Each 2x2 block is cos 2 theta Z + sin 2 theta X, the analyzer at theta,
+    weighted by `CANONICAL_ANALYZERS`: the Tsirelson point, so the tuple is a
+    structured start whose Bell combination evaluates to 2*sqrt(2) for
+    dim >= 2 (a leftover odd diagonal entry is a classical block of value 2).
     """
     z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
 
     def embed(block: np.ndarray) -> np.ndarray:
         m = np.zeros((dim, dim), dtype=complex)
@@ -267,7 +271,7 @@ def _canonical_block_tuple(dim: int) -> Tuple[np.ndarray, ...]:
             m[k, k] = 1.0
         return m
 
-    return embed(z), embed(x), embed(s * (z + x)), embed(s * (z - x))
+    return tuple(embed(cz * z + cx * x) for cz, cx in CANONICAL_ANALYZERS)
 
 
 def _start_tuple(dim: int, generator: np.random.Generator, warm: bool) -> Tuple[np.ndarray, ...]:

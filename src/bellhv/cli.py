@@ -254,8 +254,7 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
     if params.get("alpha") is not None:
         settings = [(0.0, float(params["alpha"]))]
     else:
-        # exact: 0, 22.5, 45 and 67.5 degrees round-trip through radians
-        settings = np.rad2deg(CANONICAL_SETTINGS).tolist()
+        settings = np.rad2deg(CANONICAL_SETTINGS).tolist()  # exact: 0, 45, +/-22.5 degrees
 
     configs = setting_configs(model, np.deg2rad(settings), params["n"], RngStream(params["seed"]))
     tallies = []

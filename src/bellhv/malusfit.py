@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .angles import require_deviation_angle
 from .errors import ParameterError, QuadratureConvergenceError
 from .montecarlo import _usable_cpus
 from .quadrature import QuadratureSpec
@@ -332,17 +331,15 @@ def fit(
     the start is always among the evaluated candidates.  Raises
     ParameterError for a start outside the search box, where the objective
     returns a flat 4.0: a, e or c above exp(_LOG_CEILING), or a or e below
-    exp(_LOG_C_FLOOR) (c below it is raised to it, so c = 0 still fits).
+    exp(_LOG_C_FLOOR) (c below it is raised to it, so c = 0 still fits); and
+    for a start whose own residual does not converge at FIT_QUADRATURE.
     """
     if not isinstance(start, StretchedExponentialModel):
         raise ParameterError("start must be a StretchedExponentialModel")
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     config = config or FIT_SEARCH
-    # the objective maps a ParameterError to its 4.0 sentinel, so a bad grid
-    # must fail here, before any restart runs
     grid = _angle_grid(grid)
-    require_deviation_angle(grid, "alpha")
 
     x0 = np.log([start.a, start.e, max(start.c, np.exp(_LOG_C_FLOOR))])
     if _outside_box(x0):
@@ -350,6 +347,11 @@ def fit(
             f"start {start} lies outside the fit's box: a, e, c <= exp({_LOG_CEILING:g}) "
             f"and a, e >= exp({_LOG_C_FLOOR:g})"
         )
+    # the objective maps failures to 4.0, so a bad grid or start must fail here
+    try:
+        residual(_params_from_log(x0), grid, FIT_QUADRATURE, objective)
+    except QuadratureConvergenceError as exc:
+        raise ParameterError(f"the residual at start {start} cannot be computed: {exc}") from exc
 
     def objective_fn(x: np.ndarray) -> float:
         if _outside_box(x):

@@ -5,12 +5,12 @@ uniformly from the half-turn window.  Arm A transmits with probability
 p1(lambda - angle_a) and arm B with p1(lambda - angle_b), both deviations
 folded back into the window (axes are direction-free, period pi): the
 wrapped convention of `transmission._coincidence_integral`, described there
-beside the pair curve's absorbing one.  The four
-tally cells (both / A only / B only / neither) support the coincidence
-probability and the two CHSH-style estimators.  `chsh` is the one CHSH
-runner: it simulates the four settings once and reads both estimators off
-the same tallies, combined by `bell._chsh` (the sign pattern's one home),
-so they are compared on the very same photon records:
+beside the pair curve's absorbing one.  The four tally cells (both / A only /
+B only / neither) support the coincidence probability and the two CHSH-style
+estimators.  `chsh` is the one CHSH runner: it simulates the four settings of
+`bell.CANONICAL_ANALYZERS` once (a1, a2, b1, b2 at 0, 45, 22.5 and -22.5
+degrees, so `bell._chsh`'s minus sign falls on a2 b2, 3 pi/8 apart) and
+reads both estimators off the same tallies, on the very same photon records:
 
 * all-events: E = P(agree) - P(disagree) over every generated pair; a local
   model can never push the CHSH combination past 2.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -55,7 +56,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
-from .bell import _chsh
+from .bell import CANONICAL_ANALYZERS, _chsh
 from .errors import DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec
 from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
@@ -85,8 +86,8 @@ _BOUND_PAD = 1e-9
 
 MAX_PAIRS = 10**8
 
-# analyzer angles (a1, a2, b1, b2)
-CANONICAL_ANGLES = (0.0, np.pi / 4.0, np.pi / 8.0, 3.0 * np.pi / 8.0)
+# analyzer angles (a1, a2, b1, b2), exact, of `bell`'s canonical analyzers
+CANONICAL_ANGLES = tuple(0.5 * math.atan2(cx, cz) for cz, cx in CANONICAL_ANALYZERS)
 
 # (angle_a, angle_b) of the terms a1b1, a1b2, a2b1, a2b2, in `bell._chsh`'s order
 CANONICAL_SETTINGS = tuple(itertools.product(CANONICAL_ANGLES[:2], CANONICAL_ANGLES[2:]))

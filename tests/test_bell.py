@@ -32,6 +32,7 @@ from bellhv.bell import (
 )
 from bellhv.errors import DimensionError, HermiticityError, ParameterError, RegimeError
 from bellhv.linalg import symmetric_extreme_eigen
+from bellhv.montecarlo import CANONICAL_ANGLES
 from bellhv.rng import RngStream, SearchConfig
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -224,6 +225,14 @@ class TestCanonicalScenario:
 
     def test_square_identity(self):
         assert square_identity_deviation(canonical_chsh_scenario()) <= 1e-10
+
+    def test_operators_are_the_analyzers_at_the_sampler_angles(self):
+        # one table: the analyzer at theta is cos 2 theta Z + sin 2 theta X
+        z = np.diag([1.0, -1.0])
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for block, theta in zip(_canonical_block_tuple(2), CANONICAL_ANGLES):
+            expected = math.cos(2.0 * theta) * z + math.sin(2.0 * theta) * x
+            np.testing.assert_allclose(block, expected, rtol=0.0, atol=1e-15)
 
 
 class TestSquareIdentity:

@@ -255,10 +255,10 @@ class TestSimulate:
         doc = read_json(tmp_path / "chsh.json")
         assert [
             [s["angle_a_deg"], s["angle_b_deg"]] for s in doc["settings"]
-        ] == [[0.0, 22.5], [0.0, 67.5], [45.0, 22.5], [45.0, 67.5]]
+        ] == [[0.0, 22.5], [0.0, -22.5], [45.0, 22.5], [45.0, -22.5]]
         chsh = doc["chsh"]
         assert chsh["all_events_S"] <= 2.0 + 5.0 * chsh["all_events_stderr"]
-        assert chsh["post_selected_S"] > chsh["all_events_S"]
+        assert chsh["post_selected_S"] > 2.0 + 10.0 * chsh["post_selected_stderr"]
         expected_retained = float(np.mean(MC_REFERENCE["q11_settings"]))
         assert chsh["retained_fraction"] == pytest.approx(expected_retained, abs=5e-3)
         _, rows = read_rows(tmp_path / "chsh.csv")
@@ -336,6 +336,18 @@ class TestFit:
         argv = ["fit", "--c", "1e6", "--restarts", "1", "--grid-step", "30"]
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         assert "outside the fit's box" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--a", "--e"])
+    def test_start_whose_residual_cannot_be_computed_is_a_usage_error(
+        self, tmp_path, capsys, flag
+    ):
+        # inside the box, but the start's own quadrature does not converge
+        argv = ["fit", flag, "1e5", "--restarts", "1", "--grid-step", "30"]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "the residual at start StretchedExponentialModel(" in err
+        assert "100000.0" in err and "cannot be computed" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_fit_requires_the_closed_form_model(self, tmp_path, capsys):
@@ -545,7 +557,7 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--help"])
         assert excinfo.value.code == 0
-        assert "CHSH settings 0/45/22.5/67.5)" in " ".join(capsys.readouterr().out.split())
+        assert "CHSH settings 0/45/22.5/-22.5)" in " ".join(capsys.readouterr().out.split())
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -548,6 +548,13 @@ class TestFit:
         with pytest.raises(ParameterError, match="outside the fit's box"):
             fit(start=start, config=LIGHT_SEARCH)
 
+    def test_start_whose_residual_cannot_be_computed_is_an_error(self):
+        # inside the box, but its residual raises QuadratureConvergenceError at
+        # FIT_QUADRATURE, which the objective would hide behind its 4.0
+        start = StretchedExponentialModel(1e5, 2.2, 45.0)
+        with pytest.raises(ParameterError, match="residual at start .* cannot be computed"):
+            fit(start=start, grid=np.deg2rad([0.0, 30.0, 60.0, 90.0]), config=LIGHT_SEARCH)
+
     def test_empty_grid_is_an_error(self):
         # the same error as residual's, not the objective's 4.0 sentinel
         with pytest.raises(ParameterError, match="at least one angle"):

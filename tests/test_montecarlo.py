@@ -539,19 +539,24 @@ class TestExpectedAgainstPerPieceLoop:
 
 class TestChshAngles:
     def test_canonical_values(self):
-        angles_a = [a for a, _ in CANONICAL_SETTINGS]
-        angles_b = [b for _, b in CANONICAL_SETTINGS]
-        assert angles_a == pytest.approx([0.0, 0.0, math.pi / 4, math.pi / 4])
-        assert angles_b == pytest.approx(
-            [math.pi / 8, 3 * math.pi / 8, math.pi / 8, 3 * math.pi / 8]
-        )
+        # derived exactly from bell's analyzer weights, and exact in degrees
+        assert CANONICAL_ANGLES == (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
+        assert np.rad2deg(CANONICAL_ANGLES).tolist() == [0.0, 45.0, 22.5, -22.5]
 
     def test_settings_order_and_signs(self):
-        # terms a1b1, a1b2, a2b1, a2b2: the minus sign falls on a2b2
+        # terms a1b1, a1b2, a2b1, a2b2: the minus sign falls on a2b2, the one
+        # pair of analyzers 3 pi/8 apart; the other three are pi/8 apart
         a1, a2, b1, b2 = CANONICAL_ANGLES
         assert CANONICAL_SETTINGS == ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
-        assert a1 < a2 and b1 < b2
+        assert [abs(b - a) for a, b in CANONICAL_SETTINGS] == pytest.approx(
+            [math.pi / 8, math.pi / 8, math.pi / 8, 3 * math.pi / 8], abs=1e-15
+        )
         assert [_chsh(*term) for term in np.eye(4)] == [1, 1, 1, -1]
+
+    def test_quantum_correlations_reach_tsirelson(self):
+        # the singlet-like correlation cos 2(b - a) at the canonical settings
+        correlations = [math.cos(2.0 * (b - a)) for a, b in CANONICAL_SETTINGS]
+        assert _chsh(*correlations) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
 
 class TestSettingConfigs:
@@ -567,10 +572,46 @@ class TestSettingConfigs:
             assert config.n_pairs == 321
 
 
+def _canonical_tallies(model):
+    """The tallies `chsh` reads, 10^6 pairs per canonical setting, seed 12."""
+    configs = setting_configs(model, CANONICAL_SETTINGS, 10**6, RngStream(12))
+    return tuple(run_pairs(config) for config in configs)
+
+
 @pytest.fixture(scope="module")
-def reference_chsh():
-    """Both CHSH views of the reference model, 10^6 pairs per setting, seed 12."""
-    return chsh(REFERENCE_MODEL, 10**6, RngStream(12))
+def reference_tallies():
+    return _canonical_tallies(REFERENCE_MODEL)
+
+
+@pytest.fixture(scope="module")
+def belinfante_tallies():
+    return _canonical_tallies(BELINFANTE_MODEL)
+
+
+@pytest.fixture(scope="module")
+def reference_chsh(reference_tallies):
+    """Both CHSH views of the reference model, from `reference_tallies`."""
+    return chsh_estimates(reference_tallies)
+
+
+def _clauser_horne(tallies):
+    """(CH, stderr) from the four canonical tallies, where
+    CH = p11(a1b1) + p11(a1b2) + p11(a2b1) - p11(a2b2) - pA(a1) - pB(b1).
+
+    A local model keeps CH <= 0 however many pairs go undetected (J. F.
+    Clauser and M. A. Horne, Phys. Rev. D 10, 526 (1974)), so discarding
+    events cannot inflate it.  pA(a1) and pB(b1) come from the a1b1 tally,
+    where p11 - pA - pB = p00 - 1, so CH is a sum of one binomial term per
+    setting and its variance is the sum of theirs.
+    """
+    first = tallies[0]
+    p00 = first.n00 / first.n_pairs
+    p11 = [t.n11 / t.n_pairs for t in tallies]
+    value = _chsh(*p11) - (first.singles_a + first.singles_b) / first.n_pairs
+    variance = p00 * (1.0 - p00) / first.n_pairs + sum(
+        p * (1.0 - p) / t.n_pairs for p, t in zip(p11[1:], tallies[1:])
+    )
+    return value, math.sqrt(variance)
 
 
 class TestChshEstimators:
@@ -628,9 +669,25 @@ class TestChshEstimators:
         alls, ps = chsh(REFERENCE_MODEL, 10**5, RngStream(21))
         assert ps.value > alls.value + 10.0 * math.hypot(ps.stderr, alls.stderr)
 
-    def test_cosine_squared_post_selection_sits_at_local_boundary(self):
-        _, estimate = chsh(BELINFANTE_MODEL, 10**6, RngStream(12))
+    def test_cosine_squared_post_selection_matches_its_closed_form(self, belinfante_tallies):
+        # 2 + sqrt(2): each post-selected term is 4 p11 = 1 + cos 2(b - a) / 2
+        _, estimate = chsh_estimates(belinfante_tallies)
         assert abs(estimate.value - MC_BELINFANTE["S_ps"]) <= 4.0 * estimate.stderr
+
+    def test_clauser_horne_expression_stays_local(self, reference_tallies):
+        # frozen oracle values: 3 q11(22.5 deg) - q11(67.5 deg) - 2 singles rate
+        q11 = MC_REFERENCE["q11_settings"]
+        expected = q11[0] + q11[1] + q11[2] - q11[3] - 2.0 * MC_REFERENCE["singles_rate"]
+        assert expected == pytest.approx(-0.0138812765, abs=1e-10)
+        value, sigma = _clauser_horne(reference_tallies)
+        assert abs(value - expected) <= 5.0 * sigma
+        # the same records, post-selected, pass the CHSH limit 2 by far
+        _, post_selected = chsh_estimates(reference_tallies)
+        assert post_selected.value - 2.0 > 10.0 * post_selected.stderr
+
+    def test_cosine_squared_clauser_horne_expression(self, belinfante_tallies):
+        value, sigma = _clauser_horne(belinfante_tallies)
+        assert abs(value - (math.sqrt(2.0) - 2.0) / 4.0) <= 5.0 * sigma
 
     def test_profiles_separate_in_post_selected_estimator(self):
         frozen = REGRESSIONS["post_selection_separation"]
