@@ -26,13 +26,21 @@ _DOMAIN_SLACK = 1e-9
 _MAX_GRID_POINTS = 10**6
 
 
+def _real_array(value, name: str, error=AngleDomainError) -> np.ndarray:
+    """value as a float array; a value numpy cannot convert raises `error`, naming it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be real-valued") from None
+
+
 def reduce_axis_angle(delta):
     """Fold an angle difference into [-pi/2, pi/2] modulo pi.
 
     Works on scalars and arrays.  The midpoint convention of ``np.round``
     (ties to even) makes the fold deterministic at exactly +/- pi/2.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = _real_array(delta, "angle difference")
     if not np.all(np.isfinite(delta)):
         raise AngleDomainError("angle difference must be finite")
     reduced = delta - np.pi * np.round(delta / np.pi)
@@ -42,10 +50,10 @@ def reduce_axis_angle(delta):
 def require_deviation_angle(value, name: str = "angle"):
     """Validate that value lies in [-pi/2, pi/2]; return it clamped as float array/scalar.
 
-    Raises AngleDomainError for non-finite input or input outside the window
-    by more than a rounding ulp.
+    Raises AngleDomainError for non-numeric or non-finite input, or input
+    outside the window by more than a rounding ulp.
     """
-    arr = np.asarray(value, dtype=float)
+    arr = _real_array(value, name)
     if not np.all(np.isfinite(arr)):
         raise AngleDomainError(f"{name} must be finite")
     if np.any(np.abs(arr) > HALF_WINDOW + _DOMAIN_SLACK):
@@ -59,6 +67,9 @@ def require_deviation_angle(value, name: str = "angle"):
 
 def degrees_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
     """Inclusive degree grid start:step:stop, returned in radians."""
+    start_deg = _real_array(start_deg, "grid start")
+    stop_deg = _real_array(stop_deg, "grid stop")
+    step_deg = _real_array(step_deg, "grid step")
     if step_deg <= 0 or not np.isfinite(step_deg):
         raise AngleDomainError("grid step must be positive and finite")
     if not (np.isfinite(start_deg) and np.isfinite(stop_deg)):

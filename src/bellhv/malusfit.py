@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .angles import _real_array
 from .errors import ParameterError, QuadratureConvergenceError
 from .montecarlo import _usable_cpus
 from .quadrature import QuadratureSpec
@@ -51,6 +52,7 @@ from .transmission import (
     intensity_ratio,
     malus,
     normalized_pair_curve,
+    require_model,
 )
 
 OBJECTIVES = ("chebyshev", "least-squares")
@@ -84,7 +86,7 @@ def _outside_box(x: np.ndarray) -> bool:
 
 def _angle_grid(grid: Optional[np.ndarray]) -> np.ndarray:
     """The default angle grid, else `grid` as a 1-D float array; never empty."""
-    grid = default_angle_grid() if grid is None else np.atleast_1d(np.asarray(grid, float))
+    grid = default_angle_grid() if grid is None else np.atleast_1d(_real_array(grid, "grid"))
     if grid.size == 0:
         raise ParameterError("grid must contain at least one angle")
     return grid
@@ -102,8 +104,7 @@ def residual(
     """
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
-    if not isinstance(model, TransmissionModel):
-        raise ParameterError("expected a TransmissionModel")
+    require_model(model)
     grid = _angle_grid(grid)
     deviations = normalized_pair_curve(model, grid, spec) - malus(grid)
     if objective == "chebyshev":

@@ -66,6 +66,7 @@ from .transmission import (
     _clipped_profile,
     _coincidence_integral,
     _wrapped_profile,
+    require_model,
 )
 
 CHUNK_PAIRS = 1 << 16
@@ -104,8 +105,7 @@ class ExperimentConfig:
     rng: RngStream
 
     def __post_init__(self):
-        if not isinstance(self.model, TransmissionModel):
-            raise ParameterError("model must be a TransmissionModel")
+        require_model(self.model)
         object.__setattr__(self, "angle_a", require_deviation_angle(self.angle_a, "angle_a"))
         object.__setattr__(self, "angle_b", require_deviation_angle(self.angle_b, "angle_b"))
         if not isinstance(self.n_pairs, (int, np.integer)) or self.n_pairs < 1:
@@ -272,8 +272,9 @@ def expected_coincidence_probability(
 ) -> float:
     """Quadrature value of the coincidence probability the sampler estimates:
     the wrapped `transmission._coincidence_integral` over the measure pi."""
-    angle_a = require_deviation_angle(float(angle_a), "angle_a")
-    angle_b = require_deviation_angle(float(angle_b), "angle_b")
+    require_model(model)
+    angle_a = float(require_deviation_angle(angle_a, "angle_a"))
+    angle_b = float(require_deviation_angle(angle_b, "angle_b"))
     total = _coincidence_integral(model, np.array([angle_a]), np.array([angle_b]), spec, False)
     return float(total[0]) / np.pi
 

@@ -73,7 +73,11 @@ class QuadratureSpec:
             raise ParameterError("panels must be an integer >= 2")
         if self.panels % 2:
             raise ParameterError("composite Simpson needs an even panel count")
-        if not (np.isfinite(self.refine_until) and self.refine_until > 0):
+        if not (
+            isinstance(self.refine_until, (int, float, np.integer, np.floating))
+            and np.isfinite(self.refine_until)
+            and self.refine_until > 0
+        ):
             raise ParameterError("refine_until must be a positive finite float")
         if not isinstance(self.max_refinements, (int, np.integer)) or self.max_refinements < 0:
             raise ParameterError("max_refinements must be a non-negative integer")

@@ -33,7 +33,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import HALF_WINDOW, degrees_grid, reduce_axis_angle, require_deviation_angle
+from .angles import (
+    HALF_WINDOW,
+    _real_array,
+    degrees_grid,
+    reduce_axis_angle,
+    require_deviation_angle,
+)
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec, integrate, integrate_rows
 
@@ -152,8 +158,8 @@ class TabulatedModel(TransmissionModel):
     values: Sequence[float]
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        nodes = _real_array(self.nodes, "table nodes", ParameterError)
+        values = _real_array(self.values, "table values", ParameterError)
         if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
             raise ParameterError("need matching 1-D nodes/values with at least two samples")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
@@ -174,9 +180,19 @@ class TabulatedModel(TransmissionModel):
         return self.nodes  # linear, so monotone, between consecutive nodes
 
 
+def require_model(model) -> None:
+    """Raise ParameterError unless model is a TransmissionModel.
+
+    Every public function that takes a model checks it here first, so a
+    wrong argument fails as a usage error, not deep inside the quadrature.
+    """
+    if not isinstance(model, TransmissionModel):
+        raise ParameterError("model must be a TransmissionModel")
+
+
 def malus(alpha):
     """The cosine-squared intensity law, for comparison curves."""
-    arr = np.asarray(alpha, dtype=float)
+    arr = _real_array(alpha, "alpha")
     if not np.all(np.isfinite(arr)):
         raise AngleDomainError("alpha must be finite")
     out = np.cos(arr) ** 2
@@ -185,6 +201,7 @@ def malus(alpha):
 
 def intensity_ratio(model: TransmissionModel, spec: Optional[QuadratureSpec] = None) -> float:
     """Fraction of an unpolarized beam passing one polarizer: mean of p1."""
+    require_model(model)
     value, _ = integrate(model.probabilities, -HALF_WINDOW, HALF_WINDOW, spec)
     return value / np.pi
 
@@ -269,6 +286,7 @@ def pair_transmission(
     has the same form.  P is even in alpha.  This is the absorbing
     convention of `_coincidence_integral`, with A at 0 and B at alpha.
     """
+    require_model(model)
     alphas = np.atleast_1d(require_deviation_angle(alpha, "alpha"))
     if alphas.ndim != 1:
         raise ParameterError("alpha must be a scalar or a 1-D array")
@@ -286,7 +304,7 @@ def normalized_pair_curve(
     The normalization pins the curve to exactly 1 at alpha = 0, which is the
     form the intensity law cos^2 is compared against.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    alphas = np.atleast_1d(_real_array(alphas, "alphas"))
     nonzero = alphas != 0.0
     values = pair_transmission(model, np.concatenate(([0.0], alphas[nonzero])), spec)
     reference = values[0]

@@ -60,6 +60,14 @@ class TestCurve:
         assert manifest["outputs"]["ref.csv"] == hashlib.sha256(blob).hexdigest()
         assert b"\r" not in blob
 
+    def test_half_degree_grid_writes_exact_degrees(self, tmp_path):
+        # the degree column is start + step i: 7.5 and 52.5, not 7.499999999999999
+        assert main(["curve", "--grid-step", "7.5", "--out", str(tmp_path / "half")]) == 0
+        _, rows = read_rows(tmp_path / "half.csv")
+        degrees = [row[0] for row in rows]
+        assert degrees[:3] == ["0", "7.5", "15"] and degrees[7] == "52.5"
+        assert [float(deg) for deg in degrees] == [7.5 * i for i in range(13)]
+
     def test_cosine_squared_profile_misses_the_intensity_law(self, tmp_path):
         stem = tmp_path / "bel"
         assert main(["curve", "--model", "belinfante", "--out", str(stem)]) == 0
