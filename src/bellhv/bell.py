@@ -17,13 +17,14 @@ which operators are required to commute:
   <B B^dag> <= 12.  B is then generally non-Hermitian, so the expectation
   maximum is its numerical radius rather than a spectral radius.
 
-`search_bound` drives a randomized alternating ascent toward the bound of a
-chosen regime: each block update (state, a-side, b-side) maximizes the
-objective exactly over the full set of Hermitian contractions, whose extreme
-points are sign operators of the effective Hermitian matrix.  This makes the
-ascent monotone, and restarts from a seeded stream make it reproducible.
-Every ascent signs by one rule (`_negative`): an eigenvalue within
-dim * eps * scale of 0 (scale bounds the update's inputs) has sign +1.
+`search_bound` takes the classical bound from the brute force's enumeration
+of +/-1 assignments (`_classical_optimum`).  In the other regimes it drives a
+randomized alternating ascent: each block update (state, a-side, b-side)
+maximizes the objective exactly over the full set of Hermitian contractions,
+whose extreme points are sign operators of the effective Hermitian matrix.
+This makes the ascent monotone, and restarts from a seeded stream make it
+reproducible.  Both ascents sign by one rule (`_negative`): an eigenvalue
+within dim * eps * scale of 0 (scale bounds the update's inputs) has sign +1.
 The commuting ascent signs eigendecompositions (`_sign_operator`); the
 unrestricted one signs its rank-two (x psi^dag + psi x^dag) / 2 in closed
 form (`_rank_two_sign`) and runs one eigh per iteration, for the state.
@@ -175,12 +176,17 @@ def bb_dagger_expectation(scenario: BellScenario) -> float:
     return float(max(0.0, symmetric_extreme_eigen(b @ b.conj().T).largest))
 
 
+def _classical_optimum() -> Tuple[float, Tuple[float, ...]]:
+    """(|B|, (a1, a2, b1, b2)): the first deterministic +/-1 assignment of
+    largest |B|, enumerated from all +1, so all +1 with |B| exactly 2."""
+    assignments = itertools.product((1.0, -1.0), repeat=4)
+    scored = ((abs(_combination(*signs, operator.mul)), signs) for signs in assignments)
+    return max(scored, key=operator.itemgetter(0))
+
+
 def classical_bound_bruteforce() -> float:
     """Exhaustive scan of deterministic +/-1 assignments; returns exactly 2."""
-    best = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=4):
-        best = max(best, abs(_combination(*signs, operator.mul)))
-    return best
+    return _classical_optimum()[0]
 
 
 def canonical_chsh_scenario() -> BellScenario:
@@ -207,10 +213,11 @@ def random_contraction(dim: int, generator: np.random.Generator) -> np.ndarray:
 
 
 def _negative(w, dim: int, scale: float):
-    """The sign rule of every ascent, for eigenvalues w of a dim x dim matrix
-    formed from inputs of norm <= `scale`: w is negative only below
-    -dim * eps * scale, its round-off; else it counts as 0, with sign +1.
-    The scale is not the spectrum's own, all round-off for a 0 matrix.
+    """The sign rule of both ascents, for eigenvalues w of a dim x dim matrix
+    formed from inputs of norm <= `scale` (2 in the commuting ascent, ||x|| in
+    `_rank_two_sign`): w is negative only below -dim * eps * scale, its
+    round-off; else it counts as 0, with sign +1.  The scale is not the
+    spectrum's own, all round-off for a 0 matrix.
     """
     return w < -dim * np.finfo(float).eps * scale
 
@@ -286,40 +293,12 @@ def _top_state(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
     return v[:, -1], float(w[-1])
 
 
-def _ascend_classical(
-    dim: int, generator: np.random.Generator, max_iterations: int, warm: bool = False
-):
-    # commuting observables are simultaneously diagonalizable, so work with
-    # the diagonals directly; each update is an exact per-entry sign choice.
-    # Any start reaches the optimum 2 in one pass, so the warm start's
-    # all-ones b diagonals only spare the draws
-    if warm:
-        b1 = np.ones(dim)
-        b2 = np.ones(dim)
-    else:
-        b1 = generator.uniform(-1.0, 1.0, size=dim)
-        b2 = generator.uniform(-1.0, 1.0, size=dim)
-    a1 = np.ones(dim)
-    a2 = np.ones(dim)
-    value = 0.0
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        a1 = np.where(_negative(b1 + b2, dim, 2.0), -1.0, 1.0)
-        a2 = np.where(_negative(b1 - b2, dim, 2.0), -1.0, 1.0)
-        b1 = np.where(_negative(a1 + a2, dim, 2.0), -1.0, 1.0)
-        b2 = np.where(_negative(a1 - a2, dim, 2.0), -1.0, 1.0)
-        # entries are +/-1, so every sum is exact
-        per_index = _combination(a1, a2, b1, b2, np.multiply)
-        new_value = float(per_index.max())
-        if new_value <= value + _ASCENT_TOL:
-            value = max(value, new_value)
-            break
-        value = new_value
-    k = int(np.argmax(per_index))
-    state = np.zeros(dim, dtype=complex)
-    state[k] = 1.0
-    ops = tuple(np.diag(vec).astype(complex) for vec in (a1, a2, b1, b2))
-    return value, ops, state, iterations
+def _ascend_classical(dim: int, generator, max_iterations: int, warm: bool = False):
+    # commuting observables are simultaneously diagonalizable, each diagonal
+    # entry a +/-1 assignment: the enumeration's optimum on every entry
+    value, signs = _classical_optimum()
+    identity = np.eye(dim, dtype=complex)
+    return value, tuple(s * identity for s in signs), identity[0].copy(), 1
 
 
 def _ascend_commuting(
@@ -419,15 +398,17 @@ class BoundReport:
 def search_bound(
     regime: Regime, dim: int, config: Optional[SearchConfig] = None
 ) -> BoundReport:
-    """Randomized multi-restart ascent toward the regime's expectation limit.
+    """Multi-restart search for the regime's largest |<B>|.
 
     `dim` is the per-subsystem dimension for COMMUTING_SUBSYSTEMS (total
-    space dim^2) and the full space dimension otherwise.  Restart 0 starts
-    from the structured canonical tuple (so the known-feasible 2*sqrt(2)
-    point is never missed for dim >= 2); the remaining restarts explore from
-    random contractions.  The report's best_expectation and best_bb_dagger
-    are recomputed from the witness scenario (numerical radius and
-    largest eigenvalue of B B^dag), not taken from ascent internals.
+    space dim^2) and the full space dimension otherwise.  Every CLASSICAL
+    restart returns the +/-1 enumeration's optimum: four identities, state
+    e_0, 1 iteration.  Otherwise restart 0 ascends from the structured
+    canonical tuple (so the known-feasible 2*sqrt(2) point is never missed
+    for dim >= 2); the remaining restarts explore from random contractions.
+    The report's best_expectation and best_bb_dagger are recomputed from the
+    witness scenario (numerical radius and largest eigenvalue of B B^dag),
+    not taken from ascent internals.
     """
     config = config or SearchConfig()
     if not isinstance(regime, Regime):

@@ -55,9 +55,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .angles import HALF_WINDOW, reduce_axis_angle, require_deviation_angle
+from .angles import HALF_WINDOW, _real_array, reduce_axis_angle, require_deviation_angle
 from .bell import CANONICAL_ANALYZERS, _chsh
-from .errors import DegenerateModelError, ParameterError
+from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec
 from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
 from .rng import RngStream
@@ -94,6 +94,14 @@ CANONICAL_ANGLES = tuple(0.5 * math.atan2(cx, cz) for cz, cx in CANONICAL_ANALYZ
 CANONICAL_SETTINGS = tuple(itertools.product(CANONICAL_ANGLES[:2], CANONICAL_ANGLES[2:]))
 
 
+def _scalar_angle(value, name: str) -> float:
+    """One analyzer angle, validated by `require_deviation_angle`; an array
+    of any shape raises AngleDomainError("<name> must be a scalar")."""
+    if _real_array(value, name).ndim != 0:
+        raise AngleDomainError(f"{name} must be a scalar")
+    return require_deviation_angle(value, name)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One coincidence run: model, analyzer angles, sample size, stream."""
@@ -106,8 +114,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_model(self.model)
-        object.__setattr__(self, "angle_a", require_deviation_angle(self.angle_a, "angle_a"))
-        object.__setattr__(self, "angle_b", require_deviation_angle(self.angle_b, "angle_b"))
+        object.__setattr__(self, "angle_a", _scalar_angle(self.angle_a, "angle_a"))
+        object.__setattr__(self, "angle_b", _scalar_angle(self.angle_b, "angle_b"))
         if not isinstance(self.n_pairs, (int, np.integer)) or self.n_pairs < 1:
             raise ParameterError("n_pairs must be a positive integer")
         if self.n_pairs > MAX_PAIRS:
@@ -273,8 +281,8 @@ def expected_coincidence_probability(
     """Quadrature value of the coincidence probability the sampler estimates:
     the wrapped `transmission._coincidence_integral` over the measure pi."""
     require_model(model)
-    angle_a = float(require_deviation_angle(angle_a, "angle_a"))
-    angle_b = float(require_deviation_angle(angle_b, "angle_b"))
+    angle_a = _scalar_angle(angle_a, "angle_a")
+    angle_b = _scalar_angle(angle_b, "angle_b")
     total = _coincidence_integral(model, np.array([angle_a]), np.array([angle_b]), spec, False)
     return float(total[0]) / np.pi
 

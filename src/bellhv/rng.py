@@ -14,7 +14,8 @@ keys.
 
 :class:`SearchConfig` bundles a stream with the restart and iteration budget
 of the two randomized searches, the Nelder-Mead fit in :mod:`bellhv.malusfit`
-and the Bell-bound ascent in :mod:`bellhv.bell`; both read every field.
+and the Bell-bound ascents in :mod:`bellhv.bell`; both read every field.  The
+classical bound search is an enumeration and reads only ``restarts``.
 """
 
 from __future__ import annotations

@@ -274,18 +274,20 @@ LIGHT = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(0))
 
 class TestSearchBound:
     def test_classical_search_saturates_two(self):
-        # any start reaches 2 in one pass, so no random restart beats the
-        # warm restart 0, whose witness is four identities
+        # every restart returns the +/-1 enumeration's first optimum, all +1:
+        # four identities and state e_0, whatever the seed or restart count
         for seed, restarts in itertools.product(range(5), (1, 3, 8)):
             config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(seed))
             for dim in (1, 2, 3, 16):
                 report = search_bound(Regime.CLASSICAL, dim, config)
                 assert report.best_expectation == 2.0
+                assert report.certified_expectation == 2.0
                 assert report.best_bb_dagger == 4.0
                 assert report.best_restart == 0
-                assert report.iterations == 2
+                assert report.iterations == 1
                 for slot in SLOTS:
                     np.testing.assert_array_equal(getattr(report.witness, slot), np.eye(dim))
+                np.testing.assert_array_equal(report.witness_state, np.eye(dim)[0])
                 assert report.theoretical_limit_expectation == 2.0
                 assert report.theoretical_limit_bb == 4.0
 

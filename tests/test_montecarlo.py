@@ -15,7 +15,7 @@ from _constant_model import ConstantModel
 from _frozen import MC_BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 from bellhv import montecarlo
 from bellhv.angles import reduce_axis_angle
-from bellhv.errors import DegenerateModelError, ParameterError
+from bellhv.errors import AngleDomainError, DegenerateModelError, ParameterError
 from bellhv.malusfit import FIT_QUADRATURE
 from bellhv.bell import _chsh
 from bellhv.montecarlo import (
@@ -94,6 +94,25 @@ class TestSourceAndConfig:
             ExperimentConfig(n_pairs=0, **good)
         with pytest.raises(ParameterError):
             ExperimentConfig(n_pairs=10**9, **good)
+        # numpy 0-d angles are kept as the Python floats they hold
+        config = ExperimentConfig(REFERENCE_MODEL, np.float64(0.1), np.array(0.2), 1, RngStream(0))
+        assert (type(config.angle_a), type(config.angle_b)) == (float, float)
+        assert (config.angle_a, config.angle_b) == (0.1, 0.2)
+
+    @pytest.mark.parametrize("entry", ["run_pairs", "expected_coincidence_probability"])
+    @pytest.mark.parametrize("name", ["angle_a", "angle_b"])
+    @pytest.mark.parametrize(
+        "angle",
+        [np.array([0.1, 0.2]), np.array([0.1]), [0.3], np.zeros((1, 1)), np.array([5.0])],
+        ids=["pair", "one-element", "list", "matrix", "outside-window"],
+    )
+    def test_non_scalar_angle_is_a_domain_error(self, entry, name, angle):
+        angles = {"angle_a": 0.0, "angle_b": 0.0, name: angle}
+        with pytest.raises(AngleDomainError, match=f"^{name} must be a scalar$"):
+            if entry == "run_pairs":
+                run_pairs(ExperimentConfig(REFERENCE_MODEL, n_pairs=100, rng=RngStream(0), **angles))
+            else:
+                expected_coincidence_probability(REFERENCE_MODEL, **angles)
 
 
 class TestRunPairs:
