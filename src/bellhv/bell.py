@@ -17,8 +17,9 @@ which operators are required to commute:
   <B B^dag> <= 12.  B is then generally non-Hermitian, so the expectation
   maximum is its numerical radius rather than a spectral radius.
 
-`search_bound` takes the classical bound from the brute force's enumeration
-of +/-1 assignments (`_classical_optimum`).  In the other regimes it drives a
+`search_bound` reads the classical bound once from the brute force's
+enumeration of +/-1 assignments (`_classical_optimum`), with no restart and
+no random draw.  Only the other two regimes are searched, each by a
 randomized alternating ascent: each block update (state, a-side, b-side)
 maximizes the objective exactly over the full set of Hermitian contractions,
 whose extreme points are sign operators of the effective Hermitian matrix.
@@ -189,11 +190,6 @@ def classical_bound_bruteforce() -> float:
     return _classical_optimum()[0]
 
 
-def canonical_chsh_scenario() -> BellScenario:
-    """The standard qubit pair saturating 2*sqrt(2): Z, X vs (Z+/-X)/sqrt(2)."""
-    return BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
-
-
 # ---------------------------------------------------------------------------
 # randomized ascent
 
@@ -265,20 +261,15 @@ def _canonical_block_tuple(dim: int) -> Tuple[np.ndarray, ...]:
     structured start whose Bell combination evaluates to 2*sqrt(2) for
     dim >= 2 (a leftover odd diagonal entry is a classical block of value 2).
     """
-    z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-    def embed(block: np.ndarray) -> np.ndarray:
-        m = np.zeros((dim, dim), dtype=complex)
-        k = 0
-        while k + 1 < dim:
-            m[k : k + 2, k : k + 2] = block
-            k += 2
-        if k < dim:
-            m[k, k] = 1.0
-        return m
-
-    return tuple(embed(cz * z + cx * x) for cz, cx in CANONICAL_ANALYZERS)
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ops = []
+    for cz, cx in CANONICAL_ANALYZERS:
+        m = np.eye(dim, dtype=complex)  # a leftover odd diagonal entry stays 1
+        for k in range(0, dim - 1, 2):
+            m[k : k + 2, k : k + 2] = cz * z + cx * x
+        ops.append(m)
+    return tuple(ops)
 
 
 def _start_tuple(dim: int, generator: np.random.Generator, warm: bool) -> Tuple[np.ndarray, ...]:
@@ -291,14 +282,6 @@ def _start_tuple(dim: int, generator: np.random.Generator, warm: bool) -> Tuple[
 def _top_state(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
     w, v = np.linalg.eigh(hermitian_part(matrix))
     return v[:, -1], float(w[-1])
-
-
-def _ascend_classical(dim: int, generator, max_iterations: int, warm: bool = False):
-    # commuting observables are simultaneously diagonalizable, each diagonal
-    # entry a +/-1 assignment: the enumeration's optimum on every entry
-    value, signs = _classical_optimum()
-    identity = np.eye(dim, dtype=complex)
-    return value, tuple(s * identity for s in signs), identity[0].copy(), 1
 
 
 def _ascend_commuting(
@@ -401,9 +384,10 @@ def search_bound(
     """Multi-restart search for the regime's largest |<B>|.
 
     `dim` is the per-subsystem dimension for COMMUTING_SUBSYSTEMS (total
-    space dim^2) and the full space dimension otherwise.  Every CLASSICAL
-    restart returns the +/-1 enumeration's optimum: four identities, state
-    e_0, 1 iteration.  Otherwise restart 0 ascends from the structured
+    space dim^2) and the full space dimension otherwise.  The classical
+    regime runs no restart: it returns the +/-1 enumeration's optimum (four
+    identities, state e_0, best restart 0, 1 iteration) and reports
+    `config.restarts` unused.  Otherwise restart 0 ascends from the structured
     canonical tuple (so the known-feasible 2*sqrt(2) point is never missed
     for dim >= 2); the remaining restarts explore from random contractions.
     The report's best_expectation and best_bb_dagger are recomputed from the
@@ -418,23 +402,25 @@ def search_bound(
     dim = int(dim)
     _total_dim(regime, dim, dim)  # fail before the ascents, not in the witness
 
-    ascents = {
-        Regime.CLASSICAL: _ascend_classical,
-        Regime.COMMUTING_SUBSYSTEMS: _ascend_commuting,
-        Regime.UNRESTRICTED: _ascend_unrestricted,
-    }
-    ascend = ascents[regime]
+    if regime is Regime.CLASSICAL:
+        # commuting observables are simultaneously diagonalizable, each
+        # diagonal entry a +/-1 assignment: the enumeration's optimum on every entry
+        identity = np.eye(dim, dtype=complex)
+        ops = tuple(s * identity for s in _classical_optimum()[1])
+        state, best_restart, iterations = identity[0].copy(), 0, 1
+    else:
+        commuting = regime is Regime.COMMUTING_SUBSYSTEMS
+        ascend = _ascend_commuting if commuting else _ascend_unrestricted
+        best = None
+        for restart in range(config.restarts):
+            generator = config.rng.substream(restart).generator()
+            value, ops, state, iterations = ascend(
+                dim, generator, config.max_iterations, warm=(restart == 0)
+            )
+            if best is None or value > best[0]:
+                best = (value, ops, state, restart, iterations)
+        _, ops, state, best_restart, iterations = best
 
-    best = None
-    for restart in range(config.restarts):
-        generator = config.rng.substream(restart).generator()
-        value, ops, state, iterations = ascend(
-            dim, generator, config.max_iterations, warm=(restart == 0)
-        )
-        if best is None or value > best[0]:
-            best = (value, ops, state, restart, iterations)
-
-    _, ops, state, best_restart, iterations = best
     witness = BellScenario(regime, *ops)
     return BoundReport(
         regime=regime,

@@ -113,12 +113,22 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def _write_files(directory: Path, files: Dict[str, bytes]) -> Dict[str, str]:
-    """Write each named blob into directory; returns each name's SHA-256."""
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write each named blob into directory; returns each name's SHA-256.
+
+    An OSError (say, a file where the directory should be) becomes a
+    ParameterError naming the path, so the run ends with a message and exit
+    2 instead of a traceback.
+    """
     hashes = {}
-    for name, blob in sorted(files.items()):
-        (directory / name).write_bytes(blob)
-        hashes[name] = hashlib.sha256(blob).hexdigest()
+    path = directory
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, blob in sorted(files.items()):
+            path = directory / name
+            path.write_bytes(blob)
+            hashes[name] = hashlib.sha256(blob).hexdigest()
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
     return hashes
 
 
@@ -354,9 +364,9 @@ def _write_run(stem: Path, subcommand: str, params: dict) -> Tuple[Path, bool]:
         "converged": converged,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    manifest_path = stem.parent / f"{stem.name}.manifest.json"
-    manifest_path.write_bytes(_json_bytes(manifest, round_floats=False))
-    return manifest_path, converged
+    manifest_name = f"{stem.name}.manifest.json"
+    _write_files(stem.parent, {manifest_name: _json_bytes(manifest, round_floats=False)})
+    return stem.parent / manifest_name, converged
 
 
 class _Parser(argparse.ArgumentParser):

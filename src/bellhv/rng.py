@@ -15,7 +15,8 @@ keys.
 :class:`SearchConfig` bundles a stream with the restart and iteration budget
 of the two randomized searches, the Nelder-Mead fit in :mod:`bellhv.malusfit`
 and the Bell-bound ascents in :mod:`bellhv.bell`; both read every field.  The
-classical bound search is an enumeration and reads only ``restarts``.
+classical regime of ``bell.search_bound`` runs no search: it reads the +/-1
+enumeration once, draws from no stream, and only reports ``restarts``.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ import numpy as np
 from _frozen import BELINFANTE, REFERENCE
 from _square_identity import random_involutory_scenario, square_identity_deviation
 from bellhv.bell import (
+    _canonical_block_tuple,
     BB_DAGGER_LIMITS,
     EXPECTATION_LIMITS,
+    BellScenario,
     Regime,
     bb_dagger_expectation,
-    canonical_chsh_scenario,
     classical_bound_bruteforce,
     max_expectation,
     search_bound,
@@ -88,7 +89,7 @@ def test_deterministic_assignments_cap_the_combination_at_two():
 
 def test_canonical_two_qubit_scenario_reaches_two_root_two():
     with Stopwatch() as watch:
-        scenario = canonical_chsh_scenario()
+        scenario = BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
         expectation = max_expectation(scenario)
         bb = bb_dagger_expectation(scenario)
     assert abs(expectation - 2.0 * math.sqrt(2.0)) <= 1e-10

@@ -23,7 +23,6 @@ from bellhv.bell import (
     Regime,
     bb_dagger_expectation,
     bell_operator,
-    canonical_chsh_scenario,
     classical_bound_bruteforce,
     haar_unitary,
     max_expectation,
@@ -178,7 +177,8 @@ class TestBellOperator:
         np.testing.assert_allclose(bell_operator(s), [[2.0]], atol=0.0)
 
     def test_canonical_matrix_reaches_tsirelson_eigenvalue(self):
-        matrix = bell_operator(canonical_chsh_scenario())
+        s = BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
+        matrix = bell_operator(s)
         extremes = symmetric_extreme_eigen(matrix)
         assert extremes.largest == pytest.approx(ROOT8, abs=1e-10)
 
@@ -214,17 +214,18 @@ class TestClassicalBruteforce:
 
 class TestCanonicalScenario:
     def test_operators_are_involutory(self):
-        s = canonical_chsh_scenario()
+        s = BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
         for op in (s.a1, s.a2, s.b1, s.b2):
             np.testing.assert_allclose(op @ op, np.eye(op.shape[0]), atol=1e-12)
 
     def test_tsirelson_point(self):
-        s = canonical_chsh_scenario()
+        s = BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
         assert max_expectation(s) == pytest.approx(ROOT8, abs=1e-10)
         assert bb_dagger_expectation(s) == pytest.approx(8.0, abs=1e-9)
 
     def test_square_identity(self):
-        assert square_identity_deviation(canonical_chsh_scenario()) <= 1e-10
+        s = BellScenario(Regime.COMMUTING_SUBSYSTEMS, *_canonical_block_tuple(2))
+        assert square_identity_deviation(s) <= 1e-10
 
     def test_operators_are_the_analyzers_at_the_sampler_angles(self):
         # one table: the analyzer at theta is cos 2 theta Z + sin 2 theta X
@@ -273,9 +274,14 @@ LIGHT = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(0))
 
 
 class TestSearchBound:
-    def test_classical_search_saturates_two(self):
-        # every restart returns the +/-1 enumeration's first optimum, all +1:
-        # four identities and state e_0, whatever the seed or restart count
+    def test_classical_search_saturates_two(self, monkeypatch):
+        # the +/-1 enumeration's first optimum, all +1, read once with no
+        # restart and no generator: four identities and state e_0, whatever
+        # the seed or restart count, which is still reported
+        def no_generator(self):
+            raise AssertionError("the classical search draws no random numbers")
+
+        monkeypatch.setattr(RngStream, "generator", no_generator)
         for seed, restarts in itertools.product(range(5), (1, 3, 8)):
             config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(seed))
             for dim in (1, 2, 3, 16):
@@ -283,6 +289,7 @@ class TestSearchBound:
                 assert report.best_expectation == 2.0
                 assert report.certified_expectation == 2.0
                 assert report.best_bb_dagger == 4.0
+                assert report.restarts == restarts
                 assert report.best_restart == 0
                 assert report.iterations == 1
                 for slot in SLOTS:

@@ -543,6 +543,20 @@ class TestUsage:
         assert "names no file stem" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [work]
 
+    @pytest.mark.parametrize("subcommand", ["curve", "replay"])
+    def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys, subcommand):
+        blocker = tmp_path / "afile"  # a regular file where the directory should be
+        blocker.write_text("")
+        if subcommand == "curve":
+            argv = ["curve", "--grid-step", "45", "--out", str(blocker / "x")]
+        else:
+            assert main(["curve", "--grid-step", "45", "--out", str(tmp_path / "run")]) == 0
+            argv = ["replay", str(tmp_path / "run.manifest.json"), "--out-dir", str(blocker)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}: ")
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize(
         "argv, flag, value",
         [

@@ -41,8 +41,8 @@ def test_worst_deviation_from_cos_squared(quick_start):
     assert quick_start["max(abs(normalized_pair_curve(model, grid) - malus(grid)))"] < 0.05
 
 
-def test_canonical_scenario_attains_tsirelson(quick_start):
-    value = quick_start["max_expectation(canonical_chsh_scenario())"]
+def test_commuting_search_attains_tsirelson(quick_start):
+    value = quick_start["search_bound(Regime.COMMUTING_SUBSYSTEMS, dim=2).best_expectation"]
     assert value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
 
 
