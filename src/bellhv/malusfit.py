@@ -10,6 +10,13 @@ seeded multi-restart Nelder-Mead search (`minimize`) in log-parameter space,
 which keeps all three parameters positive without constraints and equalizes
 their scales.
 
+`fit` checks its start with `residual`, and its objective scores each
+candidate the same way, to the bit, from a `transmission._PairCurveTable` of
+the fit's grid at `FIT_QUADRATURE`: the model-independent nodes of the
+pair-curve quadrature, tabulated once, so that a candidate costs one
+profile evaluation per distinct folded deviation.  The table is built on
+the objective's first call, so each restart process builds its own.
+
 The simplex search is `nelder_mead`, the unbounded, non-adaptive method of
 Nelder & Mead (Comput. J. 7, 308 (1965)) taken step for step from scipy
 1.17.1's `minimize(method="Nelder-Mead")`: the same initial simplex, moves,
@@ -48,6 +55,7 @@ from .transmission import (
     REFERENCE_MODEL,
     StretchedExponentialModel,
     TransmissionModel,
+    _PairCurveTable,
     default_angle_grid,
     intensity_ratio,
     malus,
@@ -106,7 +114,12 @@ def residual(
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     require_model(model)
     grid = _angle_grid(grid)
-    deviations = normalized_pair_curve(model, grid, spec) - malus(grid)
+    return _score(normalized_pair_curve(model, grid, spec), grid, objective)
+
+
+def _score(curve: np.ndarray, grid: np.ndarray, objective: str) -> float:
+    """The objective's deviation of a normalized pair curve on grid from cos^2."""
+    deviations = curve - malus(grid)
     if objective == "chebyshev":
         return float(np.abs(deviations).max())
     return float(np.sqrt(np.mean(deviations**2)))
@@ -354,11 +367,17 @@ def fit(
     except QuadratureConvergenceError as exc:
         raise ParameterError(f"the residual at start {start} cannot be computed: {exc}") from exc
 
+    # built on the first evaluation, so a pool worker builds its own
+    table = None
+
     def objective_fn(x: np.ndarray) -> float:
+        nonlocal table
         if _outside_box(x):
             return 4.0
+        if table is None:
+            table = _PairCurveTable(grid, FIT_QUADRATURE)
         try:
-            return residual(_params_from_log(x), grid, FIT_QUADRATURE, objective)
+            return _score(table.curve(_params_from_log(x)), grid, objective)
         except (ParameterError, QuadratureConvergenceError):
             return 4.0
 

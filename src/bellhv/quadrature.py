@@ -18,16 +18,19 @@ rest.  Rows leave the batch as soon as they meet `refine_until`.  Every sum
 runs over a contiguous copy in the same order as a fresh composite rule on
 that level's full node set, so results do not depend on batching or reuse.
 Rows are taken in blocks of at most `_BLOCK_NODES` first-level nodes, which
-keeps each block's working set small.
+keeps each block's working set small.  The block split, the first level's
+nodes and sum, and one doubling's nodes, sum and estimate are also the
+steps `transmission._PairCurveTable` replays on tabulated profile values.
 
-Why 8192 nodes, and why the nodes and the profile are built in place: a fit
-makes about 4500 block calls, each allocating and freeing several node-sized
-temporaries (61.5 KB at the fit's 15 rows of 513 nodes).  glibc returns a
-freed heap top above its trim threshold to the kernel, and the next call
-faults it back in.  A scipy import used to hide this by accident: it frees
-a large block, which raises glibc's dynamic thresholds.  Minor page faults
-of one `bellhv fit` process on a 2-vCPU host (glibc 2.36, Python 3.11.7,
-numpy 2.4.6), without scipy:
+Why 8192 nodes, and why the nodes and the profile are built in place: each
+block call allocates and frees several node-sized temporaries (61.5 KB at
+15 rows of 513 nodes, the fit's quadrature).  glibc returns a freed heap top
+above its trim threshold to the kernel, and the next call faults it back
+in.  A scipy import used to hide this by accident: it frees a large block,
+which raises glibc's dynamic thresholds.  The figures below were taken
+while the fit's objective still called this kernel, about 4500 block calls
+per fit.  Minor page faults of one `bellhv fit` process on a 2-vCPU host
+(glibc 2.36, Python 3.11.7, numpy 2.4.6), without scipy:
 
 - 16384-node blocks, out-of-place arithmetic: about 740k faults and 0.6 s
   of system time;
@@ -40,8 +43,20 @@ numpy 2.4.6), without scipy:
   all 18 layouts tried;
 - 16384 nodes with everything in place: 73-177k.
 
-Smaller blocks cost more Python per node: 4096 and 2048 nodes made the fit
+Smaller blocks cost more Python per node: 4096 and 2048 nodes made that fit
 1.2 and 1.7 times slower.  No allocator setting is involved.
+
+The fit's objective reads each candidate's curve from the table, which
+evaluates the profile in slices of `_BLOCK_NODES` and calls this kernel only
+for a candidate that falls back.  Blocks of several rows come only from
+the fit's start check and fallbacks, at 15 rows of 513 nodes.  The other
+callers, `intensity_ratio` (one row), `bellhv curve` and `bellhv simulate`
+(the default 4096 panels, so one row of 4097 nodes per block), get the same
+blocks from any `_BLOCK_NODES` below 8194.  Measured on the same host,
+four runs each, for one default `bellhv fit` with its two pool workers: 19.5k
+minor faults and 0.06-0.09 s of system time, against 18.6k and 0.05-0.09 s
+while the objective called this kernel; pinned to one CPU, where the caller
+runs both restarts, 11.7k against 11.3k.
 """
 
 from __future__ import annotations
@@ -113,28 +128,55 @@ def _nodes(offsets: np.ndarray, h: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return x
 
 
+def _first_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n + 1 nodes of each row's first level, np.linspace(lo, hi, n + 1), and the step."""
+    h = (hi - lo) / n
+    x = _nodes(np.arange(n + 1.0), h, lo)
+    x[:, -1] = hi
+    return x, h
+
+
+def _odd_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The new (odd) nodes of each row's level with n panels, and the step."""
+    h = (hi - lo) / n
+    return _nodes(np.arange(1.0, n, 2.0), h, lo), h
+
+
+def _first_value(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Simpson's rule on the first level's values y."""
+    return _simpson(
+        y, np.ascontiguousarray(y[:, 1:-1:2]), np.ascontiguousarray(y[:, 2:-2:2]), h
+    )
+
+
+def _doubling(
+    y: np.ndarray, odd: np.ndarray, h: np.ndarray, coarse: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Simpson's rule after one doubling, and its estimate against `coarse`.
+
+    y holds the previous level's values, odd the new nodes' values and h the
+    new step; the estimate is |S_2n - S_n| / 15.
+    """
+    refined = _simpson(y, odd, np.ascontiguousarray(y[:, 1:-1]), h)
+    return refined, np.abs(refined - coarse) / 15.0
+
+
 def _integrate_block(
     f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
     n = spec.panels
-    h = (hi - lo) / n
-    # np.linspace(lo, hi, n + 1) row by row
-    x = _nodes(np.arange(n + 1.0), h, lo)
-    x[:, -1] = hi
+    x, h = _first_nodes(lo, hi, n)
     y = _sample(f, x, rows)
     del x  # the refinements need only y
-    value = _simpson(
-        y, np.ascontiguousarray(y[:, 1:-1:2]), np.ascontiguousarray(y[:, 2:-2:2]), h
-    )
+    value = _first_value(y, h)
     estimate = np.full(rows.size, np.inf)
     live = np.arange(rows.size)
     for _ in range(spec.max_refinements):
         n *= 2
-        h = (hi[live] - lo[live]) / n
-        odd = _sample(f, _nodes(np.arange(1.0, n, 2.0), h, lo[live]), rows[live])
-        refined = _simpson(y, odd, np.ascontiguousarray(y[:, 1:-1]), h)
-        estimate[live] = np.abs(refined - value[live]) / 15.0
-        value[live] = refined
+        x, h = _odd_nodes(lo[live], hi[live], n)
+        odd = _sample(f, x, rows[live])
+        del x
+        value[live], estimate[live] = _doubling(y, odd, h, value[live])
         pending = ~(estimate[live] <= spec.refine_until)
         if not pending.any():
             return value, estimate
@@ -150,6 +192,12 @@ def _integrate_block(
         value=float(value[first]),
         error_estimate=float(estimate[first]),
     )
+
+
+def _blocks(rows: int, spec: QuadratureSpec):
+    """Slices of `rows` rows, at most `_BLOCK_NODES` first-level nodes each."""
+    per_block = max(1, _BLOCK_NODES // (spec.panels + 1))
+    return [slice(start, start + per_block) for start in range(0, rows, per_block)]
 
 
 def integrate_rows(
@@ -179,9 +227,8 @@ def integrate_rows(
     values = np.zeros(lo.size)
     estimates = np.zeros(lo.size)
     rows = np.flatnonzero(hi > lo)
-    per_block = max(1, _BLOCK_NODES // (spec.panels + 1))
-    for start in range(0, rows.size, per_block):
-        block = rows[start : start + per_block]
+    for span in _blocks(rows.size, spec):
+        block = rows[span]
         values[block], estimates[block] = _integrate_block(f, block, lo[block], hi[block], spec)
     return values, estimates
 

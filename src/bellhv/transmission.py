@@ -24,6 +24,15 @@ conventions described on its kernel `_coincidence_integral`.  The kernel
 sends every piece of every setting through one call to the batched Simpson
 kernel :func:`bellhv.quadrature.integrate_rows`, so `pair_transmission` and
 `normalized_pair_curve` each make one such call for all their angles.
+
+The fit scores one grid's curve for hundreds of models, so it reads the
+curve from `_PairCurveTable` instead.  The pieces, Simpson's nodes and each
+factor's folded deviation there do not depend on the model: the table
+splits the range and folds the deviations with the kernel's own code, once,
+and then evaluates the profile once per distinct deviation (28,872 on the
+default grid at the fit's quadrature, where the kernel evaluates 110,700
+points).  Its curve is the kernel's, bit for bit; a model whose curve needs
+more than Simpson's first doubling gets the kernel's curve.
 """
 
 from __future__ import annotations
@@ -41,7 +50,17 @@ from .angles import (
     require_deviation_angle,
 )
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
-from .quadrature import QuadratureSpec, integrate, integrate_rows
+from .quadrature import (
+    _BLOCK_NODES,
+    QuadratureSpec,
+    _blocks,
+    _doubling,
+    _first_nodes,
+    _first_value,
+    _odd_nodes,
+    integrate,
+    integrate_rows,
+)
 
 
 class TransmissionModel:
@@ -220,6 +239,61 @@ def _wrapped_profile(model: TransmissionModel, deviation: np.ndarray) -> np.ndar
     return _clipped_profile(model, np.abs(folded, out=folded))
 
 
+def _pieces(angle_a: np.ndarray, angle_b: np.ndarray, absorbing: bool):
+    """Each setting's range split into smooth pieces: (lo, hi, integrated).
+
+    lo and hi have one row per setting and one slot per piece, in split
+    order; `integrated` marks the slots that are integrated, the others add
+    an exact zero.  See `_coincidence_integral`.
+    """
+    # a candidate outside the open window repeats the lower edge and so
+    # bounds only an empty piece, as does a repeated split point
+    interior = np.column_stack((angle_a, angle_b))
+    interior = np.hstack((interior, interior - HALF_WINDOW, interior + HALF_WINDOW))
+    interior[~((interior > -HALF_WINDOW) & (interior < HALF_WINDOW))] = -HALF_WINDOW
+    edges = np.full((angle_b.size, 1), HALF_WINDOW)
+    splits = np.sort(np.hstack((-edges, interior, edges)), axis=1)
+    lo, hi = splits[:, :-1], splits[:, 1:]
+    integrated = hi > lo
+    if absorbing:
+        integrated &= ~(np.abs(angle_b[:, None] - 0.5 * (lo + hi)) > HALF_WINDOW)
+    return lo, hi, integrated
+
+
+def _absorbing_deviations(angle_b: np.ndarray, lam: np.ndarray):
+    """The absorbing integrand's two folded deviations at lam, one after the other.
+
+    |lambda| for the factor at A, then |angle_b - lambda| clipped to the
+    window for the factor at B, built in place.
+    """
+    yield np.abs(lam)
+    second = np.subtract(angle_b, lam)
+    np.clip(second, -HALF_WINDOW, HALF_WINDOW, out=second)
+    yield np.abs(second, out=second)
+
+
+def _product(factors) -> np.ndarray:
+    """The integrand from its two factors, made one after the other.
+
+    The first is fresh and takes the product in place, so that a call holds
+    few node-sized temporaries at once (see the quadrature module on why
+    that matters).
+    """
+    first, second = factors
+    return np.multiply(first, second, out=first)
+
+
+def _slot_sum(integrated: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each setting's total of the integrated pieces' `values`."""
+    pieces = np.zeros(integrated.shape)
+    pieces[integrated] = values
+    # add slot by slot, in split order; a skipped slot adds an exact zero
+    total = np.zeros(integrated.shape[0])
+    for column in pieces.T:
+        total += column
+    return total
+
+
 def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.ndarray:
     """Integral over the hidden axis lambda in [-pi/2, pi/2] of both arms' product.
 
@@ -240,41 +314,18 @@ def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.
     All pieces go through one `integrate_rows` call, and each setting's
     pieces are summed in split order.
     """
-    # a candidate outside the open window repeats the lower edge and so
-    # bounds only an empty piece, as does a repeated split point
-    interior = np.column_stack((angle_a, angle_b))
-    interior = np.hstack((interior, interior - HALF_WINDOW, interior + HALF_WINDOW))
-    interior[~((interior > -HALF_WINDOW) & (interior < HALF_WINDOW))] = -HALF_WINDOW
-    edges = np.full((angle_b.size, 1), HALF_WINDOW)
-    splits = np.sort(np.hstack((-edges, interior, edges)), axis=1)
-    lo, hi = splits[:, :-1], splits[:, 1:]
-    grid = hi > lo
-    if absorbing:
-        grid &= ~(np.abs(angle_b[:, None] - 0.5 * (lo + hi)) > HALF_WINDOW)
-    owner = np.nonzero(grid)[0]
+    lo, hi, integrated = _pieces(angle_a, angle_b, absorbing)
+    owner = np.nonzero(integrated)[0]
     row_a, row_b = angle_a[owner, None], angle_b[owner, None]
 
-    # each factor is made in place on fresh arrays, one after the other, so
-    # that a call holds few node-sized temporaries at once (see the
-    # quadrature module on why that matters)
     def integrand(lam, rows):
         if absorbing:
-            first = _clipped_profile(model, np.abs(lam))
-            second = np.subtract(row_b[rows], lam)
-            np.clip(second, -HALF_WINDOW, HALF_WINDOW, out=second)
-            second = _clipped_profile(model, np.abs(second, out=second))
-        else:
-            first = _wrapped_profile(model, lam - row_a[rows])
-            second = _wrapped_profile(model, lam - row_b[rows])
-        return np.multiply(first, second, out=first)
+            deviations = _absorbing_deviations(row_b[rows], lam)
+            return _product(_clipped_profile(model, d) for d in deviations)
+        return _product(_wrapped_profile(model, lam - row[rows]) for row in (row_a, row_b))
 
-    pieces = np.zeros(grid.shape)
-    pieces[grid] = integrate_rows(integrand, lo[grid], hi[grid], spec)[0]
-    # add slot by slot, in split order; a skipped slot adds an exact zero
-    total = np.zeros(angle_b.size)
-    for column in pieces.T:
-        total += column
-    return total
+    values = integrate_rows(integrand, lo[integrated], hi[integrated], spec)[0]
+    return _slot_sum(integrated, values)
 
 
 def pair_transmission(
@@ -305,14 +356,93 @@ def normalized_pair_curve(
     form the intensity law cos^2 is compared against.
     """
     alphas = np.atleast_1d(_real_array(alphas, "alphas"))
-    nonzero = alphas != 0.0
-    values = pair_transmission(model, np.concatenate(([0.0], alphas[nonzero])), spec)
+    return _normalized(alphas, pair_transmission(model, _curve_settings(alphas), spec))
+
+
+def _curve_settings(alphas: np.ndarray) -> np.ndarray:
+    """The angles a normalized curve integrates: 0, then each nonzero alpha."""
+    return np.concatenate(([0.0], alphas[alphas != 0.0]))
+
+
+def _normalized(alphas: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The curve on alphas from P at `_curve_settings(alphas)`."""
     reference = values[0]
     if reference <= 0.0:
         raise DegenerateModelError("pair transmission at alpha = 0 vanishes")
     out = np.ones_like(alphas)
-    out[nonzero] = values[1:] / reference
+    out[alphas != 0.0] = values[1:] / reference
     return out
+
+
+class _PairCurveTable:
+    """`normalized_pair_curve(model, alphas, spec)` for many models, bit for bit.
+
+    The pieces, the nodes of Simpson's first level and first doubling and
+    both factors' folded deviations there do not depend on the model, and
+    the nodes of a grid's pieces share most deviations, so they are
+    tabulated once: the distinct deviations in one sorted array, and for
+    each factor at each node its index there.  `curve` evaluates the
+    profile once per distinct deviation, takes the values back into blocks
+    of the kernel's shape and forms the same products, Simpson sums,
+    estimates, slot sums and normalization as the kernel does.  If a piece
+    misses `spec.refine_until` at the first doubling, or a profile value is
+    not finite, it returns the kernel's own curve instead, and so raises
+    the kernel's errors.  `alphas` must be valid deviation angles, and
+    `spec` must allow at least one refinement.
+    """
+
+    def __init__(self, alphas: np.ndarray, spec: QuadratureSpec):
+        self.alphas = alphas
+        self.spec = spec
+        settings = _curve_settings(alphas)
+        lo, hi, self.integrated = _pieces(np.zeros_like(settings), settings, absorbing=True)
+        lo, hi = lo[self.integrated], hi[self.integrated]
+        row_b = settings[np.nonzero(self.integrated)[0], None]
+        blocks = _blocks(lo.size, spec)
+
+        def folded():
+            # per block: the steps, then both factors' folded deviations on
+            # the first level and on the first doubling's new nodes
+            for rows in blocks:
+                x, h = _first_nodes(lo[rows], hi[rows], spec.panels)
+                odd, odd_h = _odd_nodes(lo[rows], hi[rows], 2 * spec.panels)
+                b = row_b[rows]
+                yield (h, odd_h), [*_absorbing_deviations(b, x), *_absorbing_deviations(b, odd)]
+
+        # block by block, twice, so that no temporary spans every node
+        self.deviations = _distinct(
+            np.concatenate([_distinct(np.hstack([d.ravel() for d in ds])) for _, ds in folded()])
+        )
+        dtype = np.min_scalar_type(self.deviations.size - 1)
+        self.blocks = [
+            (rows, h, odd_h, [np.searchsorted(self.deviations, d).astype(dtype) for d in ds])
+            for rows, ((h, odd_h), ds) in zip(blocks, folded())
+        ]
+        self.profile = np.empty_like(self.deviations)  # reused by every call
+
+    def curve(self, model: TransmissionModel) -> np.ndarray:
+        profile = self.profile
+        for start in range(0, profile.size, _BLOCK_NODES):
+            span = slice(start, start + _BLOCK_NODES)
+            profile[span] = _clipped_profile(model, self.deviations[span])
+        if not np.all(np.isfinite(profile)):
+            return normalized_pair_curve(model, self.alphas, self.spec)
+        values = np.empty(self.integrated.sum())
+        for rows, h, odd_h, index in self.blocks:
+            y = _product(profile.take(k) for k in index[:2])
+            odd = (profile.take(k) for k in index[2:])
+            values[rows], estimate = _doubling(y, _product(odd), odd_h, _first_value(y, h))
+            if not np.all(estimate <= self.spec.refine_until):
+                return normalized_pair_curve(model, self.alphas, self.spec)
+        return _normalized(self.alphas, _slot_sum(self.integrated, values))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    # np.unique(values) of a fresh 1-D array, sorted in place, without the
+    # numpy.ma import that np.unique(values) makes on first use in numpy 2.4
+    # (13 ms and half a megabyte in every process that builds a table)
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def default_angle_grid() -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
 import bellhv.malusfit as malusfit
+import bellhv.transmission as transmission
 from bellhv.errors import AngleDomainError, ParameterError, QuadratureConvergenceError
 from bellhv.malusfit import (
     _FATOL,
@@ -576,6 +577,50 @@ class TestFit:
         )
         start_value = residual(start, grid=sparse_grid, spec=FIT_QUADRATURE)
         assert result.residual <= start_value + 1e-12
+
+    def test_cusp_fit_falls_back_to_the_kernel(self, monkeypatch):
+        # e = 0.3 puts a cusp at lambda = 0: 119 of this fit's candidates miss
+        # refine_until at the first doubling, and each falls back whole to the
+        # adaptive kernel; the result equals a fit that never tabulates
+        start = StretchedExponentialModel(2.6, 0.3, 0.0)
+        config = SearchConfig(restarts=1, max_iterations=400)
+        fallbacks = []
+        kernel = transmission.normalized_pair_curve
+
+        def counted(*args):
+            fallbacks.append(args[0])
+            return kernel(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transmission, "normalized_pair_curve", counted)
+            tabulated = fit(start=start, config=config)
+        assert len(fallbacks) == 119
+
+        def untabulated(table, model):
+            return kernel(model, table.alphas, table.spec)
+
+        monkeypatch.setattr(transmission._PairCurveTable, "curve", untabulated)
+        assert _fit_bits(tabulated) == _fit_bits(fit(start=start, config=config))
+
+    def test_objective_maps_a_non_finite_profile_to_4(self, monkeypatch):
+        values = []
+
+        def nan_profile(model, folded):
+            return np.full_like(folded, np.nan)
+
+        def record(objective, x0, config):
+            with monkeypatch.context() as patch:
+                patch.setattr(StretchedExponentialModel, "_profile", nan_profile)
+                values.append(objective(x0))
+            values.append(objective(x0))
+            return 0, SimplexResult(x=x0, fun=values[-1], nit=1, nfev=2, success=True)
+
+        monkeypatch.setattr(malusfit, "minimize", record)
+        fit(grid=np.deg2rad([0.0, 30.0, 60.0, 90.0]))
+        assert values[0] == 4.0
+        assert values[1] == residual(
+            REFERENCE_MODEL, np.deg2rad([0.0, 30.0, 60.0, 90.0]), FIT_QUADRATURE
+        )
 
     def test_default_search_budget(self):
         assert FIT_SEARCH.restarts == 2

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import _simpson_loop
+import bellhv.transmission as transmission
 from _constant_model import ConstantModel
 from _frozen import BELINFANTE, GRID_DEG, REFERENCE, STEEP, STEEP_TRIPLE
 from bellhv.angles import degrees_grid, require_deviation_angle
 from bellhv.errors import (
     AngleDomainError,
+    BellhvError,
     DegenerateModelError,
     ParameterError,
     QuadratureConvergenceError,
@@ -23,6 +25,8 @@ from bellhv.transmission import (
     CosineSquaredModel,
     StretchedExponentialModel,
     TabulatedModel,
+    TransmissionModel,
+    _PairCurveTable,
     _coincidence_integral,
     default_angle_grid,
     intensity_ratio,
@@ -450,6 +454,102 @@ class TestCoincidenceIntegralConventions:
             assert expected_coincidence_probability(model, a, b) == pytest.approx(
                 value**2, rel=1e-13
             )
+
+
+# the fit's grids: the default, the CLI's --grid-step 10, 7.5 and 7.3, one
+# without 0 (--grid-start 3.3 --grid-step 2.9 --grid-stop 87.1), and one that
+# holds 0 twice
+TABLE_GRIDS = {
+    "default": default_angle_grid(),
+    "step10": degrees_grid(0.0, 90.0, 10.0),
+    "step7.5": degrees_grid(0.0, 90.0, 7.5),
+    "step7.3": degrees_grid(0.0, 90.0, 7.3),
+    "3.3:2.9:87.1": degrees_grid(3.3, 87.1, 2.9),
+    "zero_twice": np.deg2rad([0.0, 30.0, 0.0, 60.0, 90.0]),
+}
+_TABLES = {}
+
+
+def _table(name):
+    if name not in _TABLES:
+        _TABLES[name] = _PairCurveTable(TABLE_GRIDS[name], FIT_QUADRATURE)
+    return _TABLES[name]
+
+
+def _curve_or_error(curve, model):
+    try:
+        return curve(model)
+    except BellhvError as exc:
+        return type(exc), str(exc)
+
+
+@dataclasses.dataclass(frozen=True)
+class _NanBeyond(TransmissionModel):
+    """cos^2, but NaN at folded deviations above `edge`."""
+
+    edge: float
+
+    def _profile(self, folded):
+        values = np.cos(folded) ** 2
+        values[folded > self.edge] = np.nan
+        return values
+
+
+class TestPairCurveTable:
+    """The fit's tabulated pair curve is `normalized_pair_curve` at FIT_QUADRATURE, bit for bit."""
+
+    @pytest.mark.parametrize("grid_name", list(TABLE_GRIDS))
+    @settings(max_examples=25)
+    @given(
+        a=st.floats(min_value=0.3, max_value=20.0),
+        e=st.floats(min_value=0.2, max_value=8.0),
+        c=st.floats(min_value=0.0, max_value=1000.0),
+    )
+    def test_equals_the_kernel(self, grid_name, a, e, c):
+        model = StretchedExponentialModel(a, e, c)
+        kernel = _curve_or_error(
+            lambda m: normalized_pair_curve(m, TABLE_GRIDS[grid_name], FIT_QUADRATURE), model
+        )
+        table = _curve_or_error(_table(grid_name).curve, model)
+        if isinstance(kernel, tuple):
+            assert table == kernel
+        else:
+            assert np.array_equal(table, kernel)
+
+    @pytest.mark.parametrize("grid_name", list(TABLE_GRIDS))
+    def test_equals_the_kernel_at_the_reference(self, grid_name, monkeypatch):
+        # from the table itself: every piece meets refine_until at the first
+        # doubling, so the kernel is never called
+        kernel = normalized_pair_curve(REFERENCE_MODEL, TABLE_GRIDS[grid_name], FIT_QUADRATURE)
+
+        def no_fallback(*args):
+            raise AssertionError("the table fell back to the kernel")
+
+        monkeypatch.setattr(transmission, "normalized_pair_curve", no_fallback)
+        assert np.array_equal(_table(grid_name).curve(REFERENCE_MODEL), kernel)
+
+    def test_profile_evaluated_once_per_distinct_deviation(self):
+        # the default grid's 54 pieces hold 54 * 1025 nodes per factor, but
+        # only 28,872 distinct folded deviations
+        table = _table("default")
+        points = []
+
+        class Counted(StretchedExponentialModel):
+            def _profile(self, folded):
+                points.append(folded.size)
+                return super()._profile(folded)
+
+        table.curve(Counted(2.6, 2.2, 45.0))
+        assert sum(points) == table.deviations.size == 28872
+        assert np.all(np.diff(table.deviations) > 0)
+        assert max(points) <= 8192
+        assert all(index.dtype == np.uint16 for block in table.blocks for index in block[3])
+
+    def test_non_finite_profile_is_a_parameter_error(self):
+        table = _table("step10")
+        for curve in (table.curve, lambda m: normalized_pair_curve(m, table.alphas, FIT_QUADRATURE)):
+            with pytest.raises(ParameterError, match="non-finite"):
+                curve(_NanBeyond(1.2))
 
 
 def test_default_angle_grid_matches_frozen_grid():
