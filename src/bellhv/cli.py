@@ -19,6 +19,11 @@ manifest itself carries a timestamp.
 
 Exit codes: 0 all computations converged, 1 runtime failure (including
 non-convergence and replay mismatches), 2 usage errors.
+
+Each subcommand imports only the library modules it runs, when it runs:
+importing this module loads `bellhv.errors` and no other, the parser adds
+only the chosen subcommand's flags, and `bellhv curve` never compiles the
+Bell searches, the sampler or the fit.
 """
 
 from __future__ import annotations
@@ -35,34 +40,15 @@ import platform
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
 from . import __version__
-from .angles import degrees_grid
-from .bell import Regime, search_bound
 from .errors import AngleDomainError, BellhvError, DimensionError, ParameterError
-from .malusfit import FIT_SEARCH, OBJECTIVES, fit as run_fit
-from .montecarlo import (
-    CANONICAL_ANGLES,
-    CANONICAL_SETTINGS,
-    chsh_estimates,
-    coincidence_probability_estimate,
-    expected_coincidence_probability,
-    run_pairs,
-    setting_configs,
-)
-from .rng import RngStream, SearchConfig
-from .transmission import (
-    REFERENCE_MODEL,
-    CosineSquaredModel,
-    StretchedExponentialModel,
-    TabulatedModel,
-    TransmissionModel,
-    malus,
-    normalized_pair_curve,
-)
+
+if TYPE_CHECKING:
+    from .transmission import StretchedExponentialModel, TabulatedModel, TransmissionModel
 
 # CoincidenceCounts fields a simulate run records per setting
 _TALLY_CELLS = ("n11", "n10", "n01", "n00", "n_pairs")
@@ -138,10 +124,50 @@ def _is_plain_name(name) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# library entry points
+#
+# Each subcommand imports the library modules it runs, when it runs.  The
+# executors call these five through this module's names, which the
+# benchmark's tracer (perfbench/layers.py) rebinds to record their spans.
+
+
+def normalized_pair_curve(model, alphas):
+    from .transmission import normalized_pair_curve
+
+    return normalized_pair_curve(model, alphas)
+
+
+def search_bound(regime, dim, config):
+    from .bell import search_bound
+
+    return search_bound(regime, dim, config)
+
+
+def run_pairs(config):
+    from .montecarlo import run_pairs
+
+    return run_pairs(config)
+
+
+def expected_coincidence_probability(model, angle_a, angle_b):
+    from .montecarlo import expected_coincidence_probability
+
+    return expected_coincidence_probability(model, angle_a, angle_b)
+
+
+def run_fit(start, grid, config, objective):
+    from .malusfit import fit
+
+    return fit(start, grid, config, objective)
+
+
+# ---------------------------------------------------------------------------
 # model resolution
 
 
 def _load_table(path: str) -> TabulatedModel:
+    from .transmission import TabulatedModel
+
     source = Path(path)
     if not source.is_file():
         raise ParameterError(f"table file not found: {path}")
@@ -171,12 +197,16 @@ def _load_table(path: str) -> TabulatedModel:
 
 def _closed_form_overrides(params: dict) -> dict:
     """The closed-form parameters (a, e, c) that the parameter dict sets."""
+    from .transmission import StretchedExponentialModel
+
     names = (field.name for field in dataclasses.fields(StretchedExponentialModel))
     return {name: params[name] for name in names if params.get(name) is not None}
 
 
 def _reference_triple(params: dict) -> StretchedExponentialModel:
     """REFERENCE_MODEL with every closed-form parameter the dict sets."""
+    from .transmission import REFERENCE_MODEL
+
     return dataclasses.replace(REFERENCE_MODEL, **_closed_form_overrides(params))
 
 
@@ -187,6 +217,8 @@ def _resolve_model(params: dict) -> TransmissionModel:
     family, with a/e/c overridable), 'belinfante' (cos^2 profile), or
     'table:<path>' (interpolated samples, angle_deg/probability CSV).
     """
+    from .transmission import CosineSquaredModel
+
     kind = params["model"]
     if kind == "reference":
         return _reference_triple(params)
@@ -205,16 +237,35 @@ def _resolve_model(params: dict) -> TransmissionModel:
 # subcommand execution: parameters dict -> {basename suffix: bytes}, converged
 
 
+def _require_window(flag: str, degrees: float, radians) -> None:
+    """AngleDomainError naming `flag` and its value in degrees, unless the
+    radians lie in the window the library accepts (`require_deviation_angle`)."""
+    from .angles import require_deviation_angle
+
+    try:
+        require_deviation_angle(radians)
+    except AngleDomainError:
+        raise AngleDomainError(
+            f"{flag} must lie in [-90, 90] degrees; got {_fmt(degrees)}"
+        ) from None
+
+
 def _grid(params: dict) -> Tuple[np.ndarray, np.ndarray]:
     """The run's angle grid in degrees, as written (start + step * i), and in radians."""
+    from .angles import degrees_grid
+
     radians = degrees_grid(params["grid_start"], params["grid_stop"], params["grid_step"])
+    # the grid ascends, so if it leaves the window below, it does so at its start
+    _require_window("--grid-start", params["grid_start"], radians[0])
+    _require_window("--grid-stop", params["grid_stop"], radians)
     return params["grid_start"] + params["grid_step"] * np.arange(radians.size), radians
 
 
 def _execute_curve(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
+    from .transmission import malus
+
     model = _resolve_model(params)
     degrees, grid = _grid(params)
-    # the pair curve first: it names an angle outside the window "alpha"
     ratios = normalized_pair_curve(model, grid)
     rows = list(zip(degrees, model.probabilities(grid), ratios, malus(grid)))
     blob = _csv_bytes(("angle_deg", "p1", "pair_ratio", "malus"), rows)
@@ -222,6 +273,9 @@ def _execute_curve(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool
 
 
 def _execute_bounds(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
+    from .bell import Regime
+    from .rng import RngStream, SearchConfig
+
     regime = Regime(params["regime"])
     config = SearchConfig(
         restarts=params["restarts"], rng=RngStream(params["seed"])
@@ -260,9 +314,19 @@ def _z_score(estimate: float, stderr: float, expected: float, n: int) -> float:
 
 
 def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
+    from .montecarlo import (
+        CANONICAL_SETTINGS,
+        chsh_estimates,
+        coincidence_probability_estimate,
+        setting_configs,
+    )
+    from .rng import RngStream
+
     model = _resolve_model(params)
     if params.get("alpha") is not None:
-        settings = [(0.0, float(params["alpha"]))]
+        alpha = float(params["alpha"])
+        _require_window("--alpha", alpha, np.deg2rad(alpha))
+        settings = [(0.0, alpha)]
     else:
         settings = np.rad2deg(CANONICAL_SETTINGS).tolist()  # exact: 0, 45, +/-22.5 degrees
 
@@ -312,6 +376,9 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
 
 
 def _execute_fit(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
+    from .malusfit import FIT_SEARCH
+    from .rng import RngStream
+
     start = _reference_triple(params)
     degrees, grid = _grid(params)
     config = dataclasses.replace(
@@ -370,11 +437,23 @@ def _write_run(stem: Path, subcommand: str, params: dict) -> Tuple[Path, bool]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, reading a negative number in exponent form (-1e-5) as a value."""
+    """argparse, reading a negative number in exponent form (-1e-5) as a value.
 
-    def __init__(self, *args, **kwargs):
+    `add_flags(parser)`, if given, adds the parser's flags when it first
+    parses: a subcommand's flags read defaults and choices from the modules
+    that run it, so only the chosen subcommand's modules are imported.
+    """
+
+    def __init__(self, *args, add_flags=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
 
 
 class _ReplayParser(_Parser):
@@ -480,6 +559,85 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grid-step", type=float, default=5.0, help="step, degrees")
 
 
+def _add_run_flags(parser: argparse.ArgumentParser, seeded: bool = True):
+    if seeded:
+        parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    parser.add_argument("--out", required=True, help="output path stem")
+
+
+def _curve_flags(parser: argparse.ArgumentParser):
+    _add_model_flags(parser)
+    _add_grid_flags(parser)
+    _add_run_flags(parser, seeded=False)
+
+
+def _bounds_flags(parser: argparse.ArgumentParser):
+    from .bell import Regime
+    from .rng import SearchConfig
+
+    parser.add_argument(
+        "--regime",
+        required=True,
+        choices=[r.value for r in Regime],
+        help="commutation constraints on the four operators",
+    )
+    parser.add_argument(
+        "--dim",
+        type=int,
+        default=2,
+        help="space dimension (per subsystem for the commuting regime)",
+    )
+    parser.add_argument(
+        "--restarts", type=int, default=SearchConfig().restarts, help="search restarts"
+    )
+    _add_run_flags(parser)
+
+
+def _simulate_flags(parser: argparse.ArgumentParser):
+    from .montecarlo import CANONICAL_ANGLES
+
+    _add_model_flags(parser)
+    parser.add_argument(
+        "--alpha",
+        type=float,
+        default=None,
+        help="relative analyzer angle in degrees (omit to run the canonical "
+        f"CHSH settings {'/'.join(map(_fmt, np.rad2deg(CANONICAL_ANGLES)))})",
+    )
+    parser.add_argument("--n", type=int, default=10**6, help="pairs per setting")
+    _add_run_flags(parser)
+
+
+def _fit_flags(parser: argparse.ArgumentParser):
+    from .malusfit import FIT_SEARCH, OBJECTIVES
+
+    _add_closed_form_flags(parser)
+    _add_grid_flags(parser)
+    parser.add_argument(
+        "--objective",
+        default=OBJECTIVES[0],
+        choices=OBJECTIVES,
+        help="deviation measure over the grid",
+    )
+    parser.add_argument("--restarts", type=int, default=FIT_SEARCH.restarts, help="search restarts")
+    _add_run_flags(parser)
+
+
+def _replay_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("manifest", help="path to a <stem>.manifest.json file")
+    parser.add_argument("--out-dir", required=True, help="directory for replayed files")
+
+
+# (name, help, flags) of each subcommand, in the order `bellhv --help` lists them
+_SUBCOMMANDS = (
+    ("curve", "p1, pair ratio, and cos^2 on a degree grid", _curve_flags),
+    ("bounds", "randomized Bell-operator bound search", _bounds_flags),
+    ("simulate", "coincidence Monte Carlo run", _simulate_flags),
+    ("fit", "recover (a, e, c) against the cos^2 law", _fit_flags),
+    ("replay", "re-run a manifest and verify outputs", _replay_flags),
+)
+
+
 def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     parser = parser_class(
         prog="bellhv",
@@ -488,59 +646,8 @@ def _build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bellhv {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    curve = sub.add_parser("curve", help="p1, pair ratio, and cos^2 on a degree grid")
-    _add_model_flags(curve)
-    _add_grid_flags(curve)
-
-    bounds = sub.add_parser("bounds", help="randomized Bell-operator bound search")
-    bounds.add_argument(
-        "--regime",
-        required=True,
-        choices=[r.value for r in Regime],
-        help="commutation constraints on the four operators",
-    )
-    bounds.add_argument(
-        "--dim",
-        type=int,
-        default=2,
-        help="space dimension (per subsystem for the commuting regime)",
-    )
-    bounds.add_argument(
-        "--restarts", type=int, default=SearchConfig().restarts, help="search restarts"
-    )
-
-    simulate = sub.add_parser("simulate", help="coincidence Monte Carlo run")
-    _add_model_flags(simulate)
-    simulate.add_argument(
-        "--alpha",
-        type=float,
-        default=None,
-        help="relative analyzer angle in degrees (omit to run the canonical "
-        f"CHSH settings {'/'.join(map(_fmt, np.rad2deg(CANONICAL_ANGLES)))})",
-    )
-    simulate.add_argument("--n", type=int, default=10**6, help="pairs per setting")
-
-    fit = sub.add_parser("fit", help="recover (a, e, c) against the cos^2 law")
-    _add_closed_form_flags(fit)
-    _add_grid_flags(fit)
-    fit.add_argument(
-        "--objective",
-        default=OBJECTIVES[0],
-        choices=OBJECTIVES,
-        help="deviation measure over the grid",
-    )
-    fit.add_argument("--restarts", type=int, default=FIT_SEARCH.restarts, help="search restarts")
-
-    for run in (bounds, simulate, fit):
-        run.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    for run in (curve, bounds, simulate, fit):
-        run.add_argument("--out", required=True, help="output path stem")
-
-    replay = sub.add_parser("replay", help="re-run a manifest and verify outputs")
-    replay.add_argument("manifest", help="path to a <stem>.manifest.json file")
-    replay.add_argument("--out-dir", required=True, help="directory for replayed files")
-
+    for name, summary, add_flags in _SUBCOMMANDS:
+        sub.add_parser(name, help=summary, add_flags=add_flags)
     return parser
 
 

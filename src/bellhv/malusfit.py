@@ -48,9 +48,8 @@ import numpy as np
 
 from .angles import _real_array
 from .errors import ParameterError, QuadratureConvergenceError
-from .montecarlo import _usable_cpus
 from .quadrature import QuadratureSpec
-from .rng import SearchConfig
+from .rng import SearchConfig, _usable_cpus
 from .transmission import (
     REFERENCE_MODEL,
     StretchedExponentialModel,

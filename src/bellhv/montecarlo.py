@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -60,7 +59,7 @@ from .bell import CANONICAL_ANALYZERS, _chsh
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec
 from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
-from .rng import RngStream
+from .rng import RngStream, _usable_cpus
 from .transmission import (
     TransmissionModel,
     _clipped_profile,
@@ -149,18 +148,6 @@ class CoincidenceCounts:
     @property
     def singles_b(self) -> int:
         return self.n11 + self.n01
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count.
-
-    The one count that sizes both the sampler's thread pool and the fit's
-    restart processes (`malusfit.minimize`).
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _to_axes(raw: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from _frozen import BELINFANTE, MC_REFERENCE, REFERENCE, REGRESSIONS
 import bellhv
 from bellhv import __version__
+from bellhv import cli
 from bellhv.cli import _z_score, main
 from bellhv.montecarlo import chsh
 from bellhv.rng import RngStream
@@ -588,6 +589,87 @@ class TestUsage:
         assert __version__ in capsys.readouterr().out
 
 
+class TestAngleFlags:
+    """An angle flag outside the model's window is a usage error that names
+    the flag and gives its value in degrees, as passed."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--alpha", "100", "--n", "10"],
+             "--alpha must lie in [-90, 90] degrees; got 100"),
+            (["simulate", "--alpha", "nan", "--n", "10"],
+             "--alpha must lie in [-90, 90] degrees; got nan"),
+            (["curve", "--grid-stop", "100"], "--grid-stop must lie in [-90, 90] degrees; got 100"),
+            (["fit", "--grid-stop", "100"], "--grid-stop must lie in [-90, 90] degrees; got 100"),
+            (["curve", "--grid-start", "-100"],
+             "--grid-start must lie in [-90, 90] degrees; got -100"),
+        ],
+        ids=["simulate-alpha", "simulate-alpha-nan", "curve-stop", "fit-stop", "curve-start"],
+    )
+    def test_angle_outside_window_names_the_flag(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--grid-start", "-90", "--grid-step", "90"],
+            ["simulate", "--alpha", "-90", "--n", "10"],
+            ["simulate", "--alpha", "90", "--n", "10"],
+        ],
+        ids=["curve", "simulate-low", "simulate-high"],
+    )
+    def test_window_is_closed(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 0
+
+
+# the names perfbench/layers.py rebinds on bellhv.cli to trace each layer
+_REBOUND = (
+    "normalized_pair_curve",
+    "run_pairs",
+    "expected_coincidence_probability",
+    "search_bound",
+    "run_fit",
+)
+
+
+def _data_files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if "manifest" not in p.name}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["curve", "--grid-step", "15"], {"normalized_pair_curve": 1}),
+        (["simulate", "--alpha", "30", "--n", "1000"],
+         {"run_pairs": 1, "expected_coincidence_probability": 1}),
+        (["bounds", "--regime", "commuting", "--restarts", "2"], {"search_bound": 1}),
+        (["fit", "--restarts", "1", "--grid-step", "30"], {"run_fit": 1}),
+    ],
+    ids=["curve", "simulate", "bounds", "fit"],
+)
+def test_executors_call_the_library_through_the_rebindable_names(
+    tmp_path, monkeypatch, argv, expected
+):
+    assert main([*argv, "--out", str(tmp_path / "plain" / "run")]) == 0
+    calls = dict.fromkeys(_REBOUND, 0)
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in _REBOUND:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    assert main([*argv, "--out", str(tmp_path / "spied" / "run")]) == 0
+    assert calls == {**dict.fromkeys(_REBOUND, 0), **expected}
+    assert _data_files(tmp_path / "spied") == _data_files(tmp_path / "plain")
+
+
 def _scipy_and_futures_loaded_by(module: str) -> str:
     """Whether importing `module` in a fresh interpreter loads scipy and
     concurrent.futures, as "<bool> <bool>"."""
@@ -600,6 +682,58 @@ def _scipy_and_futures_loaded_by(module: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     return done.stdout.strip()
+
+
+def _bellhv_modules_after(argv=None) -> list:
+    """The bellhv modules a fresh interpreter has loaded after importing
+    bellhv.cli and, if argv is given, running `main(argv)`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
+    code = "import json, sys\nfrom bellhv.cli import main\n"
+    if argv is not None:
+        code += "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+    code += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'bellhv')))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *(argv or [])], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_CLI_MODULES = ["bellhv", "bellhv.cli", "bellhv.errors"]
+_CURVE_MODULES = _CLI_MODULES + ["bellhv.angles", "bellhv.quadrature", "bellhv.transmission"]
+_BOUNDS_MODULES = _CLI_MODULES + ["bellhv.bell", "bellhv.linalg", "bellhv.rng"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--version"], _CLI_MODULES),
+        (["--help"], _CLI_MODULES),
+        (["curve"], _CLI_MODULES),  # a usage error: no --out
+        (["curve", "--grid-step", "45", "--out", "{out}/curve"], _CURVE_MODULES),
+        (["bounds", "--regime", "commuting", "--restarts", "1", "--out", "{out}/bounds"],
+         _BOUNDS_MODULES),
+        (["simulate", "--alpha", "30", "--n", "1000", "--out", "{out}/sim"],
+         sorted(set(_CURVE_MODULES + _BOUNDS_MODULES + ["bellhv.montecarlo"]))),
+        (["fit", "--restarts", "1", "--grid-step", "30", "--out", "{out}/fit"],
+         _CURVE_MODULES + ["bellhv.malusfit", "bellhv.rng"]),
+    ],
+    ids=["version", "help", "usage-error", "curve", "bounds", "simulate", "fit"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    assert _bellhv_modules_after(argv) == sorted(modules)
+
+
+def test_replay_loads_the_modules_of_the_replayed_command(tmp_path):
+    argv = ["bounds", "--regime", "commuting", "--restarts", "1", "--out", str(tmp_path / "b")]
+    assert main(argv) == 0
+    replay = ["replay", str(tmp_path / "b.manifest.json"), "--out-dir", str(tmp_path / "check")]
+    assert _bellhv_modules_after(replay) == sorted(_BOUNDS_MODULES)
+
+
+def test_cli_import_loads_no_library_module():
+    assert _bellhv_modules_after() == sorted(_CLI_MODULES)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
