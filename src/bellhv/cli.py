@@ -269,6 +269,8 @@ def _execute_curve(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool
     ratios = normalized_pair_curve(model, grid)
     rows = list(zip(degrees, model.probabilities(grid), ratios, malus(grid)))
     blob = _csv_bytes(("angle_deg", "p1", "pair_ratio", "malus"), rows)
+    # converged: integrate_rows raises QuadratureConvergenceError when a row
+    # misses its target, and main then exits 1
     return {f"{stem_name}.csv": blob}, True
 
 
@@ -369,6 +371,8 @@ def _execute_simulate(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], b
             "correlations_post_selected": post.correlations,
         }
 
+    # converged: integrate_rows raises QuadratureConvergenceError when a row
+    # misses its target (here in p11_expected), and main then exits 1
     return {
         f"{stem_name}.csv": _csv_bytes(header, rows),
         f"{stem_name}.json": _json_bytes(document),

@@ -23,40 +23,20 @@ nodes and sum, and one doubling's nodes, sum and estimate are also the
 steps `transmission._PairCurveTable` replays on tabulated profile values.
 
 Why 8192 nodes, and why the nodes and the profile are built in place: each
-block call allocates and frees several node-sized temporaries (61.5 KB at
-15 rows of 513 nodes, the fit's quadrature).  glibc returns a freed heap top
-above its trim threshold to the kernel, and the next call faults it back
-in.  A scipy import used to hide this by accident: it frees a large block,
-which raises glibc's dynamic thresholds.  The figures below were taken
-while the fit's objective still called this kernel, about 4500 block calls
-per fit.  Minor page faults of one `bellhv fit` process on a 2-vCPU host
-(glibc 2.36, Python 3.11.7, numpy 2.4.6), without scipy:
+block call allocates and frees several node-sized temporaries.  glibc
+returns a freed heap top above its trim threshold to the kernel, and the
+next call faults it back in.  So larger blocks and out-of-place arithmetic
+cost page faults on every call, while smaller blocks cost more Python per
+node.  No allocator setting is involved.
 
-- 16384-node blocks, out-of-place arithmetic: about 740k faults and 0.6 s
-  of system time;
-- 8192-node blocks: 83-125k;
-- 8192 nodes with the profile, its clip and the integrand's product in
-  place: 5.3k in most process layouts, 32k in some (the count depends on
-  where earlier allocations left the heap top);
-- also the nodes in place and the integrand's factors made one after the
-  other, which cut a call's peak of temporaries from 482 to 362 KB: 5.3k in
-  all 18 layouts tried;
-- 16384 nodes with everything in place: 73-177k.
-
-Smaller blocks cost more Python per node: 4096 and 2048 nodes made that fit
-1.2 and 1.7 times slower.  No allocator setting is involved.
-
-The fit's objective reads each candidate's curve from the table, which
-evaluates the profile in slices of `_BLOCK_NODES` and calls this kernel only
-for a candidate that falls back.  Blocks of several rows come only from
-the fit's start check and fallbacks, at 15 rows of 513 nodes.  The other
-callers, `intensity_ratio` (one row), `bellhv curve` and `bellhv simulate`
-(the default 4096 panels, so one row of 4097 nodes per block), get the same
-blocks from any `_BLOCK_NODES` below 8194.  Measured on the same host,
-four runs each, for one default `bellhv fit` with its two pool workers: 19.5k
-minor faults and 0.06-0.09 s of system time, against 18.6k and 0.05-0.09 s
-while the objective called this kernel; pinned to one CPU, where the caller
-runs both restarts, 11.7k against 11.3k.
+At `DEFAULT_QUADRATURE` every block is one row of 4097 nodes, as it is for
+any `_BLOCK_NODES` below 8194.  Blocks of several rows, 15 of 513
+nodes at the fit's quadrature, come only from the fit's start check and
+`transmission._PairCurveTable`'s fallbacks.  A run of the commands of all
+four benchmark workloads under `taskset -c 0`, its lines counted with the
+stdlib `trace` module, reached neither the pending rows' carry-over in
+`_integrate_block` nor either table fallback; only fallback fits, such as
+the cusp fit (e = 0.3, c = 0), reach that code.
 """
 
 from __future__ import annotations

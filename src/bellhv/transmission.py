@@ -28,11 +28,12 @@ kernel :func:`bellhv.quadrature.integrate_rows`, so `pair_transmission` and
 The fit scores one grid's curve for hundreds of models, so it reads the
 curve from `_PairCurveTable` instead.  The pieces, Simpson's nodes and each
 factor's folded deviation there do not depend on the model: the table
-splits the range and folds the deviations with the kernel's own code, once,
-and then evaluates the profile once per distinct deviation (28,872 on the
-default grid at the fit's quadrature, where the kernel evaluates 110,700
-points).  Its curve is the kernel's, bit for bit; a model whose curve needs
-more than Simpson's first doubling gets the kernel's curve.
+takes the kernel's validated settings and pieces, folds the deviations with
+the kernel's own code, once, and evaluates the profile once per distinct
+deviation (28,872 on the default grid at the fit's quadrature, where the
+kernel evaluates 110,700 points).  Its curve is the kernel's, bit for bit;
+a model whose curve needs more than Simpson's first doubling gets the
+kernel's curve.
 """
 
 from __future__ import annotations
@@ -240,11 +241,11 @@ def _wrapped_profile(model: TransmissionModel, deviation: np.ndarray) -> np.ndar
 
 
 def _pieces(angle_a: np.ndarray, angle_b: np.ndarray, absorbing: bool):
-    """Each setting's range split into smooth pieces: (lo, hi, integrated).
+    """Each setting's range split into smooth pieces: (lo, hi, integrated, row_a, row_b).
 
-    lo and hi have one row per setting and one slot per piece, in split
-    order; `integrated` marks the slots that are integrated, the others add
-    an exact zero.  See `_coincidence_integral`.
+    `integrated` has a row per setting and a slot per piece, in split order,
+    and marks the pieces integrated, the others add an exact zero; lo, hi,
+    row_a and row_b are each integrated piece's bounds and two settings.
     """
     # a candidate outside the open window repeats the lower edge and so
     # bounds only an empty piece, as does a repeated split point
@@ -257,7 +258,8 @@ def _pieces(angle_a: np.ndarray, angle_b: np.ndarray, absorbing: bool):
     integrated = hi > lo
     if absorbing:
         integrated &= ~(np.abs(angle_b[:, None] - 0.5 * (lo + hi)) > HALF_WINDOW)
-    return lo, hi, integrated
+    owner = np.nonzero(integrated)[0]
+    return lo[integrated], hi[integrated], integrated, angle_a[owner, None], angle_b[owner, None]
 
 
 def _absorbing_deviations(angle_b: np.ndarray, lam: np.ndarray):
@@ -314,9 +316,7 @@ def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.
     All pieces go through one `integrate_rows` call, and each setting's
     pieces are summed in split order.
     """
-    lo, hi, integrated = _pieces(angle_a, angle_b, absorbing)
-    owner = np.nonzero(integrated)[0]
-    row_a, row_b = angle_a[owner, None], angle_b[owner, None]
+    lo, hi, integrated, row_a, row_b = _pieces(angle_a, angle_b, absorbing)
 
     def integrand(lam, rows):
         if absorbing:
@@ -324,7 +324,7 @@ def _coincidence_integral(model, angle_a, angle_b, spec, absorbing: bool) -> np.
             return _product(_clipped_profile(model, d) for d in deviations)
         return _product(_wrapped_profile(model, lam - row[rows]) for row in (row_a, row_b))
 
-    values = integrate_rows(integrand, lo[integrated], hi[integrated], spec)[0]
+    values = integrate_rows(integrand, lo, hi, spec)[0]
     return _slot_sum(integrated, values)
 
 
@@ -360,7 +360,8 @@ def normalized_pair_curve(
 
 
 def _curve_settings(alphas: np.ndarray) -> np.ndarray:
-    """The angles a normalized curve integrates: 0, then each nonzero alpha."""
+    """The angles a normalized curve integrates: 0, then each nonzero alpha, clamped."""
+    alphas = require_deviation_angle(alphas, "alpha")  # pair_transmission's check
     return np.concatenate(([0.0], alphas[alphas != 0.0]))
 
 
@@ -387,17 +388,18 @@ class _PairCurveTable:
     estimates, slot sums and normalization as the kernel does.  If a piece
     misses `spec.refine_until` at the first doubling, or a profile value is
     not finite, it returns the kernel's own curve instead, and so raises
-    the kernel's errors.  `alphas` must be valid deviation angles, and
-    `spec` must allow at least one refinement.
+    the kernel's errors.  The settings, pieces and each piece's angles are
+    the kernel's, from `_curve_settings` and `_pieces`, so `alphas` are
+    checked and clamped as the kernel checks them.  `spec` must allow at
+    least one refinement.
     """
 
     def __init__(self, alphas: np.ndarray, spec: QuadratureSpec):
         self.alphas = alphas
         self.spec = spec
         settings = _curve_settings(alphas)
-        lo, hi, self.integrated = _pieces(np.zeros_like(settings), settings, absorbing=True)
-        lo, hi = lo[self.integrated], hi[self.integrated]
-        row_b = settings[np.nonzero(self.integrated)[0], None]
+        zeros = np.zeros_like(settings)
+        lo, hi, self.integrated, _, row_b = _pieces(zeros, settings, absorbing=True)
         blocks = _blocks(lo.size, spec)
 
         def folded():

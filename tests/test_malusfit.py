@@ -514,6 +514,15 @@ class TestFit:
         assert result.params.c >= 0.0
         assert result.residual <= residual(start, spec=FIT_QUADRATURE) + 1e-12
 
+    def test_residual_on_a_grid_in_the_window_slack_is_the_kernels(self):
+        # the window check accepts -90 degrees less 5e-10 rad and clamps it;
+        # the objective's table must clamp it too, or the reported residual
+        # is not the residual of the reported parameters
+        grid = np.array([-np.pi / 2 - 5e-10, 0.0, 0.7])
+        config = SearchConfig(restarts=1, max_iterations=30, rng=RngStream(0))
+        result = fit(grid=grid, config=config)
+        assert result.residual == residual(result.params, grid, FIT_QUADRATURE)
+
     def test_least_squares_objective(self):
         result = fit(config=LIGHT_SEARCH, objective="least-squares")
         assert result.objective == "least-squares"

@@ -457,8 +457,9 @@ class TestCoincidenceIntegralConventions:
 
 
 # the fit's grids: the default, the CLI's --grid-step 10, 7.5 and 7.3, one
-# without 0 (--grid-start 3.3 --grid-step 2.9 --grid-stop 87.1), and one that
-# holds 0 twice
+# without 0 (--grid-start 3.3 --grid-step 2.9 --grid-stop 87.1), one that
+# holds 0 twice, and two with an angle in the slack that the window check
+# accepts past +90 and -90 degrees and clamps
 TABLE_GRIDS = {
     "default": default_angle_grid(),
     "step10": degrees_grid(0.0, 90.0, 10.0),
@@ -466,6 +467,8 @@ TABLE_GRIDS = {
     "step7.3": degrees_grid(0.0, 90.0, 7.3),
     "3.3:2.9:87.1": degrees_grid(3.3, 87.1, 2.9),
     "zero_twice": np.deg2rad([0.0, 30.0, 0.0, 60.0, 90.0]),
+    "slack_above_90": np.array([0.0, np.pi / 2 + 5e-10]),
+    "slack_below_-90": np.array([-np.pi / 2 - 5e-10, 0.0, 0.7]),
 }
 _TABLES = {}
 
