@@ -18,9 +18,7 @@ rest.  Rows leave the batch as soon as they meet `refine_until`.  Every sum
 runs over a contiguous copy in the same order as a fresh composite rule on
 that level's full node set, so results do not depend on batching or reuse.
 Rows are taken in blocks of at most `_BLOCK_NODES` first-level nodes, which
-keeps each block's working set small.  The block split, the first level's
-nodes and sum, and one doubling's nodes, sum and estimate are also the
-steps `transmission._PairCurveTable` replays on tabulated profile values.
+keeps each block's working set small.
 
 Why 8192 nodes, and why the nodes and the profile are built in place: each
 block call allocates and frees several node-sized temporaries.  glibc
@@ -35,7 +33,7 @@ nodes at the fit's quadrature, come only from the fit's start check and
 `transmission._PairCurveTable`'s fallbacks.  A run of the commands of all
 four benchmark workloads under `taskset -c 0`, its lines counted with the
 stdlib `trace` module, reached neither the pending rows' carry-over in
-`_integrate_block` nor either table fallback; only fallback fits, such as
+`_integrate_block` nor the table's fallback; only fallback fits, such as
 the cusp fit (e = 0.3, c = 0), reach that code.
 """
 
@@ -174,12 +172,6 @@ def _integrate_block(
     )
 
 
-def _blocks(rows: int, spec: QuadratureSpec):
-    """Slices of `rows` rows, at most `_BLOCK_NODES` first-level nodes each."""
-    per_block = max(1, _BLOCK_NODES // (spec.panels + 1))
-    return [slice(start, start + per_block) for start in range(0, rows, per_block)]
-
-
 def integrate_rows(
     f: Callable,
     lo,
@@ -207,8 +199,9 @@ def integrate_rows(
     values = np.zeros(lo.size)
     estimates = np.zeros(lo.size)
     rows = np.flatnonzero(hi > lo)
-    for span in _blocks(rows.size, spec):
-        block = rows[span]
+    per_block = max(1, _BLOCK_NODES // (spec.panels + 1))
+    for start in range(0, rows.size, per_block):
+        block = rows[start : start + per_block]
         values[block], estimates[block] = _integrate_block(f, block, lo[block], hi[block], spec)
     return values, estimates
 

@@ -28,12 +28,13 @@ kernel :func:`bellhv.quadrature.integrate_rows`, so `pair_transmission` and
 The fit scores one grid's curve for hundreds of models, so it reads the
 curve from `_PairCurveTable` instead.  The pieces, Simpson's nodes and each
 factor's folded deviation there do not depend on the model: the table
-takes the kernel's validated settings and pieces, folds the deviations with
-the kernel's own code, once, and evaluates the profile once per distinct
-deviation (28,872 on the default grid at the fit's quadrature, where the
-kernel evaluates 110,700 points).  Its curve is the kernel's, bit for bit;
-a model whose curve needs more than Simpson's first doubling gets the
-kernel's curve.
+takes the kernel's validated settings and pieces, folds the deviations of
+all pieces with the kernel's own code, once and in one pass, and evaluates
+the profile in one call, once per distinct deviation (28,872 on the
+default grid at the fit's quadrature, where the kernel evaluates 110,700
+points).  Its curve is the kernel's, bit for bit; a model whose curve
+needs more than Simpson's first doubling, or whose profile is NaN at a
+node, takes the kernel's path, and so gets the kernel's curve or error.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ from .angles import (
 )
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import (
-    _BLOCK_NODES,
     QuadratureSpec,
-    _blocks,
     _doubling,
     _first_nodes,
     _first_value,
@@ -381,17 +380,19 @@ class _PairCurveTable:
     The pieces, the nodes of Simpson's first level and first doubling and
     both factors' folded deviations there do not depend on the model, and
     the nodes of a grid's pieces share most deviations, so they are
-    tabulated once: the distinct deviations in one sorted array, and for
-    each factor at each node its index there.  `curve` evaluates the
-    profile once per distinct deviation, takes the values back into blocks
-    of the kernel's shape and forms the same products, Simpson sums,
-    estimates, slot sums and normalization as the kernel does.  If a piece
-    misses `spec.refine_until` at the first doubling, or a profile value is
-    not finite, it returns the kernel's own curve instead, and so raises
-    the kernel's errors.  The settings, pieces and each piece's angles are
-    the kernel's, from `_curve_settings` and `_pieces`, so `alphas` are
-    checked and clamped as the kernel checks them.  `spec` must allow at
-    least one refinement.
+    tabulated once, for all pieces in one pass: the distinct deviations in
+    one sorted array, and for each factor at each node its index there.
+    `curve` evaluates the profile once per distinct deviation, takes the
+    values back into the kernel's node arrays and forms the same products,
+    Simpson sums, estimates, slot sums and normalization as the kernel
+    does; its sums run row by row, so they do not depend on how the kernel
+    batches rows.  If a piece misses `spec.refine_until` at the first
+    doubling, or its estimate is NaN because a profile value is, it returns
+    the kernel's own curve instead, and so raises the kernel's errors
+    (`_clipped_profile` clips +-inf, so NaN is the only non-finite value).
+    The settings, pieces and each piece's angles are the kernel's, from
+    `_curve_settings` and `_pieces`, so `alphas` are checked and clamped as
+    the kernel checks them.  `spec` must allow at least one refinement.
     """
 
     def __init__(self, alphas: np.ndarray, spec: QuadratureSpec):
@@ -400,42 +401,21 @@ class _PairCurveTable:
         settings = _curve_settings(alphas)
         zeros = np.zeros_like(settings)
         lo, hi, self.integrated, _, row_b = _pieces(zeros, settings, absorbing=True)
-        blocks = _blocks(lo.size, spec)
-
-        def folded():
-            # per block: the steps, then both factors' folded deviations on
-            # the first level and on the first doubling's new nodes
-            for rows in blocks:
-                x, h = _first_nodes(lo[rows], hi[rows], spec.panels)
-                odd, odd_h = _odd_nodes(lo[rows], hi[rows], 2 * spec.panels)
-                b = row_b[rows]
-                yield (h, odd_h), [*_absorbing_deviations(b, x), *_absorbing_deviations(b, odd)]
-
-        # block by block, twice, so that no temporary spans every node
-        self.deviations = _distinct(
-            np.concatenate([_distinct(np.hstack([d.ravel() for d in ds])) for _, ds in folded()])
-        )
+        x, self.h = _first_nodes(lo, hi, spec.panels)
+        odd, self.odd_h = _odd_nodes(lo, hi, 2 * spec.panels)
+        # both factors on the first level, then both on the first doubling
+        folded = [*_absorbing_deviations(row_b, x), *_absorbing_deviations(row_b, odd)]
+        self.deviations = _distinct(np.concatenate([d.ravel() for d in folded]))
         dtype = np.min_scalar_type(self.deviations.size - 1)
-        self.blocks = [
-            (rows, h, odd_h, [np.searchsorted(self.deviations, d).astype(dtype) for d in ds])
-            for rows, ((h, odd_h), ds) in zip(blocks, folded())
-        ]
-        self.profile = np.empty_like(self.deviations)  # reused by every call
+        self.index = [np.searchsorted(self.deviations, d).astype(dtype) for d in folded]
 
     def curve(self, model: TransmissionModel) -> np.ndarray:
-        profile = self.profile
-        for start in range(0, profile.size, _BLOCK_NODES):
-            span = slice(start, start + _BLOCK_NODES)
-            profile[span] = _clipped_profile(model, self.deviations[span])
-        if not np.all(np.isfinite(profile)):
+        profile = _clipped_profile(model, self.deviations)
+        y = _product(profile.take(k) for k in self.index[:2])
+        odd = _product(profile.take(k) for k in self.index[2:])
+        values, estimate = _doubling(y, odd, self.odd_h, _first_value(y, self.h))
+        if not np.all(estimate <= self.spec.refine_until):
             return normalized_pair_curve(model, self.alphas, self.spec)
-        values = np.empty(self.integrated.sum())
-        for rows, h, odd_h, index in self.blocks:
-            y = _product(profile.take(k) for k in index[:2])
-            odd = (profile.take(k) for k in index[2:])
-            values[rows], estimate = _doubling(y, _product(odd), odd_h, _first_value(y, h))
-            if not np.all(estimate <= self.spec.refine_until):
-                return normalized_pair_curve(model, self.alphas, self.spec)
         return _normalized(self.alphas, _slot_sum(self.integrated, values))
 
 

@@ -498,6 +498,18 @@ class _NanBeyond(TransmissionModel):
         return values
 
 
+@dataclasses.dataclass(frozen=True)
+class _NanAt(TransmissionModel):
+    """cos^2, but NaN at the folded deviation `deviation`."""
+
+    deviation: float
+
+    def _profile(self, folded):
+        values = np.cos(folded) ** 2
+        values[folded == self.deviation] = np.nan
+        return values
+
+
 class TestPairCurveTable:
     """The fit's tabulated pair curve is `normalized_pair_curve` at FIT_QUADRATURE, bit for bit."""
 
@@ -543,16 +555,28 @@ class TestPairCurveTable:
                 return super()._profile(folded)
 
         table.curve(Counted(2.6, 2.2, 45.0))
-        assert sum(points) == table.deviations.size == 28872
+        assert points == [table.deviations.size] == [28872]
         assert np.all(np.diff(table.deviations) > 0)
-        assert max(points) <= 8192
-        assert all(index.dtype == np.uint16 for block in table.blocks for index in block[3])
+        assert all(index.dtype == np.uint16 for index in table.index)
 
-    def test_non_finite_profile_is_a_parameter_error(self):
+    @pytest.mark.parametrize(
+        "nan_model",
+        [
+            lambda table: _NanBeyond(1.2),
+            # NaN at one deviation that the first doubling's nodes reach and
+            # the first level's do not
+            lambda table: _NanAt(
+                table.deviations[np.setdiff1d(table.index[2:], table.index[:2])[0]]
+            ),
+        ],
+        ids=["beyond_1.2", "first_doubling_only"],
+    )
+    def test_non_finite_profile_is_a_parameter_error(self, nan_model):
         table = _table("step10")
+        model = nan_model(table)
         for curve in (table.curve, lambda m: normalized_pair_curve(m, table.alphas, FIT_QUADRATURE)):
             with pytest.raises(ParameterError, match="non-finite"):
-                curve(_NanBeyond(1.2))
+                curve(model)
 
 
 def test_default_angle_grid_matches_frozen_grid():
