@@ -399,6 +399,8 @@ def _execute_fit(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], bool]:
         "grid_deg": degrees,
         "intensity_ratio_at_fit": result.intensity_ratio_at_fit,
         "converged": result.converged,
+        "stationarity_gap": result.stationarity_gap,
+        "active_angles_deg": [degrees[k] for k in result.active],
         "best_restart": result.best_restart,
         "iterations": result.iterations,
     }

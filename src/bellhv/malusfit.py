@@ -6,35 +6,25 @@
 The figure of merit is the worst-case (Chebyshev) deviation of the
 normalized pair curve P(alpha)/P(0) from cos^2(alpha) on a degree grid; a
 least-squares variant is available for smoother landscapes.  `fit` runs a
-seeded multi-restart Nelder-Mead search (`minimize`) in log-parameter space,
-which keeps all three parameters positive without constraints and equalizes
-their scales.
+seeded multi-restart search (`minimize`) in log-parameter space, which
+keeps all three parameters positive and equalizes their scales, inside the
+box [_LOG_C_FLOOR, _LOG_CEILING]^3.  Each restart is an SQP method
+(`_sqp`): for the Chebyshev objective each step solves a small quadratic
+program on the epigraph form, minimize t subject to +-r_k(theta) <= t at
+every grid angle k (`_epigraph_step`).  The residuals and their analytic
+jacobian come from `transmission._lattice_pair_curve`; the reported
+residual is the adaptive quadrature's, at the returned parameters.
 
-`fit` checks its start with `residual`, and its objective scores each
-candidate the same way, to the bit, from a `transmission._PairCurveTable` of
-the fit's grid at `FIT_QUADRATURE`: the model-independent nodes of the
-pair-curve quadrature, tabulated once, so that a candidate costs one
-profile evaluation per distinct folded deviation.  The table is built on
-the objective's first call, so each restart process builds its own.
-
-The simplex search is `nelder_mead`, the unbounded, non-adaptive method of
-Nelder & Mead (Comput. J. 7, 308 (1965)) taken step for step from scipy
-1.17.1's `minimize(method="Nelder-Mead")`: the same initial simplex, moves,
-orderings and stopping test, so it returns the same x, fun, nit and nfev to
-the last bit.  The tests keep scipy as its oracle; the package needs only
-numpy.
+At the Chebyshev optimum several angles are active at once (30 and 80
+degrees for the default fit), so the gradient need not vanish there.
+`converged` states a certificate instead: the min-norm point of the convex
+hull of the active angles' signed gradients (`_stationarity_gap`), 0
+exactly at a stationary point.  The package needs only numpy; the tests
+check the search against scipy's SLSQP on the same formulation.
 
 The restarts are independent, so `minimize` runs them at the same time on
-a pool of forked processes.  The usable CPUs, the count that sizes the
-sampler's thread pool in `bellhv.montecarlo`, set the block of restarts
-one worker takes, ceil(restarts / CPUs), and the pool has one worker per
-block.  The pool forks its workers with the `fork` start method, so they
-inherit the objective (closures and lambdas included) and only restart
-indices and results are pickled.  Each restart computes the same bits in
-any process, and the best is chosen by restart index (lowest value,
-earliest on ties), so the result does not depend on the number of
-processes.  Without `os.fork`, with one usable CPU, or inside a daemonic
-process (which may not have children) the caller runs every restart itself.
+a pool of forked processes (one per block of restarts, sized by the usable
+CPUs), and the result does not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from .transmission import (
     REFERENCE_MODEL,
     StretchedExponentialModel,
     TransmissionModel,
-    _PairCurveTable,
+    _lattice_pair_curve,
     default_angle_grid,
     intensity_ratio,
     malus,
@@ -72,9 +62,24 @@ FIT_QUADRATURE = QuadratureSpec(panels=512, refine_until=1e-7, max_refinements=6
 # restart
 FIT_SEARCH = SearchConfig(restarts=2, max_iterations=400)
 
-# Nelder-Mead value tolerance, matched to the residual scale (~1e-2) so the
-# simplex can actually terminate on the shallow valley floor
-_FATOL = 1e-6
+# a restart's first step bound, and the most it may grow to, in log-parameters
+_FIRST_STEP = 0.5
+_MAX_STEP = 4.0
+
+# a restart stops when its model predicts a smaller decrease than this
+_PREDICTED_FLOOR = 1e-15
+
+# a chebyshev residual within this of the largest is active in the certificate
+_ACTIVE_BAND = 1e-7
+
+# the largest stationarity gap that `fit` reports as converged
+_STATIONARY_GAP = 1e-6
+
+# working-set changes allowed in one quadratic subproblem
+_QP_ITERATIONS = 100
+
+# relative size below which a QP step, or a row's rate along it, is round-off
+_ROUND_OFF = 1e-12
 
 # Gaussian sigma of the log-parameter offsets of restarts >= 1
 _RESTART_SPREAD = 0.3
@@ -113,25 +118,28 @@ def residual(
         raise ParameterError(f"objective must be one of {OBJECTIVES}")
     require_model(model)
     grid = _angle_grid(grid)
-    return _score(normalized_pair_curve(model, grid, spec), grid, objective)
-
-
-def _score(curve: np.ndarray, grid: np.ndarray, objective: str) -> float:
-    """The objective's deviation of a normalized pair curve on grid from cos^2."""
-    deviations = curve - malus(grid)
-    if objective == "chebyshev":
-        return float(np.abs(deviations).max())
-    return float(np.sqrt(np.mean(deviations**2)))
+    return _merit(normalized_pair_curve(model, grid, spec) - malus(grid), objective)
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
+    """Outcome of `fit`.
+
+    converged: the stationarity gap is at most _STATIONARY_GAP;
+    stationarity_gap: the certificate's gap at params (`_stationarity_gap`);
+    active: the indices into grid of the angles whose deviation attains the
+    chebyshev residual (empty for least-squares); iterations: the best
+    restart's.
+    """
+
     params: StretchedExponentialModel
     residual: float
     objective: str
     grid: np.ndarray
     intensity_ratio_at_fit: float
     converged: bool
+    stationarity_gap: float
+    active: Tuple[int, ...]
     best_restart: int
     iterations: int
 
@@ -142,129 +150,235 @@ def _params_from_log(x: np.ndarray) -> StretchedExponentialModel:
     )
 
 
-class SimplexResult(NamedTuple):
-    """Outcome of one Nelder-Mead search.
+class SearchResult(NamedTuple):
+    """Outcome of one restart of `minimize`.
 
-    x: best vertex; fun: its objective value; nit: iterations, counted from
-    1 as scipy counts them; nfev: objective evaluations; success: the
-    simplex met both tolerances before `nit` reached the iteration cap.
+    x: the last accepted point; fun: its objective value; nit: iterations;
+    gap: the stationarity gap at x (`_stationarity_gap`); active: the
+    indices of the residuals whose magnitude attains fun, for the
+    chebyshev objective (empty for least-squares).
     """
 
     x: np.ndarray
     fun: float
     nit: int
-    nfev: int
-    success: bool
+    gap: float
+    active: Tuple[int, ...]
 
 
-def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    max_iterations: int,
-    xatol: float,
-    fatol: float,
-) -> SimplexResult:
-    """Minimize objective from x0 with the Nelder-Mead simplex method.
+def _epigraph_step(
+    hessian: np.ndarray, slopes: np.ndarray, offsets: np.ndarray, lower, upper
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Minimize t + d'Hd / 2 subject to slopes d + offsets <= t and lower <= d <= upper.
 
-    Reflection, expansion, contraction and shrink coefficients are 1, 2, 1/2
-    and 1/2.  The search stops once every vertex lies within xatol of the
-    best in every coordinate and every value within fatol of the best, or
-    once the iteration count, which starts at 1, reaches max_iterations.
-    The objective gets a copy of each point and must return a real scalar.
+    Returns d, t and each slopes row's multiplier (they sum to 1; rows with
+    a repeated slope share theirs through the one of largest offset).  The
+    bounds must admit d = 0; infinite ones add no row.  The primal
+    active-set method (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    algorithm 16.3) starts at d = 0, t = max(offsets), with that row held
+    at equality: some epigraph row stays held, so H > 0 makes every
+    equality-constrained step well posed.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten()
-    n = x0.size
-    # x0 plus one vertex per coordinate, that coordinate stretched by 5 %
-    # (or set to 0.00025 where it is zero)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        vertex = x0.copy()
-        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
-        sim[k + 1] = vertex
-    nfev = 0
-
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return float(objective(np.copy(x)))
-
-    fsim = np.array([evaluate(vertex) for vertex in sim])
-    # sorted twice, as scipy does: argsort need not be stable on ties
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-
-    iterations = 1
-    while iterations < max_iterations:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
+    n = hessian.shape[0]
+    # rows with one slope (as from a grid that holds both alpha and -alpha)
+    # would make the held rows dependent, and only the largest offset of
+    # them can bind: keep that one, the first of equals
+    order = np.lexsort(np.column_stack((-offsets, slopes)).T)  # stable
+    repeated = np.all(slopes[order[1:]] == slopes[order[:-1]], axis=1)
+    distinct = np.sort(order[np.concatenate(([True], ~repeated))])
+    above, below = np.isfinite(upper), np.isfinite(lower)
+    # the rows of z = (d, t): rows z <= limits
+    rows = np.zeros((distinct.size + above.sum() + below.sum(), n + 1))
+    rows[: distinct.size, :n] = slopes[distinct]
+    rows[: distinct.size, n] = -1.0
+    rows[distinct.size :, :n] = np.vstack((np.eye(n)[above], -np.eye(n)[below]))
+    limits = np.concatenate((-offsets[distinct], upper[above], -lower[below]))
+    extended = np.zeros((n + 1, n + 1))
+    extended[:n, :n] = hessian
+    gradient = np.eye(n + 1)[n]
+    top = int(np.argmax(offsets[distinct]))
+    z = np.append(np.zeros(n), offsets[distinct[top]])
+    held = [top]
+    for _ in range(_QP_ITERATIONS):
+        kkt = np.zeros((n + 1 + len(held), n + 1 + len(held)))
+        kkt[: n + 1, : n + 1] = extended
+        kkt[: n + 1, n + 1 :] = rows[held].T
+        kkt[n + 1 :, : n + 1] = rows[held]
+        rhs = np.concatenate((-(extended @ z + gradient), np.zeros(len(held))))
+        solution = np.linalg.solve(kkt, rhs)
+        p, multipliers = solution[: n + 1], solution[n + 1 :]
+        # a step that is round-off of 0 (as when the held rows pin z) stays
+        # put; a row whose rate along the step is round-off of its terms is
+        # parallel to it (as rows dependent on the held ones are)
+        if np.max(np.abs(p)) > _ROUND_OFF * (1.0 + np.max(np.abs(z))):
+            along = rows @ p
+            along[held] = 0.0
+            blocking = np.flatnonzero(along > _ROUND_OFF * (np.abs(rows) @ np.abs(p)))
+            # the longest step toward the held rows' minimum that every
+            # other row allows
+            ratios = np.maximum(limits[blocking] - rows[blocking] @ z, 0.0) / along[blocking]
+            if ratios.size and ratios.min() < 1.0:
+                first = int(np.argmin(ratios))
+                z = z + ratios[first] * p
+                held.append(int(blocking[first]))
+                continue
+            z = z + p
+        if multipliers.min() >= 0.0:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = evaluate(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = evaluate(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        dropped = int(np.argmin(multipliers))
+        held.pop(dropped)
+        multipliers = np.delete(multipliers, dropped)
+    weights = np.zeros(len(rows))
+    weights[held] = multipliers
+    spread = np.zeros(len(slopes))
+    spread[distinct] = weights[: distinct.size]
+    return z[:n], z[n], spread
+
+
+def _model_step(B, r, J, lower, upper, objective: str):
+    """The quadratic model's step within the bounds: (d, model value, weights).
+
+    chebyshev: the epigraph form, t >= +-(r + J d); least-squares: the root
+    mean square's linearization, a single epigraph row.  The model value is
+    t + d'Bd / 2, and the weights w make J'w the gradient of the
+    Lagrangian: the signed multipliers of the epigraph rows, or
+    `_rms_weights(r)`.
+    """
+    if objective == "chebyshev":
+        d, t, multipliers = _epigraph_step(B, np.vstack((J, -J)), np.concatenate((r, -r)), lower, upper)
+        weights = multipliers[: r.size] - multipliers[r.size :]
+    else:
+        weights = _rms_weights(r)
+        d, t, _ = _epigraph_step(B, (J.T @ weights)[None], np.array([_merit(r, objective)]), lower, upper)
+    return d, t + 0.5 * d @ B @ d, weights
+
+
+def _rms_weights(r: np.ndarray) -> np.ndarray:
+    """w with J'w the gradient of the root mean square of r (0 where r = 0)."""
+    return r / (r.size * max(np.sqrt(np.mean(r**2)), np.finfo(float).tiny))
+
+
+def _merit(r: np.ndarray, objective: str) -> float:
+    """The value the search lowers: max |r|, or the root mean square."""
+    if objective == "chebyshev":
+        return float(np.abs(r).max())
+    return float(np.sqrt(np.mean(r**2)))
+
+
+def _stationarity_gap(r, J, x, objective: str) -> Tuple[float, Tuple[int, ...]]:
+    """The certificate at x: (gap, active residuals).
+
+    chebyshev: the residuals within _ACTIVE_BAND of max |r| are active, and
+    the gap is the norm of the min-norm point of the convex hull of their
+    signed gradients sign(r_k) J_k; least-squares: the norm of the
+    gradient of the root mean square.  A coordinate at the box's edge may
+    keep a gradient component that points out of the box.  The gap is 0
+    exactly at a stationary point (Clarke's first-order condition); the
+    min-norm point is the epigraph step with H = I and no offsets.
+    """
+    if objective == "chebyshev":
+        active = np.flatnonzero(np.abs(r) >= np.abs(r).max() - _ACTIVE_BAND)
+        slopes = np.sign(r[active])[:, None] * J[active]
+    else:
+        active = np.empty(0, dtype=int)
+        slopes = (J.T @ _rms_weights(r))[None]
+    lower = np.where(x <= _LOG_C_FLOOR, 0.0, -np.inf)
+    upper = np.where(x >= _LOG_CEILING, 0.0, np.inf)
+    d = _epigraph_step(np.eye(x.size), slopes, np.zeros(len(slopes)), lower, upper)[0]
+    return float(np.linalg.norm(d)), tuple(int(k) for k in active)
+
+
+def _bfgs(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Powell's damped BFGS update of B for the step s and gradient change y.
+
+    The update keeps B positive definite in exact arithmetic; one that
+    leaves B singular to round-off is skipped.
+    """
+    Bs = B @ s
+    sBs = s @ Bs
+    if not sBs > 0.0:
+        return B
+    if s @ y < 0.2 * sBs:
+        theta = 0.8 * sBs / (sBs - s @ y)
+        y = theta * y + (1.0 - theta) * Bs
+    updated = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / (s @ y)
+    eigenvalues = np.linalg.eigvalsh(updated)
+    return updated if eigenvalues[0] > _ROUND_OFF * eigenvalues[-1] else B
+
+
+def _sqp(residuals: Callable, start: np.ndarray, max_iterations: int, objective: str) -> SearchResult:
+    """One restart: SQP with step bounds from start, inside the box.
+
+    Each iteration solves the quadratic model (`_model_step`) within the
+    step bound and the box and tries the step.  The ratio rho of the actual
+    to the predicted decrease accepts the step above 0.1, halves the bound
+    below 0.25 and doubles it, up to _MAX_STEP, above 0.75 at the bound.  A
+    chebyshev step that does not reach 0.75 gets one second-order
+    correction, the model step with the residuals at the trial point less
+    J d, which follows a curved valley of active residuals (the Maratos
+    effect).  B is a damped BFGS approximation of the Lagrangian's Hessian.
+    The search stops when the model predicts less than _PREDICTED_FLOOR or
+    at max_iterations.
+    """
+    x = np.clip(start, _LOG_C_FLOOR, _LOG_CEILING)
+    r, J = residuals(x)
+    value = _merit(r, objective)
+    B = np.eye(x.size)
+    bound = _FIRST_STEP
+    for iterations in range(1, max_iterations + 1):
+        lower = np.maximum(_LOG_C_FLOOR - x, -bound)
+        upper = np.minimum(_LOG_CEILING - x, bound)
+        d, model, weights = _model_step(B, r, J, lower, upper, objective)
+        predicted = value - model
+        if not predicted > _PREDICTED_FLOOR:
+            break
+        step, (r_new, J_new) = d, residuals(x + d)
+        ratio = (value - _merit(r_new, objective)) / predicted
+        if objective == "chebyshev" and ratio < 0.75:
+            corrected = _model_step(B, r_new - J @ d, J, lower, upper, objective)[0]
+            retry = residuals(x + corrected)
+            retry_ratio = (value - _merit(retry[0], objective)) / predicted
+            if retry_ratio > ratio:
+                step, (r_new, J_new), ratio = corrected, retry, retry_ratio
+        if objective == "chebyshev":
+            y = (J_new - J).T @ weights
         else:
-            if fxr < fsim[-1]:
-                # outside contraction, kept if no worse than the reflection
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = evaluate(xc)
-                shrink = not fxc <= fxr
-            else:
-                # inside contraction, kept if better than the worst vertex
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = evaluate(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = evaluate(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return SimplexResult(
-        x=sim[0], fun=np.min(fsim), nit=iterations, nfev=nfev, success=iterations < max_iterations
-    )
+            y = J_new.T @ _rms_weights(r_new) - J.T @ weights
+        B = _bfgs(B, step, y)
+        length = np.max(np.abs(step))
+        if ratio < 0.25:
+            bound = 0.5 * length
+        elif ratio > 0.75 and length >= 0.99 * bound:
+            bound = min(2.0 * bound, _MAX_STEP)
+        if ratio > 0.1:
+            x, r, J, value = x + step, r_new, J_new, _merit(r_new, objective)
+    gap, active = _stationarity_gap(r, J, x, objective)
+    return SearchResult(x, value, iterations, gap, active)
 
 
 def _restart(
-    objective: Callable[[np.ndarray], float], x0: np.ndarray, config: SearchConfig, restart: int
-) -> SimplexResult:
-    """Nelder-Mead from x0 for restart 0, else from restart's perturbed start."""
+    residuals: Callable, x0: np.ndarray, config: SearchConfig, objective: str, restart: int
+) -> SearchResult:
+    """The search from x0 for restart 0, else from restart's perturbed start."""
     start = x0
     if restart > 0:
         draws = config.rng.substream(restart).generator().standard_normal(x0.size)
         start = x0 + _RESTART_SPREAD * draws
-    # Nelder-Mead stops only when BOTH simplex spreads are met, so a fixed
-    # tiny xatol would block termination on flat valleys where the simplex
-    # stays elongated; tie it to the value tolerance.
-    return nelder_mead(
-        objective, start, config.max_iterations, xatol=np.sqrt(_FATOL) / 10.0, fatol=_FATOL
-    )
+    return _sqp(residuals, start, config.max_iterations, objective)
 
 
-# (objective, x0, config) of the fit a pool worker was forked for; set only
-# in pool workers, by `_inherit`
+# (residuals, x0, config, objective) of the search a pool worker was forked
+# for; set only in pool workers, by `_inherit`
 _inherited: tuple = ()
 
 
 def _inherit(*restart_args) -> None:
-    """Pool initializer: keep the objective, x0 and config the fork handed over."""
+    """Pool initializer: keep the residuals, x0, config and objective the fork handed over."""
     global _inherited
     _inherited = restart_args
 
 
-def _inherited_restart(restart: int) -> SimplexResult:
+def _inherited_restart(restart: int) -> SearchResult:
     return _restart(*_inherited, restart)
 
 
@@ -287,31 +401,39 @@ def _worker_count(restarts: int) -> int:
 
 
 def minimize(
-    objective: Callable[[np.ndarray], float], x0: np.ndarray, config: SearchConfig
-) -> Tuple[int, SimplexResult]:
-    """Nelder-Mead from x0, then from `config.restarts - 1` perturbed starts.
+    residuals: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    x0: np.ndarray,
+    config: SearchConfig,
+    objective: str = "chebyshev",
+) -> Tuple[int, SearchResult]:
+    """SQP (`_sqp`) from x0, then from `config.restarts - 1` perturbed starts.
 
-    Restart r >= 1 starts at x0 plus _RESTART_SPREAD times normal draws from
-    `config.rng.substream(r)`.  Returns the index of the best restart (the
-    lowest value, the earliest on ties) and its result.  Restart 0 keeps x0
-    as a simplex vertex and Nelder-Mead never loses its best vertex, so the
-    result is never worse than x0.
+    residuals(x) returns the residual vector r and its jacobian J (a row
+    per residual) at x; objective "chebyshev" minimizes max |r_k|,
+    "least-squares" the root mean square.  Every point lies in the box
+    [_LOG_C_FLOOR, _LOG_CEILING]^n.  Restart r >= 1 starts at x0
+    plus _RESTART_SPREAD times normal draws from `config.rng.substream(r)`,
+    moved into the box.  Returns the index of the best restart (the lowest
+    value, the earliest on ties) and its result.  Each restart accepts only
+    steps that lower its value, so restart 0 ends no worse than x0.
 
     The restarts go out in contiguous blocks of ceil(restarts / usable
     CPUs), one per worker.  With w = ceil(restarts / block) above 1, a pool
     of w processes, forked with the `fork` start method, runs every restart:
-    the workers get the objective through the fork, and only restart indices
-    and `SimplexResult`s are pickled.  A block stops at its first error, so
+    the workers get the residuals through the fork, and only restart indices
+    and `SearchResult`s are pickled.  A block stops at its first error, so
     one Ctrl-C (which reaches every worker) ends the whole fit at once; any
     other error still waits for the other workers' blocks.  Every
     worker has exited when this returns or raises.  Results come back in
-    restart order, so if objectives raise, the error of the earliest restart
+    restart order, so if residuals raise, the error of the earliest restart
     that raised reaches the caller, as in a serial run, and the error as
-    well as the result is the same for every w.
+    well as the result is the same for every w.  Without `os.fork`, with one
+    usable CPU, or inside a daemonic process (which may not have children)
+    the caller runs every restart itself.
     """
     workers = _worker_count(config.restarts)
     if workers == 1:
-        results = [_restart(objective, x0, config, r) for r in range(config.restarts)]
+        results = [_restart(residuals, x0, config, objective, r) for r in range(config.restarts)]
     else:
         # imported here, not at module level: only a fit with workers needs them
         import multiprocessing
@@ -321,7 +443,7 @@ def minimize(
             workers,
             multiprocessing.get_context("fork"),
             initializer=_inherit,
-            initargs=(objective, x0, config),
+            initargs=(residuals, x0, config, objective),
         ) as pool:
             block = math.ceil(config.restarts / workers)
             results = list(pool.map(_inherited_restart, range(config.restarts), chunksize=block))
@@ -337,15 +459,17 @@ def fit(
 ) -> FitResult:
     """Minimize the cos^2 residual over (a, e, c) from a starting triple.
 
-    Every residual, and the intensity ratio at the fit, is computed at
-    `FIT_QUADRATURE`.
+    The search (`minimize`) reads each candidate's curve and jacobian from
+    `transmission._lattice_pair_curve` at `FIT_QUADRATURE`.  The returned
+    residual is `residual(params, grid, FIT_QUADRATURE, objective)` of the
+    returned parameters, and the intensity ratio at the fit is computed at
+    `FIT_QUADRATURE` too.  `converged` states the certificate: the
+    stationarity gap at the returned parameters is at most _STATIONARY_GAP.
 
-    The returned residual can never exceed the starting triple's residual:
-    the start is always among the evaluated candidates.  Raises
-    ParameterError for a start outside the search box, where the objective
-    returns a flat 4.0: a, e or c above exp(_LOG_CEILING), or a or e below
-    exp(_LOG_C_FLOOR) (c below it is raised to it, so c = 0 still fits); and
-    for a start whose own residual does not converge at FIT_QUADRATURE.
+    Raises ParameterError for a start outside the search box: a, e or c
+    above exp(_LOG_CEILING), or a or e below exp(_LOG_C_FLOOR) (c below it
+    is raised to it, so c = 0 still fits); and for a start whose own
+    residual does not converge at FIT_QUADRATURE.
     """
     if not isinstance(start, StretchedExponentialModel):
         raise ParameterError("start must be a StretchedExponentialModel")
@@ -360,35 +484,28 @@ def fit(
             f"start {start} lies outside the fit's box: a, e, c <= exp({_LOG_CEILING:g}) "
             f"and a, e >= exp({_LOG_C_FLOOR:g})"
         )
-    # the objective maps failures to 4.0, so a bad grid or start must fail here
+    # a bad grid or start must fail here, before any search
     try:
         residual(_params_from_log(x0), grid, FIT_QUADRATURE, objective)
     except QuadratureConvergenceError as exc:
         raise ParameterError(f"the residual at start {start} cannot be computed: {exc}") from exc
+    target = malus(grid)
 
-    # built on the first evaluation, so a pool worker builds its own
-    table = None
+    def residuals(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        lattice = _lattice_pair_curve(_params_from_log(x), grid, FIT_QUADRATURE)
+        return lattice.curve - target, lattice.jacobian
 
-    def objective_fn(x: np.ndarray) -> float:
-        nonlocal table
-        if _outside_box(x):
-            return 4.0
-        if table is None:
-            table = _PairCurveTable(grid, FIT_QUADRATURE)
-        try:
-            return _score(table.curve(_params_from_log(x)), grid, objective)
-        except (ParameterError, QuadratureConvergenceError):
-            return 4.0
-
-    best_restart, result = minimize(objective_fn, x0, config)
+    best_restart, result = minimize(residuals, x0, config, objective)
     params = _params_from_log(result.x)
     return FitResult(
         params=params,
-        residual=float(result.fun),
+        residual=residual(params, grid, FIT_QUADRATURE, objective),
         objective=objective,
         grid=grid,
         intensity_ratio_at_fit=intensity_ratio(params, FIT_QUADRATURE),
-        converged=bool(result.success),
+        converged=bool(result.gap <= _STATIONARY_GAP),
+        stationarity_gap=result.gap,
+        active=result.active,
         best_restart=best_restart,
         iterations=int(result.nit),
     )

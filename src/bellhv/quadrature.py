@@ -28,13 +28,12 @@ cost page faults on every call, while smaller blocks cost more Python per
 node.  No allocator setting is involved.
 
 At `DEFAULT_QUADRATURE` every block is one row of 4097 nodes, as it is for
-any `_BLOCK_NODES` below 8194.  Blocks of several rows, 15 of 513
-nodes at the fit's quadrature, come only from the fit's start check and
-`transmission._PairCurveTable`'s fallbacks.  A run of the commands of all
-four benchmark workloads under `taskset -c 0`, its lines counted with the
-stdlib `trace` module, reached neither the pending rows' carry-over in
-`_integrate_block` nor the table's fallback; only fallback fits, such as
-the cusp fit (e = 0.3, c = 0), reach that code.
+any `_BLOCK_NODES` below 8194.  Blocks of several rows, 15 of 513 nodes at
+the fit's quadrature, come only from the fit: its start check, the residual
+of its result and the kernel fallback of `transmission._lattice_pair_curve`.
+The default fit makes 9 block calls, and none carries pending rows over to
+a second doubling; only a fit whose candidates fall back to the kernel
+reaches that code, as the cusp fit (e = 0.3, c = 0) does in 18 of its 37.
 """
 
 from __future__ import annotations
@@ -106,55 +105,28 @@ def _nodes(offsets: np.ndarray, h: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return x
 
 
-def _first_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The n + 1 nodes of each row's first level, np.linspace(lo, hi, n + 1), and the step."""
-    h = (hi - lo) / n
-    x = _nodes(np.arange(n + 1.0), h, lo)
-    x[:, -1] = hi
-    return x, h
-
-
-def _odd_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The new (odd) nodes of each row's level with n panels, and the step."""
-    h = (hi - lo) / n
-    return _nodes(np.arange(1.0, n, 2.0), h, lo), h
-
-
-def _first_value(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Simpson's rule on the first level's values y."""
-    return _simpson(
-        y, np.ascontiguousarray(y[:, 1:-1:2]), np.ascontiguousarray(y[:, 2:-2:2]), h
-    )
-
-
-def _doubling(
-    y: np.ndarray, odd: np.ndarray, h: np.ndarray, coarse: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Simpson's rule after one doubling, and its estimate against `coarse`.
-
-    y holds the previous level's values, odd the new nodes' values and h the
-    new step; the estimate is |S_2n - S_n| / 15.
-    """
-    refined = _simpson(y, odd, np.ascontiguousarray(y[:, 1:-1]), h)
-    return refined, np.abs(refined - coarse) / 15.0
-
-
 def _integrate_block(
     f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
     n = spec.panels
-    x, h = _first_nodes(lo, hi, n)
+    h = (hi - lo) / n
+    # np.linspace(lo, hi, n + 1) row by row
+    x = _nodes(np.arange(n + 1.0), h, lo)
+    x[:, -1] = hi
     y = _sample(f, x, rows)
     del x  # the refinements need only y
-    value = _first_value(y, h)
+    value = _simpson(
+        y, np.ascontiguousarray(y[:, 1:-1:2]), np.ascontiguousarray(y[:, 2:-2:2]), h
+    )
     estimate = np.full(rows.size, np.inf)
     live = np.arange(rows.size)
     for _ in range(spec.max_refinements):
         n *= 2
-        x, h = _odd_nodes(lo[live], hi[live], n)
-        odd = _sample(f, x, rows[live])
-        del x
-        value[live], estimate[live] = _doubling(y, odd, h, value[live])
+        h = (hi[live] - lo[live]) / n
+        odd = _sample(f, _nodes(np.arange(1.0, n, 2.0), h, lo[live]), rows[live])
+        refined = _simpson(y, odd, np.ascontiguousarray(y[:, 1:-1]), h)
+        estimate[live] = np.abs(refined - value[live]) / 15.0
+        value[live] = refined
         pending = ~(estimate[live] <= spec.refine_until)
         if not pending.any():
             return value, estimate

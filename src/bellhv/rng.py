@@ -13,7 +13,7 @@ finalizer, a well-tested integer mixer, so nearby indices map to unrelated
 keys.
 
 :class:`SearchConfig` bundles a stream with the restart and iteration budget
-of the two randomized searches, the Nelder-Mead fit in :mod:`bellhv.malusfit`
+of the two randomized searches, the SQP fit in :mod:`bellhv.malusfit`
 and the Bell-bound ascents in :mod:`bellhv.bell`; both read every field.  The
 classical regime of ``bell.search_bound`` runs no search: it reads the +/-1
 enumeration once, draws from no stream, and only reports ``restarts``.

@@ -160,18 +160,17 @@ MC_BELINFANTE = {
 REGRESSIONS = {
     "fit_default_from_reference": {
         "converged": True,
-        "intensity_ratio_at_fit": 0.40665724778856305,
-        "residual": 0.03452296415587541,
-        "threshold": 0.0346
+        "intensity_ratio_at_fit": 0.40692144874373587,
+        "residual": 0.034129904229408495,
+        "threshold": 0.03415
     },
     "fit_far_start": {
         "config": {
             "max_iterations": 200,
             "restarts": 3,
-            "seed": 0,
-            "tolerance": 1e-06
+            "seed": 0
         },
-        "residual": 0.03440203387885453,
+        "residual": 0.034129904229408495,
         "start": [
             1.0,
             2.0,

@@ -16,21 +16,22 @@ import bellhv.malusfit as malusfit
 import bellhv.transmission as transmission
 from bellhv.errors import AngleDomainError, ParameterError, QuadratureConvergenceError
 from bellhv.malusfit import (
-    _FATOL,
+    _STATIONARY_GAP,
     FIT_QUADRATURE,
     FIT_SEARCH,
     FitResult,
     OBJECTIVES,
-    SimplexResult,
+    SearchResult,
+    _stationarity_gap,
     fit,
     minimize,
-    nelder_mead,
     residual,
 )
 from bellhv.rng import RngStream, SearchConfig
 from bellhv.transmission import (
     REFERENCE_MODEL,
     CosineSquaredModel,
+    _lattice_pair_curve,
     StretchedExponentialModel,
     default_angle_grid,
     malus,
@@ -94,161 +95,118 @@ class TestResidual:
             residual("not a model")  # type: ignore[arg-type]
 
 
+def _chebyshev_line(x):
+    """x[0] + x[1] t - t^2 on t = 0, 1/4, ..., 1: the best line is t - 1/8,
+    its error 1/8, attained with alternating signs at 0, 1/2 and 1."""
+    t = np.linspace(0.0, 1.0, 5)
+    return x[0] + x[1] * t - t**2, np.column_stack((np.ones_like(t), t))
+
+
+def _rosenbrock(x):
+    """Rosenbrock's function as two residuals; 0 at (1, 1)."""
+    return (
+        np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+        np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
+    )
+
+
+def _double_well(x):
+    """A local chebyshev minimum 0.05 at (0.2, 0) and the global one, 0, at (-0.3, 0)."""
+    return (
+        np.array([x[0] ** 2 - 0.09, 0.1 * (x[0] + 0.3), 0.2 * x[1]]),
+        np.array([[2.0 * x[0], 0.0], [0.1, 0.0], [0.0, 0.2]]),
+    )
+
+
 class TestMinimize:
-    def test_one_dimensional_parabola(self):
-        _, result = minimize(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]), SearchConfig(restarts=2))
-        assert abs(result.x[0] - 3.0) < 1e-6
-        assert result.success
+    """The SQP restarts on small problems whose answers are known."""
 
-    def test_two_dimensional_bowl(self):
+    def test_chebyshev_line(self):
+        best, result = minimize(_chebyshev_line, np.array([0.0, 0.0]), SearchConfig(restarts=1))
+        assert best == 0
+        assert result.fun == pytest.approx(0.125, abs=1e-12)
+        np.testing.assert_allclose(result.x, [-0.125, 1.0], atol=1e-10)
+        assert result.active == (0, 2, 4)
+        assert result.gap <= 1e-10
+
+    def test_least_squares_rosenbrock(self):
         _, result = minimize(
-            lambda x: x[0] ** 2 + x[1] ** 2, np.array([1.0, 1.0]), SearchConfig(restarts=2)
+            _rosenbrock, np.array([-1.2, 1.0]), SearchConfig(restarts=1), "least-squares"
         )
-        assert np.abs(result.x).max() < 1e-4
-        assert result.fun < 1e-8
-
-    def test_deterministic_given_config(self):
-        cfg = SearchConfig(restarts=4, rng=RngStream(5))
-        f = lambda x: (x[0] - 1.0) ** 2 + 0.5 * np.sin(x[0]) ** 2
-        restart1, r1 = minimize(f, np.array([4.0]), cfg)
-        restart2, r2 = minimize(f, np.array([4.0]), cfg)
-        np.testing.assert_array_equal(r1.x, r2.x)
-        assert r1.fun == r2.fun
-        assert restart1 == restart2
+        np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-6)
+        assert result.fun < 1e-6
+        assert result.active == ()
 
     def test_restarts_escape_local_minimum(self):
-        # tilted double well: a shallow local minimum near +0.3 and the
-        # global one near -0.3, both within the restart spread of the start
-        f = lambda x: (x[0] ** 2 - 0.09) ** 2 + 0.01 * x[0]
-        _, local_only = minimize(f, np.array([0.3]), SearchConfig(restarts=1))
-        assert local_only.x[0] > 0  # stuck in the nearby well
+        _, local_only = minimize(_double_well, np.array([0.3, 0.0]), SearchConfig(restarts=1))
+        assert local_only.fun == pytest.approx(0.05, abs=1e-9)  # stuck at (0.2, 0)
         best_restart, multi = minimize(
-            f, np.array([0.3]), SearchConfig(restarts=12, rng=RngStream(3))
+            _double_well, np.array([0.3, 0.0]), SearchConfig(restarts=12, rng=RngStream(3))
         )
         assert best_restart > 0
-        assert multi.fun < local_only.fun
-        assert multi.x[0] < 0
+        assert multi.fun < 1e-9
+        assert multi.x[0] == pytest.approx(-0.3, abs=1e-6)
 
-    def test_non_converged_flag_on_tiny_budget(self):
-        rosenbrock = lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    def test_deterministic_given_config(self):
+        config = SearchConfig(restarts=4, rng=RngStream(5))
+        outcomes = [minimize(_double_well, np.array([0.3, 0.5]), config) for _ in range(2)]
+        (best, result), (other_best, other) = outcomes
+        assert best == other_best
+        _assert_bitwise_equal(result, other)
+
+    def test_iteration_cap(self):
         _, result = minimize(
-            rosenbrock, np.array([-1.2, 1.0]), SearchConfig(restarts=1, max_iterations=3)
+            _rosenbrock, np.array([-1.2, 1.0]), SearchConfig(restarts=1, max_iterations=3), "least-squares"
         )
-        assert not result.success
+        assert result.nit == 3
+        assert result.gap > 1e-3
 
     def test_result_type(self):
-        best_restart, result = minimize(
-            lambda x: x[0] ** 2, np.array([1.0]), SearchConfig(restarts=1)
-        )
-        assert isinstance(result, SimplexResult)
+        best_restart, result = minimize(_chebyshev_line, np.zeros(2), SearchConfig(restarts=1))
+        assert isinstance(result, SearchResult)
+        assert isinstance(result.fun, float)
         assert isinstance(result.nit, int)
-        assert isinstance(result.nfev, int)
-        assert isinstance(result.success, bool)
+        assert isinstance(result.gap, float)
         assert best_restart == 0
+
+    def test_start_is_moved_into_the_box(self):
+        seen = []
+
+        def recorded(x):
+            seen.append(x.copy())
+            return _chebyshev_line(x)
+
+        minimize(recorded, np.array([30.0, -30.0]), SearchConfig(restarts=1, max_iterations=1))
+        np.testing.assert_array_equal(seen[0], [malusfit._LOG_CEILING, malusfit._LOG_C_FLOOR])
 
     @given(
         c0=st.floats(min_value=-2.0, max_value=2.0),
         c1=st.floats(min_value=-2.0, max_value=2.0),
         x0=st.floats(min_value=-3.0, max_value=3.0),
         x1=st.floats(min_value=-3.0, max_value=3.0),
+        objective=st.sampled_from(OBJECTIVES),
     )
-    def test_never_worse_than_start(self, c0, c1, x0, x1):
-        f = lambda x: (
-            (x[0] - c0) ** 2 * (x[1] - c1) ** 2 + 0.1 * np.cos(x[0]) + 0.1 * abs(x[1])
-        )
+    def test_never_worse_than_start(self, c0, c1, x0, x1, objective):
+        def residuals(x):
+            values = np.array([(x[0] - c0) * (x[1] - c1), 0.3 * np.cos(x[0]), x[1] - 0.5 * x[0]])
+            jacobian = np.array(
+                [[x[1] - c1, x[0] - c0], [-0.3 * np.sin(x[0]), 0.0], [-0.5, 1.0]]
+            )
+            return values, jacobian
+
         start = np.array([x0, x1])
         config = SearchConfig(restarts=3, max_iterations=60, rng=RngStream(1))
-        _, result = minimize(f, start, config)
-        assert result.fun <= float(f(start)) + 1e-12
+        _, result = minimize(residuals, start, config, objective)
+        values = residuals(start)[0]
+        start_value = np.abs(values).max() if objective == "chebyshev" else np.sqrt(np.mean(values**2))
+        assert result.fun <= start_value + 1e-15
 
 
-def _scipy_nelder_mead(objective, x0, max_iterations, xatol, fatol):
-    return scipy.optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": max_iterations, "xatol": xatol, "fatol": fatol},
-    )
-
-
-def _assert_bitwise_equal(port, oracle):
-    assert port.x.tobytes() == oracle.x.tobytes()
-    assert np.float64(port.fun).tobytes() == np.float64(oracle.fun).tobytes()
-    assert (port.nit, port.nfev, port.success) == (oracle.nit, oracle.nfev, oracle.success)
-
-
-# test objectives of any dimension: smooth, non-smooth, a curved valley, and
-# plateaus on which contractions fail
-NELDER_MEAD_OBJECTIVES = {
-    "quadratic": lambda x: float(np.sum(np.arange(1, x.size + 1) * (x - 0.5) ** 2)),
-    "abs": lambda x: float(np.sum(np.abs(x - 0.25)) + 0.1 * np.max(np.abs(x))),
-    "rosenbrock": lambda x: float(
-        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) + (x[0] - 1.0) ** 2
-    ),
-    "plateaus": lambda x: float(np.round(np.sum(x**2), 1)),
-}
-
-
-class TestNelderMeadAgainstScipy:
-    """The in-package Nelder-Mead against scipy's, the oracle it follows."""
-
-    @settings(max_examples=200)
-    @given(
-        name=st.sampled_from(sorted(NELDER_MEAD_OBJECTIVES)),
-        x0=st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
-            min_size=1,
-            max_size=4,
-        ),
-        max_iterations=st.integers(min_value=1, max_value=300),
-        xatol=st.floats(min_value=1e-8, max_value=1e-2),
-        fatol=st.floats(min_value=1e-8, max_value=1e-2),
-    )
-    def test_bitwise_equal_results(self, name, x0, max_iterations, xatol, fatol):
-        objective = NELDER_MEAD_OBJECTIVES[name]
-        x0 = np.array(x0)
-        _assert_bitwise_equal(
-            nelder_mead(objective, x0, max_iterations, xatol, fatol),
-            _scipy_nelder_mead(objective, x0, max_iterations, xatol, fatol),
-        )
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_iteration_cap(self, dim):
-        objective = NELDER_MEAD_OBJECTIVES["rosenbrock"]
-        x0 = np.full(dim, -1.2)
-        port = nelder_mead(objective, x0, 5, 1e-8, 1e-8)
-        assert port.nit == 5 and not port.success
-        _assert_bitwise_equal(port, _scipy_nelder_mead(objective, x0, 5, 1e-8, 1e-8))
-
-    def test_shrink(self):
-        # a non-shrink iteration evaluates at most two points, so the excess
-        # evaluations come from shrinks, which evaluate one per moved vertex
-        objective = NELDER_MEAD_OBJECTIVES["plateaus"]
-        x0 = np.array([1.0, 2.0, 0.0])
-        port = nelder_mead(objective, x0, 100, 1e-4, 1e-4)
-        assert port.nfev > x0.size + 1 + 2 * (port.nit - 1)
-        _assert_bitwise_equal(port, _scipy_nelder_mead(objective, x0, 100, 1e-4, 1e-4))
-
-    def test_fit_objective(self, monkeypatch):
-        # restart 0 of the default fit: the fit's own objective from the log
-        # of REFERENCE_MODEL, with the fit's budget and tolerances
-        calls = []
-
-        def record(objective, x0, config):
-            calls.append((objective, x0, config))
-            return 0, SimplexResult(x=x0, fun=objective(x0), nit=1, nfev=1, success=True)
-
-        monkeypatch.setattr(malusfit, "minimize", record)
-        fit()
-        (objective, x0, config), = calls
-        reference = [REFERENCE_MODEL.a, REFERENCE_MODEL.e, REFERENCE_MODEL.c]
-        np.testing.assert_array_equal(x0, np.log(reference))
-        xatol = np.sqrt(_FATOL) / 10.0
-        port = nelder_mead(objective, x0, config.max_iterations, xatol, _FATOL)
-        assert port.success
-        _assert_bitwise_equal(
-            port, _scipy_nelder_mead(objective, x0, config.max_iterations, xatol, _FATOL)
-        )
+def _assert_bitwise_equal(result, other):
+    assert result.x.tobytes() == other.x.tobytes()
+    assert np.float64(result.fun).tobytes() == np.float64(other.fun).tobytes()
+    assert np.float64(result.gap).tobytes() == np.float64(other.gap).tobytes()
+    assert (result.nit, result.active) == (other.nit, other.active)
 
 
 def _assert_no_child_processes():
@@ -277,43 +235,46 @@ def _pool_size(restarts, cpus):
 
 
 def _plateau_at_start(x):
-    # 1 within 0.05 of the origin, 0 elsewhere: restart 0 (from the origin)
-    # ends at 1, while every perturbed start ties at 0
-    return 1.0 if abs(x[0]) < 0.05 else 0.0
-
-
-def _tilted_double_well(x):
-    return (x[0] ** 2 - 0.09) ** 2 + 0.01 * x[0] + 0.02 * x[1] ** 2
+    # 1 within 0.05 of the origin, 0 elsewhere, flat: restart 0 (from the
+    # origin) ends at 1, while every perturbed start ties at 0
+    return np.array([1.0 if abs(x[0]) < 0.05 else 0.0]), np.zeros((1, 1))
 
 
 def _fit_bits(result):
     params = result.params
-    floats = [params.a, params.e, params.c, result.residual, result.intensity_ratio_at_fit]
+    floats = [
+        params.a,
+        params.e,
+        params.c,
+        result.residual,
+        result.intensity_ratio_at_fit,
+        result.stationarity_gap,
+    ]
     return (
         np.array(floats).tobytes(),
         result.grid.tobytes(),
-        (result.objective, result.converged, result.best_restart, result.iterations),
+        (result.objective, result.converged, result.active, result.best_restart, result.iterations),
     )
 
 
-WORKER_OBJECTIVES = {"plateau": (_plateau_at_start, 1), "double-well": (_tilted_double_well, 2)}
+WORKER_PROBLEMS = {"plateau": (_plateau_at_start, 1), "double-well": (_double_well, 2)}
 
 
 class TestRestartWorkers:
     """Restarts on a pool of forked workers: the same bits for 1, 2 and 3
     processes."""
 
-    @pytest.mark.parametrize("name", sorted(WORKER_OBJECTIVES))
+    @pytest.mark.parametrize("name", sorted(WORKER_PROBLEMS))
     @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
     def test_minimize_does_not_depend_on_worker_count(self, monkeypatch, name, restarts):
-        objective, dim = WORKER_OBJECTIVES[name]
+        residuals, dim = WORKER_PROBLEMS[name]
         config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(3))
         outcomes = []
         started = _count_process_starts(monkeypatch)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
             started.clear()
-            outcomes.append(minimize(objective, np.full(dim, 0.0), config))
+            outcomes.append(minimize(residuals, np.full(dim, 0.0), config))
             assert len(started) == _pool_size(restarts, cpus)
             _assert_no_child_processes()
         (best, result), *others = outcomes
@@ -351,10 +312,10 @@ class TestRestartWorkers:
         config = SearchConfig(restarts=4, max_iterations=200, rng=RngStream(3))
         x0 = np.zeros(2)
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 1)
-        expected_best, expected = minimize(_tilted_double_well, x0, config)
+        expected_best, expected = minimize(_double_well, x0, config)
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 3)
         started = _count_process_starts(monkeypatch)
-        best, result = minimize(_tilted_double_well, x0, config)
+        best, result = minimize(_double_well, x0, config)
         assert len(started) == 2
         _assert_no_child_processes()
         assert best == expected_best
@@ -363,17 +324,17 @@ class TestRestartWorkers:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # only the perturbed starts raise, so the error comes from restart 1,
         # which a worker runs for 2 and 3 processes
-        def objective(x):
+        def residuals(x):
             if abs(x[0]) > 0.05:
                 raise QuadratureConvergenceError(f"diverged at {x[0]!r}", float(x[0]), 0.5)
-            return x[0] ** 2
+            return np.array([x[0]]), np.ones((1, 1))
 
         config = SearchConfig(restarts=4, max_iterations=50, rng=RngStream(3))
         errors = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
             with pytest.raises(QuadratureConvergenceError) as caught:
-                minimize(objective, np.array([0.0]), config)
+                minimize(residuals, np.array([0.0]), config)
             errors.append(caught.value)
             _assert_no_child_processes()
         draw = config.rng.substream(1).generator().standard_normal(1)[0]
@@ -386,14 +347,14 @@ class TestRestartWorkers:
     def test_worker_that_dies_is_an_error(self, monkeypatch):
         caller = os.getpid()
 
-        def objective(x):
+        def residuals(x):
             if os.getpid() != caller:
                 os._exit(3)
-            return x[0] ** 2
+            return np.array([x[0]]), np.ones((1, 1))
 
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
         with pytest.raises(BrokenProcessPool):
-            minimize(objective, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50))
+            minimize(residuals, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50))
         _assert_no_child_processes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -401,7 +362,7 @@ class TestRestartWorkers:
         # restart 0 (from the origin) raises after a sleep, the perturbed
         # restarts at once: on a pool, restart 0's error arrives last, yet it
         # is the one that reaches the caller
-        def objective(x):
+        def residuals(x):
             if abs(x[0]) < 0.05:
                 time.sleep(0.2)
                 raise ValueError("restart 0")
@@ -410,21 +371,21 @@ class TestRestartWorkers:
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
         config = SearchConfig(restarts=3, max_iterations=50, rng=RngStream(3))
         with pytest.raises(ValueError, match="^restart 0$"):
-            minimize(objective, np.array([0.0]), config)
+            minimize(residuals, np.array([0.0]), config)
         _assert_no_child_processes()
 
     def test_interrupt_ends_every_workers_block(self, monkeypatch, tmp_path):
         # each restart leaves one file and raises KeyboardInterrupt, as one
         # Ctrl-C to the process group does in every worker: each worker's
         # block of 3 restarts stops at its first, and no other restart starts
-        def objective(x):
+        def residuals(x):
             os.close(tempfile.mkstemp(dir=tmp_path)[0])
             raise KeyboardInterrupt
 
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
         config = SearchConfig(restarts=6, max_iterations=50, rng=RngStream(3))
         with pytest.raises(KeyboardInterrupt):
-            minimize(objective, np.array([0.0]), config)
+            minimize(residuals, np.array([0.0]), config)
         _assert_no_child_processes()
         assert len(list(tmp_path.iterdir())) == 2
 
@@ -432,10 +393,10 @@ class TestRestartWorkers:
         config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
         x0 = np.zeros(2)
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        expected_best, expected = minimize(_tilted_double_well, x0, config)
+        expected_best, expected = minimize(_double_well, x0, config)
         monkeypatch.delattr(os, "fork")
         started = _count_process_starts(monkeypatch)
-        best, result = minimize(_tilted_double_well, x0, config)
+        best, result = minimize(_double_well, x0, config)
         assert started == []
         assert best == expected_best
         _assert_bitwise_equal(result, expected)
@@ -449,7 +410,7 @@ class TestRestartWorkers:
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
         daemon = context.Process(
-            target=lambda: sender.send(minimize(_tilted_double_well, x0, config)), daemon=True
+            target=lambda: sender.send(minimize(_double_well, x0, config)), daemon=True
         )
         daemon.start()
         sender.close()
@@ -457,7 +418,7 @@ class TestRestartWorkers:
         daemon.join()
         receiver.close()
         assert daemon.exitcode == 0
-        expected_best, expected = minimize(_tilted_double_well, x0, config)
+        expected_best, expected = minimize(_double_well, x0, config)
         assert best == expected_best
         _assert_bitwise_equal(result, expected)
         _assert_no_child_processes()
@@ -471,6 +432,18 @@ class TestRestartWorkers:
         _assert_no_child_processes()
 
 
+def _fit_search(monkeypatch):
+    """List that gains (residuals, x0, config, objective) of each fit's search."""
+    searches = []
+
+    def recorded(residuals, x0, config, objective):
+        searches.append((residuals, x0, config, objective))
+        return minimize(residuals, x0, config, objective)
+
+    monkeypatch.setattr(malusfit, "minimize", recorded)
+    return searches
+
+
 class TestFit:
     def test_default_run_from_reference_start(self):
         frozen = REGRESSIONS["fit_default_from_reference"]
@@ -479,23 +452,24 @@ class TestFit:
         assert result.converged is frozen["converged"]
         assert result.residual == pytest.approx(frozen["residual"], abs=1e-9)
         assert result.residual <= frozen["threshold"]
+        assert result.residual <= 0.0341300
         assert result.intensity_ratio_at_fit == pytest.approx(
             frozen["intensity_ratio_at_fit"], abs=1e-6
         )
-        # the found triple must actually reproduce the reported residual
-        recheck = residual(result.params, grid=result.grid, spec=FIT_QUADRATURE)
-        assert recheck == pytest.approx(result.residual, abs=1e-10)
-        # and stay close under the heavier default quadrature budget
+        # the reported residual is the kernel's, at the returned triple
+        assert result.residual == residual(result.params, grid=result.grid, spec=FIT_QUADRATURE)
+        # and stays close under the heavier default quadrature budget
         assert residual(result.params, grid=result.grid) == pytest.approx(
             result.residual, abs=1e-4
         )
+        # two active angles for three parameters; the certificate holds
+        assert np.rad2deg(result.grid[list(result.active)]) == pytest.approx([30.0, 80.0])
+        assert result.stationarity_gap <= _STATIONARY_GAP
 
     def test_far_start_reaches_the_reference_basin(self):
         frozen = REGRESSIONS["fit_far_start"]
         cfg = frozen["config"]
         a, e, c = frozen["start"]
-        # the frozen run used the fit's own Nelder-Mead tolerance
-        assert cfg["tolerance"] == _FATOL
         result = fit(
             start=StretchedExponentialModel(a=a, e=e, c=c),
             config=SearchConfig(
@@ -506,6 +480,7 @@ class TestFit:
         )
         assert result.residual == pytest.approx(frozen["residual"], abs=1e-9)
         assert result.residual <= 2.0 * REFERENCE["malus_residual"]
+        assert result.converged
 
     def test_zero_offset_start_is_accepted(self):
         start = StretchedExponentialModel(a=2.6, e=2.2, c=0.0)
@@ -516,8 +491,8 @@ class TestFit:
 
     def test_residual_on_a_grid_in_the_window_slack_is_the_kernels(self):
         # the window check accepts -90 degrees less 5e-10 rad and clamps it;
-        # the objective's table must clamp it too, or the reported residual
-        # is not the residual of the reported parameters
+        # the search's evaluator must clamp it too, and the reported residual
+        # is the kernel's residual of the reported parameters
         grid = np.array([-np.pi / 2 - 5e-10, 0.0, 0.7])
         config = SearchConfig(restarts=1, max_iterations=30, rng=RngStream(0))
         result = fit(grid=grid, config=config)
@@ -526,6 +501,7 @@ class TestFit:
     def test_least_squares_objective(self):
         result = fit(config=LIGHT_SEARCH, objective="least-squares")
         assert result.objective == "least-squares"
+        assert result.active == ()
         start_rms = residual(REFERENCE_MODEL, spec=FIT_QUADRATURE, objective="least-squares")
         assert result.residual <= start_rms + 1e-12
 
@@ -536,6 +512,9 @@ class TestFit:
         np.testing.assert_array_equal(result.grid, default_angle_grid())
         assert 0.0 < result.intensity_ratio_at_fit < 1.0
         assert isinstance(result.converged, bool)
+        assert result.converged == (result.stationarity_gap <= _STATIONARY_GAP)
+        assert isinstance(result.stationarity_gap, float)
+        assert all(isinstance(k, int) for k in result.active) and result.active
         assert result.best_restart >= 0
         assert result.iterations > 0
 
@@ -553,20 +532,19 @@ class TestFit:
         ids=["c_above_the_ceiling", "a_below_the_floor"],
     )
     def test_start_outside_the_box_is_an_error(self, start):
-        # the objective is a flat 4.0 out there, which the search would report
-        # as a converged residual, above the start's own
+        # the search stays in the box, so it could not even start there
         with pytest.raises(ParameterError, match="outside the fit's box"):
             fit(start=start, config=LIGHT_SEARCH)
 
     def test_start_whose_residual_cannot_be_computed_is_an_error(self):
         # inside the box, but its residual raises QuadratureConvergenceError at
-        # FIT_QUADRATURE, which the objective would hide behind its 4.0
+        # FIT_QUADRATURE, which the search would take as a rejected step
         start = StretchedExponentialModel(1e5, 2.2, 45.0)
         with pytest.raises(ParameterError, match="residual at start .* cannot be computed"):
             fit(start=start, grid=np.deg2rad([0.0, 30.0, 60.0, 90.0]), config=LIGHT_SEARCH)
 
     def test_empty_grid_is_an_error(self):
-        # the same error as residual's, not the objective's 4.0 sentinel
+        # the same error as residual's, before any search
         with pytest.raises(ParameterError, match="at least one angle"):
             fit(grid=np.array([]), config=LIGHT_SEARCH)
 
@@ -588,51 +566,128 @@ class TestFit:
         assert result.residual <= start_value + 1e-12
 
     def test_cusp_fit_falls_back_to_the_kernel(self, monkeypatch):
-        # e = 0.3 puts a cusp at lambda = 0: 119 of this fit's candidates miss
-        # refine_until at the first doubling, and each falls back whole to the
-        # adaptive kernel; the result equals a fit that never tabulates
+        # e = 0.3 puts a cusp at lambda = 0: the evaluator's estimate misses
+        # refine_until, and the candidates near the start take the kernel's
+        # curve; the fit still ends at a point its certificate accepts
         start = StretchedExponentialModel(2.6, 0.3, 0.0)
-        config = SearchConfig(restarts=1, max_iterations=400)
-        fallbacks = []
         kernel = transmission.normalized_pair_curve
+        fallbacks = []
 
         def counted(*args):
             fallbacks.append(args[0])
             return kernel(*args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(transmission, "normalized_pair_curve", counted)
-            tabulated = fit(start=start, config=config)
-        assert len(fallbacks) == 119
+        monkeypatch.setattr(transmission, "normalized_pair_curve", counted)
+        result = fit(start=start, config=SearchConfig(restarts=1, max_iterations=400))
+        assert fallbacks and all(model.e < 1.0 for model in fallbacks[:1])
+        assert result.residual < residual(start, spec=FIT_QUADRATURE)
+        assert result.converged
 
-        def untabulated(table, model):
-            return kernel(model, table.alphas, table.spec)
-
-        monkeypatch.setattr(transmission._PairCurveTable, "curve", untabulated)
-        assert _fit_bits(tabulated) == _fit_bits(fit(start=start, config=config))
-
-    def test_objective_maps_a_non_finite_profile_to_4(self, monkeypatch):
-        values = []
-
-        def nan_profile(model, folded):
-            return np.full_like(folded, np.nan)
-
-        def record(objective, x0, config):
-            with monkeypatch.context() as patch:
-                patch.setattr(StretchedExponentialModel, "_profile", nan_profile)
-                values.append(objective(x0))
-            values.append(objective(x0))
-            return 0, SimplexResult(x=x0, fun=values[-1], nit=1, nfev=2, success=True)
-
-        monkeypatch.setattr(malusfit, "minimize", record)
-        fit(grid=np.deg2rad([0.0, 30.0, 60.0, 90.0]))
-        assert values[0] == 4.0
-        assert values[1] == residual(
-            REFERENCE_MODEL, np.deg2rad([0.0, 30.0, 60.0, 90.0]), FIT_QUADRATURE
-        )
+    def test_search_reads_the_lattice_curve(self, monkeypatch):
+        searches = _fit_search(monkeypatch)
+        grid = np.deg2rad([0.0, 30.0, 60.0, 90.0])
+        fit(grid=grid, config=LIGHT_SEARCH)
+        (residuals, x0, _, _), = searches
+        values, jacobian = residuals(x0)
+        lattice = _lattice_pair_curve(malusfit._params_from_log(x0), grid, FIT_QUADRATURE)
+        np.testing.assert_array_equal(values, lattice.curve - malus(grid))
+        np.testing.assert_array_equal(jacobian, lattice.jacobian)
 
     def test_default_search_budget(self):
         assert FIT_SEARCH.restarts == 2
         assert FIT_SEARCH.max_iterations == 400
-        assert _FATOL == 1e-6
         assert FIT_QUADRATURE.panels == 512
+
+
+def _epigraph_residuals(residuals, z):
+    """SLSQP's inequality constraints t -+ r_k(theta) >= 0 and their jacobian."""
+    r, J = residuals(z[:3])
+    ones = np.ones((r.size, 1))
+    return np.concatenate((z[3] - r, z[3] + r)), np.vstack((np.hstack((-J, ones)), np.hstack((J, ones))))
+
+
+class TestAgainstSLSQP:
+    """scipy's SLSQP on the same epigraph form and evaluator reaches the
+    default fit's optimum from the reference start and from the triple the
+    Nelder-Mead search used to return."""
+
+    @pytest.mark.parametrize(
+        "start", [(2.6, 2.2, 45.0), (2.63886500384, 1.81949075973, 12.2870441243)],
+        ids=["reference", "nelder_mead_fit"],
+    )
+    def test_same_residual(self, monkeypatch, start):
+        searches = _fit_search(monkeypatch)
+        result = fit()
+        (residuals, _, _, _), = searches
+        x0 = np.log(start)
+        z0 = np.append(x0, np.abs(residuals(x0)[0]).max())
+        box = (malusfit._LOG_C_FLOOR, malusfit._LOG_CEILING)
+        oracle = scipy.optimize.minimize(
+            lambda z: z[3],
+            z0,
+            jac=lambda z: np.eye(4)[3],
+            method="SLSQP",
+            bounds=[box] * 3 + [(None, None)],
+            constraints=[
+                {
+                    "type": "ineq",
+                    "fun": lambda z: _epigraph_residuals(residuals, z)[0],
+                    "jac": lambda z: _epigraph_residuals(residuals, z)[1],
+                }
+            ],
+            options={"maxiter": 500, "ftol": 1e-15},
+        )
+        assert oracle.success
+        params = StretchedExponentialModel(*np.exp(oracle.x[:3]))
+        assert residual(params, result.grid, FIT_QUADRATURE) == pytest.approx(result.residual, abs=1e-9)
+
+
+class TestCertificate:
+    """The stationarity gap: the min-norm point of the convex hull of the
+    active residuals' signed gradients."""
+
+    @pytest.fixture(scope="class")
+    def at_the_fit(self):
+        result = fit()
+        x = np.log([result.params.a, result.params.e, result.params.c])
+        lattice = _lattice_pair_curve(result.params, result.grid, FIT_QUADRATURE)
+        return result, x, lattice.curve - malus(result.grid), lattice.jacobian
+
+    def test_stationary_at_the_default_fit(self, at_the_fit):
+        result, x, r, J = at_the_fit
+        gap, active = _stationarity_gap(r, J, x, "chebyshev")
+        assert active == result.active
+        assert gap == result.stationarity_gap <= _STATIONARY_GAP
+        # 30 degrees below cos^2, 80 degrees above
+        assert np.sign(r[list(active)]).tolist() == [-1.0, 1.0]
+
+    def test_dropping_an_active_gradient_fails(self, at_the_fit):
+        # either active angle alone is far from stationary: its gradient
+        # does not vanish, and only the hull of both holds 0
+        _, x, r, J = at_the_fit
+        _, active = _stationarity_gap(r, J, x, "chebyshev")
+        for k in active:
+            dropped = r.copy()
+            dropped[k] *= 0.99
+            gap, remaining = _stationarity_gap(dropped, J, x, "chebyshev")
+            assert k not in remaining
+            assert gap > 1e-2
+
+    def test_one_active_residual_gives_its_gradient_norm(self):
+        r = np.array([0.5, -0.1])
+        J = np.array([[3.0, 4.0], [1.0, 0.0]])
+        assert _stationarity_gap(r, J, np.zeros(2), "chebyshev") == (5.0, (0,))
+
+    def test_box_edge_blocks_a_gradient_pointing_out(self):
+        # lowering r = x0 + 1 needs x0 to fall, which the floor forbids there
+        r, J = np.array([0.5]), np.array([[1.0, 0.0]])
+        floor = malusfit._LOG_C_FLOOR
+        assert _stationarity_gap(r, J, np.array([floor, 0.0]), "chebyshev")[0] == 0.0
+        assert _stationarity_gap(r, J, np.array([floor + 1.0, 0.0]), "chebyshev")[0] == 1.0
+
+    def test_least_squares_gap_is_the_rms_gradient_norm(self):
+        r, J = _rosenbrock(np.array([0.5, 0.5]))
+        gap, active = _stationarity_gap(r, J, np.array([0.5, 0.5]), "least-squares")
+        expected = np.linalg.norm(J.T @ r / (r.size * np.sqrt(np.mean(r**2))))
+        assert gap == pytest.approx(expected, rel=1e-12)
+        assert active == ()

@@ -12,7 +12,6 @@ from _frozen import BELINFANTE, GRID_DEG, REFERENCE, STEEP, STEEP_TRIPLE
 from bellhv.angles import degrees_grid, require_deviation_angle
 from bellhv.errors import (
     AngleDomainError,
-    BellhvError,
     DegenerateModelError,
     ParameterError,
     QuadratureConvergenceError,
@@ -25,9 +24,8 @@ from bellhv.transmission import (
     CosineSquaredModel,
     StretchedExponentialModel,
     TabulatedModel,
-    TransmissionModel,
-    _PairCurveTable,
     _coincidence_integral,
+    _lattice_pair_curve,
     default_angle_grid,
     intensity_ratio,
     malus,
@@ -456,127 +454,126 @@ class TestCoincidenceIntegralConventions:
             )
 
 
-# the fit's grids: the default, the CLI's --grid-step 10, 7.5 and 7.3, one
-# without 0 (--grid-start 3.3 --grid-step 2.9 --grid-stop 87.1), one that
-# holds 0 twice, and two with an angle in the slack that the window check
-# accepts past +90 and -90 degrees and clamps
-TABLE_GRIDS = {
+# the reference triple, the default fit of the Nelder-Mead search that
+# preceded the SQP search, and the default fit's certified optimum
+FIT_TRIPLES = {
+    "reference": (2.6, 2.2, 45.0),
+    "nelder_mead_fit": (2.63886500384, 1.81949075973, 12.2870441243),
+    "optimum": (1.73646683921, 2.6856954549, 1.94274118032),
+}
+
+# the kernel with a tight target, the evaluator's oracle; its own error, up
+# to 1e-12 per piece, is allowed on top of the evaluator's estimate
+ORACLE = QuadratureSpec(4096, 1e-12, 12)
+ORACLE_SLACK = 1e-11
+
+# the fit's grids: lattice angles (the default, the CLI's --grid-step 7.5
+# and 10), angles off the 2h sub-lattice (--grid-start 3.3 --grid-step 2.9
+# --grid-stop 87.1, and odd lattice nodes), one that holds 0 twice, and two
+# with an angle in the slack that the window check accepts past +90 and -90
+# degrees and clamps
+LATTICE_GRIDS = {
     "default": default_angle_grid(),
     "step10": degrees_grid(0.0, 90.0, 10.0),
     "step7.5": degrees_grid(0.0, 90.0, 7.5),
-    "step7.3": degrees_grid(0.0, 90.0, 7.3),
     "3.3:2.9:87.1": degrees_grid(3.3, 87.1, 2.9),
+    "odd_nodes": np.deg2rad([0.0, 5.0 / 32.0, 15.0 / 32.0, 45.0]),
     "zero_twice": np.deg2rad([0.0, 30.0, 0.0, 60.0, 90.0]),
     "slack_above_90": np.array([0.0, np.pi / 2 + 5e-10]),
     "slack_below_-90": np.array([-np.pi / 2 - 5e-10, 0.0, 0.7]),
 }
-_TABLES = {}
+
+# only a coarse target: the lattice's own curve, never the kernel's
+NO_FALLBACK = QuadratureSpec(512, 1.0, 6)
 
 
-def _table(name):
-    if name not in _TABLES:
-        _TABLES[name] = _PairCurveTable(TABLE_GRIDS[name], FIT_QUADRATURE)
-    return _TABLES[name]
+def _no_fallback(*args):
+    raise AssertionError("the evaluator fell back to the kernel")
 
 
-def _curve_or_error(curve, model):
-    try:
-        return curve(model)
-    except BellhvError as exc:
-        return type(exc), str(exc)
+class TestLatticePairCurve:
+    """`_lattice_pair_curve`: the fit's curve from one FFT, and its jacobian."""
 
+    @pytest.mark.parametrize("grid_name", list(LATTICE_GRIDS))
+    @pytest.mark.parametrize("triple", list(FIT_TRIPLES))
+    def test_agrees_with_the_kernel_within_its_estimate(self, grid_name, triple, monkeypatch):
+        model = StretchedExponentialModel(*FIT_TRIPLES[triple])
+        grid = LATTICE_GRIDS[grid_name]
+        oracle = normalized_pair_curve(model, grid, ORACLE)
+        monkeypatch.setattr(transmission, "normalized_pair_curve", _no_fallback)
+        lattice = _lattice_pair_curve(model, grid, FIT_QUADRATURE)
+        assert lattice.estimate <= FIT_QUADRATURE.refine_until
+        assert np.max(np.abs(lattice.curve - oracle)) <= lattice.estimate + ORACLE_SLACK
+        assert np.all(lattice.curve[grid == 0.0] == 1.0)
+        assert np.all(lattice.jacobian[grid == 0.0] == 0.0)
 
-@dataclasses.dataclass(frozen=True)
-class _NanBeyond(TransmissionModel):
-    """cos^2, but NaN at folded deviations above `edge`."""
-
-    edge: float
-
-    def _profile(self, folded):
-        values = np.cos(folded) ** 2
-        values[folded > self.edge] = np.nan
-        return values
-
-
-@dataclasses.dataclass(frozen=True)
-class _NanAt(TransmissionModel):
-    """cos^2, but NaN at the folded deviation `deviation`."""
-
-    deviation: float
-
-    def _profile(self, folded):
-        values = np.cos(folded) ** 2
-        values[folded == self.deviation] = np.nan
-        return values
-
-
-class TestPairCurveTable:
-    """The fit's tabulated pair curve is `normalized_pair_curve` at FIT_QUADRATURE, bit for bit."""
-
-    @pytest.mark.parametrize("grid_name", list(TABLE_GRIDS))
-    @settings(max_examples=25)
+    @settings(max_examples=100)
     @given(
-        a=st.floats(min_value=0.3, max_value=20.0),
-        e=st.floats(min_value=0.2, max_value=8.0),
+        a=st.floats(min_value=0.5, max_value=10.0),
+        e=st.floats(min_value=1.0, max_value=8.0),
         c=st.floats(min_value=0.0, max_value=1000.0),
     )
-    def test_equals_the_kernel(self, grid_name, a, e, c):
+    def test_random_models_agree_with_the_kernel(self, a, e, c):
         model = StretchedExponentialModel(a, e, c)
-        kernel = _curve_or_error(
-            lambda m: normalized_pair_curve(m, TABLE_GRIDS[grid_name], FIT_QUADRATURE), model
-        )
-        table = _curve_or_error(_table(grid_name).curve, model)
-        if isinstance(kernel, tuple):
-            assert table == kernel
+        grid = default_angle_grid()
+        lattice = _lattice_pair_curve(model, grid, FIT_QUADRATURE)
+        if lattice.estimate <= FIT_QUADRATURE.refine_until:
+            oracle = normalized_pair_curve(model, grid, ORACLE)
+            assert np.max(np.abs(lattice.curve - oracle)) <= lattice.estimate + ORACLE_SLACK
         else:
-            assert np.array_equal(table, kernel)
+            assert np.array_equal(lattice.curve, normalized_pair_curve(model, grid, FIT_QUADRATURE))
 
-    @pytest.mark.parametrize("grid_name", list(TABLE_GRIDS))
-    def test_equals_the_kernel_at_the_reference(self, grid_name, monkeypatch):
-        # from the table itself: every piece meets refine_until at the first
-        # doubling, so the kernel is never called
-        kernel = normalized_pair_curve(REFERENCE_MODEL, TABLE_GRIDS[grid_name], FIT_QUADRATURE)
+    def test_cusp_takes_the_kernel(self):
+        # e = 0.3 puts a cusp at lambda = 0, which the trapezoid rule resolves
+        # only as h^1.3: the estimate misses the target
+        model = StretchedExponentialModel(2.6, 0.3, 0.0)
+        grid = default_angle_grid()
+        lattice = _lattice_pair_curve(model, grid, FIT_QUADRATURE)
+        assert lattice.estimate > FIT_QUADRATURE.refine_until
+        assert np.array_equal(lattice.curve, normalized_pair_curve(model, grid, FIT_QUADRATURE))
+        assert np.all(np.isfinite(lattice.jacobian))
 
-        def no_fallback(*args):
-            raise AssertionError("the table fell back to the kernel")
+    def test_lattice_curve_stands_where_the_kernel_fails(self, monkeypatch):
+        model = StretchedExponentialModel(2.6, 0.3, 0.0)
+        grid = default_angle_grid()
+        lattice = _lattice_pair_curve(model, grid, NO_FALLBACK)
 
-        monkeypatch.setattr(transmission, "normalized_pair_curve", no_fallback)
-        assert np.array_equal(_table(grid_name).curve(REFERENCE_MODEL), kernel)
+        def diverging(model, alphas, spec):
+            raise QuadratureConvergenceError("diverged", 0.0, 1.0)
 
-    def test_profile_evaluated_once_per_distinct_deviation(self):
-        # the default grid's 54 pieces hold 54 * 1025 nodes per factor, but
-        # only 28,872 distinct folded deviations
-        table = _table("default")
-        points = []
+        monkeypatch.setattr(transmission, "normalized_pair_curve", diverging)
+        fallback = _lattice_pair_curve(model, grid, FIT_QUADRATURE)
+        assert fallback.estimate == lattice.estimate > FIT_QUADRATURE.refine_until
+        assert fallback.curve.tobytes() == lattice.curve.tobytes()
 
-        class Counted(StretchedExponentialModel):
-            def _profile(self, folded):
-                points.append(folded.size)
-                return super()._profile(folded)
+    @pytest.mark.parametrize("grid_name", ["default", "3.3:2.9:87.1", "slack_below_-90"])
+    @pytest.mark.parametrize("triple", list(FIT_TRIPLES))
+    def test_jacobian_matches_central_differences(self, grid_name, triple):
+        grid = LATTICE_GRIDS[grid_name]
+        x = np.log(FIT_TRIPLES[triple])
+        jacobian = _lattice_pair_curve(StretchedExponentialModel(*np.exp(x)), grid, NO_FALLBACK).jacobian
+        for k, step in enumerate(1e-6 * np.eye(3)):
+            ahead, behind = (
+                _lattice_pair_curve(StretchedExponentialModel(*np.exp(x + sign * step)), grid, NO_FALLBACK).curve
+                for sign in (1.0, -1.0)
+            )
+            np.testing.assert_allclose(jacobian[:, k], (ahead - behind) / 2e-6, rtol=0, atol=1e-8)
 
-        table.curve(Counted(2.6, 2.2, 45.0))
-        assert points == [table.deviations.size] == [28872]
-        assert np.all(np.diff(table.deviations) > 0)
-        assert all(index.dtype == np.uint16 for index in table.index)
+    def test_even_in_the_angle_and_clamped_as_the_kernel(self):
+        model = StretchedExponentialModel(*FIT_TRIPLES["optimum"])
+        grid = np.array([-np.pi / 2 - 5e-10, -0.7, 0.0, 0.7, np.pi / 2])
+        lattice = _lattice_pair_curve(model, grid, FIT_QUADRATURE)
+        assert lattice.curve.tobytes() == lattice.curve[::-1].tobytes()
+        assert lattice.jacobian.tobytes() == lattice.jacobian[::-1].tobytes()
+        with pytest.raises(AngleDomainError, match="alpha"):
+            _lattice_pair_curve(model, np.array([0.0, np.pi / 2 + 1e-6]), FIT_QUADRATURE)
 
-    @pytest.mark.parametrize(
-        "nan_model",
-        [
-            lambda table: _NanBeyond(1.2),
-            # NaN at one deviation that the first doubling's nodes reach and
-            # the first level's do not
-            lambda table: _NanAt(
-                table.deviations[np.setdiff1d(table.index[2:], table.index[:2])[0]]
-            ),
-        ],
-        ids=["beyond_1.2", "first_doubling_only"],
-    )
-    def test_non_finite_profile_is_a_parameter_error(self, nan_model):
-        table = _table("step10")
-        model = nan_model(table)
-        for curve in (table.curve, lambda m: normalized_pair_curve(m, table.alphas, FIT_QUADRATURE)):
-            with pytest.raises(ParameterError, match="non-finite"):
-                curve(model)
+    def test_log_gradient_limits(self):
+        # u log u and e u at u = 0 (lambda = 0), and with E underflowing, are 0
+        for model in (StretchedExponentialModel(2.6, 2.2, 45.0), StretchedExponentialModel(1e5, 50.0, 1e5)):
+            gradient = model._log_gradient(np.array([0.0, 1e-3, 1.0, np.pi / 2]))
+            assert np.all(np.isfinite(gradient))
+            assert np.all(gradient[:, 0] == 0.0)
 
 
 def test_default_angle_grid_matches_frozen_grid():
