@@ -12,8 +12,10 @@ box [_LOG_C_FLOOR, _LOG_CEILING]^3.  Each restart is an SQP method
 (`_sqp`): for the Chebyshev objective each step solves a small quadratic
 program on the epigraph form, minimize t subject to +-r_k(theta) <= t at
 every grid angle k (`_epigraph_step`).  The residuals and their analytic
-jacobian come from `transmission._lattice_pair_curve`; the reported
-residual is the adaptive quadrature's, at the returned parameters.
+jacobian come from `transmission._lattice_pair_curve`, and the curve from
+the adaptive quadrature where the lattice's estimate misses its target;
+the reported residual is the adaptive quadrature's, at the returned
+parameters.
 
 At the Chebyshev optimum several angles are active at once (30 and 80
 degrees for the default fit), so the gradient need not vanish there.
@@ -313,18 +315,24 @@ def _sqp(residuals: Callable, start: np.ndarray, max_iterations: int, objective:
     step bound and the box and tries the step.  The ratio rho of the actual
     to the predicted decrease accepts the step above 0.1, halves the bound
     below 0.25 and doubles it, up to _MAX_STEP, above 0.75 at the bound.  A
-    chebyshev step that does not reach 0.75 gets one second-order
-    correction, the model step with the residuals at the trial point less
-    J d, which follows a curved valley of active residuals (the Maratos
-    effect).  B is a damped BFGS approximation of the Lagrangian's Hessian.
-    The search stops when the model predicts less than _PREDICTED_FLOOR or
-    at max_iterations.
+    point whose residuals cannot be computed has rho = -inf.  A chebyshev
+    step that does not reach 0.75 gets one second-order correction, the
+    model step with the residuals at the trial point less J d, which
+    follows a curved valley of active residuals (the Maratos effect).  B is
+    a damped BFGS approximation of the Lagrangian's Hessian.  The search
+    stops when the model predicts less than _PREDICTED_FLOOR or at
+    max_iterations; a start whose residuals cannot be computed ends it there
+    with value inf.
     """
     x = np.clip(start, _LOG_C_FLOOR, _LOG_CEILING)
-    r, J = residuals(x)
+    first = residuals(x)
+    if first is None:
+        return SearchResult(x, math.inf, 0, math.inf, ())
+    r, J = first
     value = _merit(r, objective)
     B = np.eye(x.size)
     bound = _FIRST_STEP
+    iterations = 0
     for iterations in range(1, max_iterations + 1):
         lower = np.maximum(_LOG_C_FLOOR - x, -bound)
         upper = np.minimum(_LOG_CEILING - x, bound)
@@ -332,19 +340,21 @@ def _sqp(residuals: Callable, start: np.ndarray, max_iterations: int, objective:
         predicted = value - model
         if not predicted > _PREDICTED_FLOOR:
             break
-        step, (r_new, J_new) = d, residuals(x + d)
-        ratio = (value - _merit(r_new, objective)) / predicted
-        if objective == "chebyshev" and ratio < 0.75:
-            corrected = _model_step(B, r_new - J @ d, J, lower, upper, objective)[0]
+        step, trial = d, residuals(x + d)
+        ratio = _decrease(value, trial, objective) / predicted
+        if objective == "chebyshev" and ratio < 0.75 and trial is not None:
+            corrected = _model_step(B, trial[0] - J @ d, J, lower, upper, objective)[0]
             retry = residuals(x + corrected)
-            retry_ratio = (value - _merit(retry[0], objective)) / predicted
+            retry_ratio = _decrease(value, retry, objective) / predicted
             if retry_ratio > ratio:
-                step, (r_new, J_new), ratio = corrected, retry, retry_ratio
-        if objective == "chebyshev":
-            y = (J_new - J).T @ weights
-        else:
-            y = J_new.T @ _rms_weights(r_new) - J.T @ weights
-        B = _bfgs(B, step, y)
+                step, trial, ratio = corrected, retry, retry_ratio
+        if trial is not None:
+            r_new, J_new = trial
+            if objective == "chebyshev":
+                y = (J_new - J).T @ weights
+            else:
+                y = J_new.T @ _rms_weights(r_new) - J.T @ weights
+            B = _bfgs(B, step, y)
         length = np.max(np.abs(step))
         if ratio < 0.25:
             bound = 0.5 * length
@@ -354,6 +364,11 @@ def _sqp(residuals: Callable, start: np.ndarray, max_iterations: int, objective:
             x, r, J, value = x + step, r_new, J_new, _merit(r_new, objective)
     gap, active = _stationarity_gap(r, J, x, objective)
     return SearchResult(x, value, iterations, gap, active)
+
+
+def _decrease(value: float, trial, objective: str) -> float:
+    """How far the trial residuals lower the value; -inf where they cannot be computed."""
+    return -math.inf if trial is None else value - _merit(trial[0], objective)
 
 
 def _restart(
@@ -401,15 +416,16 @@ def _worker_count(restarts: int) -> int:
 
 
 def minimize(
-    residuals: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    residuals: Callable[[np.ndarray], Optional[Tuple[np.ndarray, np.ndarray]]],
     x0: np.ndarray,
     config: SearchConfig,
-    objective: str = "chebyshev",
+    objective: str,
 ) -> Tuple[int, SearchResult]:
     """SQP (`_sqp`) from x0, then from `config.restarts - 1` perturbed starts.
 
     residuals(x) returns the residual vector r and its jacobian J (a row
-    per residual) at x; objective "chebyshev" minimizes max |r_k|,
+    per residual) at x, or None where they cannot be computed: no restart
+    accepts such a point.  objective "chebyshev" minimizes max |r_k|,
     "least-squares" the root mean square.  Every point lies in the box
     [_LOG_C_FLOOR, _LOG_CEILING]^n.  Restart r >= 1 starts at x0
     plus _RESTART_SPREAD times normal draws from `config.rng.substream(r)`,
@@ -460,16 +476,20 @@ def fit(
     """Minimize the cos^2 residual over (a, e, c) from a starting triple.
 
     The search (`minimize`) reads each candidate's curve and jacobian from
-    `transmission._lattice_pair_curve` at `FIT_QUADRATURE`.  The returned
-    residual is `residual(params, grid, FIT_QUADRATURE, objective)` of the
-    returned parameters, and the intensity ratio at the fit is computed at
-    `FIT_QUADRATURE` too.  `converged` states the certificate: the
-    stationarity gap at the returned parameters is at most _STATIONARY_GAP.
+    `transmission._lattice_pair_curve`, and the curve from
+    `normalized_pair_curve` at `FIT_QUADRATURE` where the lattice's
+    estimate misses its refine_until; where that does not converge either,
+    the candidate is rejected.  The returned residual is `residual(params,
+    grid, FIT_QUADRATURE, objective)` of the returned parameters, and the
+    intensity ratio `intensity_ratio(params, FIT_QUADRATURE)`; where either
+    does not converge after all, the fit returns its start, with 0
+    iterations.  `converged` states the certificate: the stationarity gap
+    at the returned parameters is at most _STATIONARY_GAP.
 
     Raises ParameterError for a start outside the search box: a, e or c
     above exp(_LOG_CEILING), or a or e below exp(_LOG_C_FLOOR) (c below it
     is raised to it, so c = 0 still fits); and for a start whose own
-    residual does not converge at FIT_QUADRATURE.
+    residual or intensity ratio does not converge at FIT_QUADRATURE.
     """
     if not isinstance(start, StretchedExponentialModel):
         raise ParameterError("start must be a StretchedExponentialModel")
@@ -484,25 +504,45 @@ def fit(
             f"start {start} lies outside the fit's box: a, e, c <= exp({_LOG_CEILING:g}) "
             f"and a, e >= exp({_LOG_C_FLOOR:g})"
         )
+
+    def report(x: np.ndarray):
+        """The parameters at x, and their residual and intensity ratio at FIT_QUADRATURE."""
+        params = _params_from_log(x)
+        value = residual(params, grid, FIT_QUADRATURE, objective)
+        return params, value, intensity_ratio(params, FIT_QUADRATURE)
+
     # a bad grid or start must fail here, before any search
     try:
-        residual(_params_from_log(x0), grid, FIT_QUADRATURE, objective)
+        report(x0)
     except QuadratureConvergenceError as exc:
-        raise ParameterError(f"the residual at start {start} cannot be computed: {exc}") from exc
+        raise ParameterError(
+            f"the residual or intensity ratio at start {start} cannot be computed: {exc}"
+        ) from exc
     target = malus(grid)
 
-    def residuals(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lattice = _lattice_pair_curve(_params_from_log(x), grid, FIT_QUADRATURE)
-        return lattice.curve - target, lattice.jacobian
+    def residuals(x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        model = _params_from_log(x)
+        lattice = _lattice_pair_curve(model, grid)
+        curve = lattice.curve
+        if not lattice.estimate <= FIT_QUADRATURE.refine_until:  # as at a cusp, e < 1
+            try:
+                curve = normalized_pair_curve(model, grid, FIT_QUADRATURE)
+            except QuadratureConvergenceError:
+                return None
+        return curve - target, lattice.jacobian
 
     best_restart, result = minimize(residuals, x0, config, objective)
-    params = _params_from_log(result.x)
+    try:
+        params, value, ratio = report(result.x)
+    except QuadratureConvergenceError:
+        best_restart, result = 0, _sqp(residuals, x0, 0, objective)
+        params, value, ratio = report(x0)
     return FitResult(
         params=params,
-        residual=residual(params, grid, FIT_QUADRATURE, objective),
+        residual=value,
         objective=objective,
         grid=grid,
-        intensity_ratio_at_fit=intensity_ratio(params, FIT_QUADRATURE),
+        intensity_ratio_at_fit=ratio,
         converged=bool(result.gap <= _STATIONARY_GAP),
         stationarity_gap=result.gap,
         active=result.active,

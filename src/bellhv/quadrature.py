@@ -30,10 +30,11 @@ node.  No allocator setting is involved.
 At `DEFAULT_QUADRATURE` every block is one row of 4097 nodes, as it is for
 any `_BLOCK_NODES` below 8194.  Blocks of several rows, 15 of 513 nodes at
 the fit's quadrature, come only from the fit: its start check, the residual
-of its result and the kernel fallback of `transmission._lattice_pair_curve`.
-The default fit makes 9 block calls, and none carries pending rows over to
-a second doubling; only a fit whose candidates fall back to the kernel
-reaches that code, as the cusp fit (e = 0.3, c = 0) does in 18 of its 37.
+of its result and the curve of a candidate whose lattice estimate
+(`transmission._lattice_pair_curve`) misses its target.  The default fit
+makes 10 block calls, and none carries pending rows over to a second
+doubling; only a fit whose candidates fall back to the kernel reaches that
+code, as the cusp fit (e = 0.3, c = 0) does in 19 of its 38.
 """
 
 from __future__ import annotations

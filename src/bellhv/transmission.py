@@ -29,9 +29,10 @@ The fit scores one grid's curve for hundreds of models, with its
 derivatives, so it reads them from `_lattice_pair_curve` instead: P is the
 autocorrelation of f(x) = p1(|x|), cut off at |x| = pi/2, so one
 zero-padded FFT of the profile sampled on a lattice gives the trapezoid
-rule's P at every lattice angle.  The routine checks itself against the
-same sum on every other node and returns the kernel's curve where the two
-disagree by more than the fit's `refine_until`.
+rule's P at every lattice angle; an angle between nodes takes the same sum
+from the profile on a lattice shifted by its offset.  The routine checks
+itself against the same sums on every other node, and the fit takes the
+kernel's curve where the two disagree by more than its `refine_until`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,7 @@ from .angles import (
     reduce_axis_angle,
     require_deviation_angle,
 )
-from .errors import (
-    AngleDomainError,
-    DegenerateModelError,
-    ParameterError,
-    QuadratureConvergenceError,
-)
+from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec, integrate, integrate_rows
 
 
@@ -156,7 +152,7 @@ class StretchedExponentialModel(TransmissionModel):
             u[~((u > 0.0) & (expo > 0.0))] = 0.0
             u_log_u = u * np.log(np.where(u > 0.0, u, 1.0))
         weight = (c + 1.0) * scale
-        return np.array([-weight * e * u, -weight * u_log_u, c * scale * (1.0 - expo)])
+        return np.stack((-weight * e * u, -weight * u_log_u, c * scale * (1.0 - expo)))
 
 
 # Reference triple: recovered by the fit module as the operating point whose
@@ -231,10 +227,14 @@ def malus(alpha):
 
 
 def intensity_ratio(model: TransmissionModel, spec: Optional[QuadratureSpec] = None) -> float:
-    """Fraction of an unpolarized beam passing one polarizer: mean of p1."""
+    """Fraction of an unpolarized beam passing one polarizer: mean of p1.
+
+    p1 is even, so this is 2/pi times its integral over [0, pi/2], which
+    ends at the profile's cusp (e < 1) instead of crossing it.
+    """
     require_model(model)
-    value, _ = integrate(model.probabilities, -HALF_WINDOW, HALF_WINDOW, spec)
-    return value / np.pi
+    value, _ = integrate(model.probabilities, 0.0, HALF_WINDOW, spec)
+    return 2.0 * value / np.pi
 
 
 def _clipped_profile(model: TransmissionModel, folded: np.ndarray) -> np.ndarray:
@@ -366,15 +366,17 @@ _FFT_LENGTH = 2048
 # an angle within this of a 2h sub-lattice node (radians) is read there
 _ON_LATTICE = 1e-13
 
+# angles off the 2h sub-lattice summed at once, so that a grid of any size
+# holds a few megabytes of shifted samples at a time
+_OFF_LATTICE_BLOCK = 64
+
 
 class _LatticeCurve(NamedTuple):
     """The fit's pair curve on a grid, from `_lattice_pair_curve`.
 
     curve: P(alpha)/P(0) on the grid.  jacobian: its derivatives in log(a),
     log(e) and log(c), a row per angle.  estimate: the largest difference
-    from the same curve on the 2h sub-lattice; where it misses the target,
-    curve is the kernel's (if the kernel converges) and jacobian still the
-    lattice's.
+    from the same curve on the 2h sub-lattice.
     """
 
     curve: np.ndarray
@@ -382,10 +384,8 @@ class _LatticeCurve(NamedTuple):
     estimate: float
 
 
-def _lattice_pair_curve(
-    model: StretchedExponentialModel, alphas: np.ndarray, spec: QuadratureSpec
-) -> _LatticeCurve:
-    """`normalized_pair_curve(model, alphas, spec)` and its log-parameter jacobian.
+def _lattice_pair_curve(model: StretchedExponentialModel, alphas: np.ndarray) -> _LatticeCurve:
+    """The trapezoid rule's `normalized_pair_curve(model, alphas)`, its jacobian and estimate.
 
     The profile and its `_log_gradient` are sampled once on the lattice
     lambda_j = j h, |j| <= 576, the window's edges on nodes.  With the edge
@@ -393,46 +393,43 @@ def _lattice_pair_curve(
     every m at once is one zero-padded rfft/irfft autocorrelation, and
     dP/dtheta = 2 h sum_j (df/dtheta)_j f_(j-m), one more correlation per
     parameter (f is even).  The 2h sub-lattice's P, the same correlation
-    of every other sample, gives the estimate.  An angle off that
-    sub-lattice is summed on the same nodes with the profile at its own
-    shifted deviations, one angle at a time, its end at alpha - pi/2 as an
-    extra node.  Where the estimate misses spec.refine_until (as at a cusp,
-    e < 1) the curve is the kernel's, unless the kernel does not converge
-    either; the estimate then tells the caller.  `alphas` are checked and
-    clamped as the kernel checks them.
+    of every other sample, gives the estimate.  Angles off that
+    sub-lattice are summed on the same nodes by `_off_lattice`.  `alphas`
+    are checked and clamped as the kernel checks them.
     """
     settings = np.abs(_curve_settings(alphas))
     h = _LATTICE_STEP
     folded = np.arange(_QUARTER_STEPS + 1.0) * h
     folded[-1] = HALF_WINDOW
     half = np.vstack((_clipped_profile(model, folded), model._log_gradient(folded)))
-    # f and its gradient on j = -576..576
+    # f and its gradient on j = -576..576, then f on the even nodes only
     samples = np.hstack((half[:, :0:-1], half))
-    halved = samples.copy()
+    halved = np.vstack((samples, samples[0]))
     halved[:, [0, -1]] *= 0.5
-    coarse = np.zeros(samples.shape[1])
-    coarse[: _QUARTER_STEPS + 1] = halved[0, ::2]
+    halved[4, 1::2] = 0.0
     # rows 0-3 (f and its gradient) correlated with f, row 4 with itself
-    spectra = np.fft.rfft(np.vstack((halved, coarse)), _FFT_LENGTH)
+    spectra = np.fft.rfft(halved, _FFT_LENGTH)
     lags = np.fft.irfft(spectra * spectra[[0, 0, 0, 0, 4]].conj(), _FFT_LENGTH)
     # at lag 0 both factors' ends are halved, a quarter weight where the
     # rule wants a half: add the missing quarter
-    edge, edge_gradient = halved[0, 0], halved[1:, 0]
+    edge, edge_gradient = halved[0, 0], halved[1:4, 0]
     fine = h * lags[0, : _QUARTER_STEPS + 1]
     fine[0] += 2.0 * h * edge**2
     fine_gradient = 2.0 * h * lags[1:4, : _QUARTER_STEPS + 1]
     fine_gradient[:, 0] += 4.0 * h * edge * edge_gradient
-    sub = 2.0 * h * lags[4, : _QUARTER_STEPS // 2 + 1]
+    sub = 2.0 * h * lags[4, : _QUARTER_STEPS + 1]
     sub[0] += 4.0 * h * edge**2
 
     node = np.rint(settings / (2.0 * h))
     on = np.abs(settings - node * 2.0 * h) <= _ON_LATTICE
-    node = node.astype(int)
-    values = fine[2 * node]
-    coarse_values = sub[node]
-    gradient = fine_gradient[:, 2 * node]
-    for k in np.flatnonzero(~on):
-        values[k], coarse_values[k], gradient[:, k] = _off_lattice(model, samples, settings[k])
+    node = 2 * node.astype(int)
+    values, coarse_values, gradient = fine[node], sub[node], fine_gradient[:, node]
+    off = np.flatnonzero(~on)
+    for first in range(0, off.size, _OFF_LATTICE_BLOCK):
+        block = off[first : first + _OFF_LATTICE_BLOCK]
+        values[block], coarse_values[block], gradient[:, block] = _off_lattice(
+            model, samples, halved, settings[block]
+        )
 
     curve = _normalized(alphas, values)
     estimate = float(np.max(np.abs(curve - _normalized(alphas, coarse_values))))
@@ -440,41 +437,58 @@ def _lattice_pair_curve(
     jacobian[alphas != 0.0] = (
         (gradient[:, 1:] * values[0] - values[1:] * gradient[:, :1]) / values[0] ** 2
     ).T
-    if not estimate <= spec.refine_until:
-        try:
-            curve = normalized_pair_curve(model, alphas, spec)
-        except QuadratureConvergenceError:
-            pass  # the kernel does no better: the lattice's curve stands
     return _LatticeCurve(curve, jacobian, estimate)
 
 
-def _off_lattice(model: StretchedExponentialModel, samples: np.ndarray, alpha: float):
-    """(P on the lattice, P on the 2h sub-lattice, dP/dlog-parameters) at one angle.
+def _off_lattice(model: StretchedExponentialModel, samples, halved, alphas: np.ndarray):
+    """(P, P on the 2h sub-lattice, dP/dlog-parameters) at angles off the 2h sub-lattice.
 
-    samples holds f and its log-gradient on the lattice, unhalved; alpha
-    lies in [0, pi/2].  The product f(lambda) f(alpha - lambda) is summed
-    over its support [alpha - pi/2, pi/2] by the trapezoid rule on the
-    support's lower end and the nodes inside, all of them or the even ones.
+    samples holds f and its log-gradient on the lattice, and halved the
+    rows `_lattice_pair_curve` correlates.  An angle alpha = (m + phi) h,
+    with 0 <= phi <= 1 (an odd node is phi = 1), is summed over its
+    support [alpha - pi/2, pi/2] by the trapezoid rule on the support's
+    lower end and the nodes inside, all of them or the even ones.  With
+    s_k = f(|k - phi| h) on the lattice shifted by phi, zero from k = -576
+    down, the nodes give sum_j f_j s_(j-m), with the halved rows' end
+    weights and two corrections: the first node inside, j0 = m - 575 (or the first
+    even one), lies less than a step above the lower end, and the end
+    itself, where f(alpha - lambda) = f(pi/2), is one more node.  Angles
+    whose offsets phi agree to round-off share one shifted profile.
     """
-    start = alpha - HALF_WINDOW
-    nodes = np.arange(int(np.ceil(start / _LATTICE_STEP)), _QUARTER_STEPS + 1)
-    x = np.concatenate(([start], nodes * _LATTICE_STEP))
-    # f(x) is sampled at the nodes and f(alpha - x) is f(pi/2) at the end;
-    # the profile gives the rest
-    fresh = np.concatenate(([-start], np.abs(alpha - x[1:])))
-    fresh = np.vstack((_clipped_profile(model, fresh), model._log_gradient(fresh)))
-    first = np.hstack((fresh[:, :1], samples[:, nodes + _QUARTER_STEPS]))
-    second = np.hstack((samples[:, -1:], fresh[:, 1:]))
-    # the product, then its gradient d(f g) = df g + f dg
-    product = np.vstack((first[:1] * second[:1], first[1:] * second[:1] + first[:1] * second[1:]))
-    every = _trapezoid(product, x)
-    even = np.concatenate(([True], nodes % 2 == 0))
-    return every[0], _trapezoid(product[0, even], x[even]), every[1:]
+    h, n = _LATTICE_STEP, _QUARTER_STEPS
+    shift = alphas / h
+    m = np.ceil(shift).astype(int) - 1
+    # angles whose offsets agree to round-off share the first one's
+    _, leader, group = np.unique(np.round(shift - m, 9), return_index=True, return_inverse=True)
+    phis = (shift - m)[leader]
+    # s_k on k = -575..576 for each phi, a row of f then its gradient's
+    deviation = np.minimum(np.abs(np.arange(1 - n, n + 1) - phis[:, None]) * h, HALF_WINDOW)
+    shifted = np.concatenate((_clipped_profile(model, deviation)[None], model._log_gradient(deviation)))
+    # over the nodes j >= j0, where s_(j-m) is not 0: each halved row with
+    # s, and f with the gradient's rows
+    nodes, coarse = np.empty((4, alphas.size)), np.empty(alphas.size)
+    for i, (lag, row) in enumerate(zip(m, group)):
+        products = shifted[:, row, : 2 * n - lag] @ halved[:, lag + 1 :].T
+        nodes[:, i] = products[0, :4]
+        nodes[1:, i] += products[1:, 0]
+        coarse[i] = products[0, 4]
 
+    def product(a, b):  # f g and its gradient, a and b rows of f then its gradient
+        return np.vstack((a[:1] * b[:1], a[1:] * b[:1] + a[:1] * b[1:]))
 
-def _trapezoid(y: np.ndarray, x: np.ndarray):
-    """The trapezoid rule for samples y (on the last axis) at ascending nodes x."""
-    return 0.5 * ((y[..., 1:] + y[..., :-1]) * np.diff(x)).sum(axis=-1)
+    phi = phis[group]
+    end = product(shifted[:, group, 2 * n - 1 - m], samples[:, -1:])
+    first = product(samples[:, m + 1], shifted[:, group, 0])
+    every = h * nodes - 0.5 * phi * h * first + 0.5 * (1.0 - phi) * h * end
+    # the first even node lies odd = 0 or 1 steps above j0
+    odd = (m - n + 1) % 2
+    reach = (odd + 1.0 - phi) * h
+    coarse = (
+        2.0 * h * coarse
+        + (0.5 * reach - h) * samples[0, m + 1 + odd] * shifted[0, group, odd]
+        + 0.5 * reach * end[0]
+    )
+    return every[0], coarse, every[1:]
 
 
 def default_angle_grid() -> np.ndarray:

@@ -160,7 +160,7 @@ MC_BELINFANTE = {
 REGRESSIONS = {
     "fit_default_from_reference": {
         "converged": True,
-        "intensity_ratio_at_fit": 0.40692144874373587,
+        "intensity_ratio_at_fit": 0.40692144873076974,
         "residual": 0.034129904229408495,
         "threshold": 0.03415
     },

@@ -355,7 +355,7 @@ class TestFit:
         argv = ["fit", flag, "1e5", "--restarts", "1", "--grid-step", "30"]
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert "the residual at start StretchedExponentialModel(" in err
+        assert "the residual or intensity ratio at start StretchedExponentialModel(" in err
         assert "100000.0" in err and "cannot be computed" in err
         assert list(tmp_path.iterdir()) == []
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from _frozen import BELINFANTE, REFERENCE, REGRESSIONS, STEEP
 import bellhv.malusfit as malusfit
-import bellhv.transmission as transmission
 from bellhv.errors import AngleDomainError, ParameterError, QuadratureConvergenceError
 from bellhv.malusfit import (
     _STATIONARY_GAP,
@@ -34,6 +33,8 @@ from bellhv.transmission import (
     _lattice_pair_curve,
     StretchedExponentialModel,
     default_angle_grid,
+    degrees_grid,
+    intensity_ratio,
     malus,
     normalized_pair_curve,
 )
@@ -122,7 +123,7 @@ class TestMinimize:
     """The SQP restarts on small problems whose answers are known."""
 
     def test_chebyshev_line(self):
-        best, result = minimize(_chebyshev_line, np.array([0.0, 0.0]), SearchConfig(restarts=1))
+        best, result = minimize(_chebyshev_line, np.array([0.0, 0.0]), SearchConfig(restarts=1), "chebyshev")
         assert best == 0
         assert result.fun == pytest.approx(0.125, abs=1e-12)
         np.testing.assert_allclose(result.x, [-0.125, 1.0], atol=1e-10)
@@ -138,10 +139,10 @@ class TestMinimize:
         assert result.active == ()
 
     def test_restarts_escape_local_minimum(self):
-        _, local_only = minimize(_double_well, np.array([0.3, 0.0]), SearchConfig(restarts=1))
+        _, local_only = minimize(_double_well, np.array([0.3, 0.0]), SearchConfig(restarts=1), "chebyshev")
         assert local_only.fun == pytest.approx(0.05, abs=1e-9)  # stuck at (0.2, 0)
         best_restart, multi = minimize(
-            _double_well, np.array([0.3, 0.0]), SearchConfig(restarts=12, rng=RngStream(3))
+            _double_well, np.array([0.3, 0.0]), SearchConfig(restarts=12, rng=RngStream(3)), "chebyshev"
         )
         assert best_restart > 0
         assert multi.fun < 1e-9
@@ -149,7 +150,7 @@ class TestMinimize:
 
     def test_deterministic_given_config(self):
         config = SearchConfig(restarts=4, rng=RngStream(5))
-        outcomes = [minimize(_double_well, np.array([0.3, 0.5]), config) for _ in range(2)]
+        outcomes = [minimize(_double_well, np.array([0.3, 0.5]), config, "chebyshev") for _ in range(2)]
         (best, result), (other_best, other) = outcomes
         assert best == other_best
         _assert_bitwise_equal(result, other)
@@ -162,12 +163,24 @@ class TestMinimize:
         assert result.gap > 1e-3
 
     def test_result_type(self):
-        best_restart, result = minimize(_chebyshev_line, np.zeros(2), SearchConfig(restarts=1))
+        best_restart, result = minimize(_chebyshev_line, np.zeros(2), SearchConfig(restarts=1), "chebyshev")
         assert isinstance(result, SearchResult)
         assert isinstance(result.fun, float)
         assert isinstance(result.nit, int)
         assert isinstance(result.gap, float)
         assert best_restart == 0
+
+    def test_points_without_residuals_are_never_accepted(self):
+        # left of x0 = -0.1 the residuals cannot be computed, which hides the
+        # line fit's optimum (-0.125, 1); a start there ends its restart
+        def fenced(x):
+            return None if x[0] < -0.1 else _chebyshev_line(x)
+
+        _, result = minimize(fenced, np.zeros(2), SearchConfig(restarts=1), "chebyshev")
+        assert result.x[0] >= -0.1
+        assert 0.125 < result.fun < 0.15
+        _, fenced_start = minimize(fenced, np.array([-1.0, 0.0]), SearchConfig(restarts=1), "chebyshev")
+        assert (fenced_start.fun, fenced_start.nit) == (math.inf, 0)
 
     def test_start_is_moved_into_the_box(self):
         seen = []
@@ -176,7 +189,7 @@ class TestMinimize:
             seen.append(x.copy())
             return _chebyshev_line(x)
 
-        minimize(recorded, np.array([30.0, -30.0]), SearchConfig(restarts=1, max_iterations=1))
+        minimize(recorded, np.array([30.0, -30.0]), SearchConfig(restarts=1, max_iterations=1), "chebyshev")
         np.testing.assert_array_equal(seen[0], [malusfit._LOG_CEILING, malusfit._LOG_C_FLOOR])
 
     @given(
@@ -274,7 +287,7 @@ class TestRestartWorkers:
         for cpus in (1, 2, 3):
             monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
             started.clear()
-            outcomes.append(minimize(residuals, np.full(dim, 0.0), config))
+            outcomes.append(minimize(residuals, np.full(dim, 0.0), config, "chebyshev"))
             assert len(started) == _pool_size(restarts, cpus)
             _assert_no_child_processes()
         (best, result), *others = outcomes
@@ -312,10 +325,10 @@ class TestRestartWorkers:
         config = SearchConfig(restarts=4, max_iterations=200, rng=RngStream(3))
         x0 = np.zeros(2)
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 1)
-        expected_best, expected = minimize(_double_well, x0, config)
+        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 3)
         started = _count_process_starts(monkeypatch)
-        best, result = minimize(_double_well, x0, config)
+        best, result = minimize(_double_well, x0, config, "chebyshev")
         assert len(started) == 2
         _assert_no_child_processes()
         assert best == expected_best
@@ -334,7 +347,7 @@ class TestRestartWorkers:
         for cpus in (1, 2, 3):
             monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
             with pytest.raises(QuadratureConvergenceError) as caught:
-                minimize(residuals, np.array([0.0]), config)
+                minimize(residuals, np.array([0.0]), config, "chebyshev")
             errors.append(caught.value)
             _assert_no_child_processes()
         draw = config.rng.substream(1).generator().standard_normal(1)[0]
@@ -354,7 +367,7 @@ class TestRestartWorkers:
 
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
         with pytest.raises(BrokenProcessPool):
-            minimize(residuals, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50))
+            minimize(residuals, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50), "chebyshev")
         _assert_no_child_processes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -371,7 +384,7 @@ class TestRestartWorkers:
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
         config = SearchConfig(restarts=3, max_iterations=50, rng=RngStream(3))
         with pytest.raises(ValueError, match="^restart 0$"):
-            minimize(residuals, np.array([0.0]), config)
+            minimize(residuals, np.array([0.0]), config, "chebyshev")
         _assert_no_child_processes()
 
     def test_interrupt_ends_every_workers_block(self, monkeypatch, tmp_path):
@@ -385,7 +398,7 @@ class TestRestartWorkers:
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
         config = SearchConfig(restarts=6, max_iterations=50, rng=RngStream(3))
         with pytest.raises(KeyboardInterrupt):
-            minimize(residuals, np.array([0.0]), config)
+            minimize(residuals, np.array([0.0]), config, "chebyshev")
         _assert_no_child_processes()
         assert len(list(tmp_path.iterdir())) == 2
 
@@ -393,10 +406,10 @@ class TestRestartWorkers:
         config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
         x0 = np.zeros(2)
         monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        expected_best, expected = minimize(_double_well, x0, config)
+        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
         monkeypatch.delattr(os, "fork")
         started = _count_process_starts(monkeypatch)
-        best, result = minimize(_double_well, x0, config)
+        best, result = minimize(_double_well, x0, config, "chebyshev")
         assert started == []
         assert best == expected_best
         _assert_bitwise_equal(result, expected)
@@ -410,7 +423,7 @@ class TestRestartWorkers:
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
         daemon = context.Process(
-            target=lambda: sender.send(minimize(_double_well, x0, config)), daemon=True
+            target=lambda: sender.send(minimize(_double_well, x0, config, "chebyshev")), daemon=True
         )
         daemon.start()
         sender.close()
@@ -418,7 +431,7 @@ class TestRestartWorkers:
         daemon.join()
         receiver.close()
         assert daemon.exitcode == 0
-        expected_best, expected = minimize(_double_well, x0, config)
+        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
         assert best == expected_best
         _assert_bitwise_equal(result, expected)
         _assert_no_child_processes()
@@ -540,7 +553,7 @@ class TestFit:
         # inside the box, but its residual raises QuadratureConvergenceError at
         # FIT_QUADRATURE, which the search would take as a rejected step
         start = StretchedExponentialModel(1e5, 2.2, 45.0)
-        with pytest.raises(ParameterError, match="residual at start .* cannot be computed"):
+        with pytest.raises(ParameterError, match="residual or intensity ratio at start .* cannot be computed"):
             fit(start=start, grid=np.deg2rad([0.0, 30.0, 60.0, 90.0]), config=LIGHT_SEARCH)
 
     def test_empty_grid_is_an_error(self):
@@ -566,20 +579,17 @@ class TestFit:
         assert result.residual <= start_value + 1e-12
 
     def test_cusp_fit_falls_back_to_the_kernel(self, monkeypatch):
-        # e = 0.3 puts a cusp at lambda = 0: the evaluator's estimate misses
-        # refine_until, and the candidates near the start take the kernel's
-        # curve; the fit still ends at a point its certificate accepts
+        # e = 0.3 puts a cusp at lambda = 0: the lattice's estimate misses
+        # refine_until, so the search reads the kernel's curve at the start;
+        # the fit still ends at a point its certificate accepts
+        searches = _fit_search(monkeypatch)
         start = StretchedExponentialModel(2.6, 0.3, 0.0)
-        kernel = transmission.normalized_pair_curve
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args[0])
-            return kernel(*args)
-
-        monkeypatch.setattr(transmission, "normalized_pair_curve", counted)
         result = fit(start=start, config=SearchConfig(restarts=1, max_iterations=400))
-        assert fallbacks and all(model.e < 1.0 for model in fallbacks[:1])
+        (residuals, x0, _, _), = searches
+        model, grid = malusfit._params_from_log(x0), result.grid
+        assert _lattice_pair_curve(model, grid).estimate > FIT_QUADRATURE.refine_until
+        kernel = normalized_pair_curve(model, grid, FIT_QUADRATURE)
+        np.testing.assert_array_equal(residuals(x0)[0], kernel - malus(grid))
         assert result.residual < residual(start, spec=FIT_QUADRATURE)
         assert result.converged
 
@@ -589,9 +599,58 @@ class TestFit:
         fit(grid=grid, config=LIGHT_SEARCH)
         (residuals, x0, _, _), = searches
         values, jacobian = residuals(x0)
-        lattice = _lattice_pair_curve(malusfit._params_from_log(x0), grid, FIT_QUADRATURE)
+        lattice = _lattice_pair_curve(malusfit._params_from_log(x0), grid)
         np.testing.assert_array_equal(values, lattice.curve - malus(grid))
         np.testing.assert_array_equal(jacobian, lattice.jacobian)
+
+    def test_search_rejects_a_candidate_no_curve_reaches(self, monkeypatch):
+        searches = _fit_search(monkeypatch)
+        fit(config=LIGHT_SEARCH)
+        (residuals, _, _, _), = searches
+        cusp, smooth = np.log([2.6, 0.3, 1e-9]), np.log([2.6, 2.2, 45.0])
+        assert residuals(cusp) is not None  # the kernel's curve converges there
+
+        def diverging(*args):
+            raise QuadratureConvergenceError("diverged", 0.0, 1.0)
+
+        monkeypatch.setattr(malusfit, "normalized_pair_curve", diverging)
+        assert residuals(cusp) is None
+        assert residuals(smooth) is not None  # the lattice's curve needs no kernel
+
+    def test_search_near_uncomputable_candidates_returns_a_computable_fit(self):
+        # from this cusp start the least-squares search meets candidates whose
+        # curve neither the lattice nor the kernel computes (a search that
+        # took the lattice's curve there ended where the kernel raises)
+        start = StretchedExponentialModel(0.1454352180071512, 0.2877806094940356, 0.0)
+        grid = degrees_grid(3.3, 87.1, 2.9)
+        result = fit(start, grid, SearchConfig(restarts=1), "least-squares")
+        assert result.residual == residual(result.params, grid, FIT_QUADRATURE, "least-squares")
+        assert result.residual < residual(start, grid, FIT_QUADRATURE, "least-squares")
+        assert result.intensity_ratio_at_fit == intensity_ratio(result.params, FIT_QUADRATURE)
+
+    def test_result_the_kernel_cannot_compute_falls_back_to_the_start(self, monkeypatch):
+        # the lattice's estimate can hold where the kernel does not converge
+        start = malusfit._params_from_log(np.log([2.6, 2.2, 45.0]))
+        kernel = malusfit.residual
+
+        def start_only(model, *args):
+            if model != start:
+                raise QuadratureConvergenceError("diverged", 0.0, 1.0)
+            return kernel(model, *args)
+
+        monkeypatch.setattr(malusfit, "residual", start_only)
+        result = fit(start=start, config=LIGHT_SEARCH)
+        assert (result.params, result.best_restart, result.iterations) == (start, 0, 0)
+        assert result.residual == kernel(start, default_angle_grid(), FIT_QUADRATURE)
+        assert not result.converged
+
+    def test_start_whose_intensity_ratio_cannot_be_computed_is_an_error(self, monkeypatch):
+        def diverging(*args):
+            raise QuadratureConvergenceError("diverged", 0.0, 1.0)
+
+        monkeypatch.setattr(malusfit, "intensity_ratio", diverging)
+        with pytest.raises(ParameterError, match="intensity ratio at start .* cannot be computed"):
+            fit(config=LIGHT_SEARCH)
 
     def test_default_search_budget(self):
         assert FIT_SEARCH.restarts == 2
@@ -650,7 +709,7 @@ class TestCertificate:
     def at_the_fit(self):
         result = fit()
         x = np.log([result.params.a, result.params.e, result.params.c])
-        lattice = _lattice_pair_curve(result.params, result.grid, FIT_QUADRATURE)
+        lattice = _lattice_pair_curve(result.params, result.grid)
         return result, x, lattice.curve - malus(result.grid), lattice.jacobian
 
     def test_stationary_at_the_default_fit(self, at_the_fit):
