@@ -299,7 +299,9 @@ def _execute_bounds(params: dict, stem_name: str) -> Tuple[Dict[str, bytes], boo
         },
         "witness_state": report.witness_state,
     }
-    return {f"{stem_name}.json": _json_bytes(document)}, True
+    # converged: the winning restart stopped before its iteration cap, which
+    # an ascent does only when a step gains less than its tolerance
+    return {f"{stem_name}.json": _json_bytes(document)}, report.iterations < config.max_iterations
 
 
 def _z_score(estimate: float, stderr: float, expected: float, n: int) -> float:

@@ -51,5 +51,5 @@ class QuadratureConvergenceError(BellhvError, ArithmeticError):
 
     def __reduce__(self):
         # pickling calls the class with `args`, which hold only the message;
-        # the fit's restart workers send errors back pickled
+        # a process pool, a caller's own included, sends errors back pickled
         return type(self), (self.args[0], self.value, self.error_estimate)

@@ -23,16 +23,11 @@ degrees for the default fit), so the gradient need not vanish there.
 hull of the active angles' signed gradients (`_stationarity_gap`), 0
 exactly at a stationary point.  The package needs only numpy; the tests
 check the search against scipy's SLSQP on the same formulation.
-
-The restarts are independent, so `minimize` runs them at the same time on
-a pool of forked processes (one per block of restarts, sized by the usable
-CPUs), and the result does not depend on the number of processes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -41,7 +36,7 @@ import numpy as np
 from .angles import _real_array
 from .errors import ParameterError, QuadratureConvergenceError
 from .quadrature import QuadratureSpec
-from .rng import SearchConfig, _usable_cpus
+from .rng import SearchConfig
 from .transmission import (
     REFERENCE_MODEL,
     StretchedExponentialModel,
@@ -371,50 +366,6 @@ def _decrease(value: float, trial, objective: str) -> float:
     return -math.inf if trial is None else value - _merit(trial[0], objective)
 
 
-def _restart(
-    residuals: Callable, x0: np.ndarray, config: SearchConfig, objective: str, restart: int
-) -> SearchResult:
-    """The search from x0 for restart 0, else from restart's perturbed start."""
-    start = x0
-    if restart > 0:
-        draws = config.rng.substream(restart).generator().standard_normal(x0.size)
-        start = x0 + _RESTART_SPREAD * draws
-    return _sqp(residuals, start, config.max_iterations, objective)
-
-
-# (residuals, x0, config, objective) of the search a pool worker was forked
-# for; set only in pool workers, by `_inherit`
-_inherited: tuple = ()
-
-
-def _inherit(*restart_args) -> None:
-    """Pool initializer: keep the residuals, x0, config and objective the fork handed over."""
-    global _inherited
-    _inherited = restart_args
-
-
-def _inherited_restart(restart: int) -> SearchResult:
-    return _restart(*_inherited, restart)
-
-
-def _worker_count(restarts: int) -> int:
-    """Processes for `restarts` restarts: one per block of ceil(restarts /
-    usable CPUs) restarts, and only the caller where it cannot fork children.
-
-    Sizing by blocks starts no process that would get no block: 4 restarts
-    on 3 CPUs go out in blocks of 2, to 2 processes.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    workers = math.ceil(restarts / math.ceil(restarts / _usable_cpus()))
-    if workers > 1:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:  # may not have children
-            return 1
-    return workers
-
-
 def minimize(
     residuals: Callable[[np.ndarray], Optional[Tuple[np.ndarray, np.ndarray]]],
     x0: np.ndarray,
@@ -433,36 +384,16 @@ def minimize(
     value, the earliest on ties) and its result.  Each restart accepts only
     steps that lower its value, so restart 0 ends no worse than x0.
 
-    The restarts go out in contiguous blocks of ceil(restarts / usable
-    CPUs), one per worker.  With w = ceil(restarts / block) above 1, a pool
-    of w processes, forked with the `fork` start method, runs every restart:
-    the workers get the residuals through the fork, and only restart indices
-    and `SearchResult`s are pickled.  A block stops at its first error, so
-    one Ctrl-C (which reaches every worker) ends the whole fit at once; any
-    other error still waits for the other workers' blocks.  Every
-    worker has exited when this returns or raises.  Results come back in
-    restart order, so if residuals raise, the error of the earliest restart
-    that raised reaches the caller, as in a serial run, and the error as
-    well as the result is the same for every w.  Without `os.fork`, with one
-    usable CPU, or inside a daemonic process (which may not have children)
-    the caller runs every restart itself.
+    The restarts run one after another in the caller: an error that
+    residuals raise ends the search there, and no later restart starts.
     """
-    workers = _worker_count(config.restarts)
-    if workers == 1:
-        results = [_restart(residuals, x0, config, objective, r) for r in range(config.restarts)]
-    else:
-        # imported here, not at module level: only a fit with workers needs them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers,
-            multiprocessing.get_context("fork"),
-            initializer=_inherit,
-            initargs=(residuals, x0, config, objective),
-        ) as pool:
-            block = math.ceil(config.restarts / workers)
-            results = list(pool.map(_inherited_restart, range(config.restarts), chunksize=block))
+    results = []
+    for restart in range(config.restarts):
+        start = x0
+        if restart > 0:
+            draws = config.rng.substream(restart).generator().standard_normal(x0.size)
+            start = x0 + _RESTART_SPREAD * draws
+        results.append(_sqp(residuals, start, config.max_iterations, objective))
     best = min(range(len(results)), key=lambda r: results[r].fun)
     return best, results[best]
 

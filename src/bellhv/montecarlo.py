@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -59,7 +60,7 @@ from .bell import CANONICAL_ANALYZERS, _chsh
 from .errors import AngleDomainError, DegenerateModelError, ParameterError
 from .quadrature import QuadratureSpec
 from .quadrature import integrate  # noqa: F401  # unused; perfbench/layers.py wraps this binding
-from .rng import RngStream, _usable_cpus
+from .rng import RngStream
 from .transmission import (
     TransmissionModel,
     _clipped_profile,
@@ -220,6 +221,17 @@ def _tally_chunk(
     n_b = int(np.count_nonzero(passed[1]))
     n11 = int(np.count_nonzero(passed[0] & passed[1]))
     return n11, n_a - n11, n_b - n11
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count.
+
+    The count that sizes the sampler's thread pool (`run_pairs`).
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_pairs(config: ExperimentConfig) -> CoincidenceCounts:

@@ -21,7 +21,6 @@ enumeration once, draws from no stream, and only reports ``restarts``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +84,3 @@ class SearchConfig:
         if not isinstance(self.rng, RngStream):
             raise ParameterError("rng must be an RngStream")
 
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count.
-
-    The count that sizes both the sampler's thread pool
-    (`montecarlo.run_pairs`) and the fit's restart processes
-    (`malusfit.minimize`); each module imports it by name.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -214,6 +215,18 @@ class TestBounds:
         with pytest.raises(SystemExit) as excinfo:
             main(["bounds", "--regime", "super", "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    def test_winner_at_the_iteration_cap_is_not_converged(self, tmp_path, monkeypatch):
+        search = cli.search_bound
+
+        def capped(regime, dim, config):
+            return dataclasses.replace(search(regime, dim, config), iterations=config.max_iterations)
+
+        monkeypatch.setattr(cli, "search_bound", capped)
+        stem = tmp_path / "capped"
+        assert main(["bounds", "--regime", "commuting", "--restarts", "1", "--out", str(stem)]) == 1
+        assert read_json(tmp_path / "capped.manifest.json")["converged"] is False
+        assert read_json(tmp_path / "capped.json")["iterations"] == 400
 
 
 class TestSimulate:
@@ -738,7 +751,7 @@ def test_cli_import_loads_no_library_module():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the package needs no scipy at all; concurrent.futures is loaded only
-    # by a multi-chunk run_pairs or a fit on more than one process
+    # by a multi-chunk run_pairs
     assert _scipy_and_futures_loaded_by("bellhv.cli") == "False False"
 
 
@@ -748,7 +761,7 @@ def test_montecarlo_import_leaves_scipy_and_futures_unloaded():
 
 
 def test_fit_loads_no_scipy(tmp_path):
-    # the fit's Nelder-Mead is in the package; scipy is only its test oracle
+    # the fit's SQP is in the package; scipy is only its test oracle
     env = dict(os.environ, PYTHONPATH=str(Path(bellhv.__file__).resolve().parents[1]))
     argv = ["fit", "--grid-step", "30", "--restarts", "1", "--out", str(tmp_path / "fit")]
     code = (

@@ -36,7 +36,7 @@ def test_every_class_is_a_bellhv_error():
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_pickle_round_trip(cls):
-    # the fit's restart workers send their errors back to the caller pickled
+    # a process pool, a caller's own included, sends errors back pickled
     error = cls("no good", *EXTRA_ARGS.get(cls, ()))
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is cls

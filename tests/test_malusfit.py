@@ -1,10 +1,5 @@
 import math
-import multiprocessing
 import multiprocessing.process
-import os
-import tempfile
-import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -21,6 +16,7 @@ from bellhv.malusfit import (
     FitResult,
     OBJECTIVES,
     SearchResult,
+    _sqp,
     _stationarity_gap,
     fit,
     minimize,
@@ -222,12 +218,6 @@ def _assert_bitwise_equal(result, other):
     assert (result.nit, result.active) == (other.nit, other.active)
 
 
-def _assert_no_child_processes():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _count_process_starts(monkeypatch):
     """List that gains each process started from now on."""
     started = []
@@ -241,208 +231,66 @@ def _count_process_starts(monkeypatch):
     return started
 
 
-def _pool_size(restarts, cpus):
-    """Processes `minimize` starts: one per block of ceil(restarts / cpus), if above 1."""
-    workers = math.ceil(restarts / math.ceil(restarts / cpus))
-    return workers if workers > 1 else 0
-
-
 def _plateau_at_start(x):
     # 1 within 0.05 of the origin, 0 elsewhere, flat: restart 0 (from the
     # origin) ends at 1, while every perturbed start ties at 0
     return np.array([1.0 if abs(x[0]) < 0.05 else 0.0]), np.zeros((1, 1))
 
 
-def _fit_bits(result):
-    params = result.params
-    floats = [
-        params.a,
-        params.e,
-        params.c,
-        result.residual,
-        result.intensity_ratio_at_fit,
-        result.stationarity_gap,
-    ]
-    return (
-        np.array(floats).tobytes(),
-        result.grid.tobytes(),
-        (result.objective, result.converged, result.active, result.best_restart, result.iterations),
-    )
+RESTART_PROBLEMS = {"plateau": (_plateau_at_start, 1), "double-well": (_double_well, 2)}
 
 
-WORKER_PROBLEMS = {"plateau": (_plateau_at_start, 1), "double-well": (_double_well, 2)}
+class TestSerialRestarts:
+    """The restarts run one after another in the caller."""
 
-
-class TestRestartWorkers:
-    """Restarts on a pool of forked workers: the same bits for 1, 2 and 3
-    processes."""
-
-    @pytest.mark.parametrize("name", sorted(WORKER_PROBLEMS))
-    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
-    def test_minimize_does_not_depend_on_worker_count(self, monkeypatch, name, restarts):
-        residuals, dim = WORKER_PROBLEMS[name]
-        config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(3))
-        outcomes = []
+    def test_fit_starts_no_process(self, monkeypatch):
         started = _count_process_starts(monkeypatch)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
-            started.clear()
-            outcomes.append(minimize(residuals, np.full(dim, 0.0), config, "chebyshev"))
-            assert len(started) == _pool_size(restarts, cpus)
-            _assert_no_child_processes()
-        (best, result), *others = outcomes
-        for other_best, other in others:
-            assert other_best == best
-            _assert_bitwise_equal(other, result)
+        config = SearchConfig(restarts=4, max_iterations=12, rng=RngStream(2))
+        fit(grid=np.deg2rad([0.0, 30.0, 60.0, 90.0]), config=config)
+        assert started == []
+
+    @pytest.mark.parametrize("name", sorted(RESTART_PROBLEMS))
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    def test_best_is_the_lowest_and_earliest_restart(self, name, restarts):
+        residuals, dim = RESTART_PROBLEMS[name]
+        config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(dim)
+        starts = [x0] + [
+            x0 + malusfit._RESTART_SPREAD * config.rng.substream(r).generator().standard_normal(dim)
+            for r in range(1, restarts)
+        ]
+        runs = [_sqp(residuals, start, config.max_iterations, "chebyshev") for start in starts]
+        values = [run.fun for run in runs]
+        best, result = minimize(residuals, x0, config, "chebyshev")
+        assert best == values.index(min(values))
+        _assert_bitwise_equal(result, runs[best])
         if name == "plateau":
-            # restarts 1, 2 and 3 all tie at 0; the earliest wins, wherever
-            # it ran (on a pool worker for 2 and 3 processes)
-            starts = [
-                malusfit._RESTART_SPREAD * config.rng.substream(r).generator().standard_normal(1)
-                for r in range(1, restarts)
-            ]
-            assert all(abs(start[0]) >= 0.05 for start in starts)
+            # every perturbed start leaves the plateau, so restarts 1, 2 and
+            # 3 all tie at 0, and the earliest wins
+            assert all(abs(start[0]) >= 0.05 for start in starts[1:])
             assert (best, result.fun) == ((1, 0.0) if restarts > 1 else (0, 1.0))
 
-    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
-    def test_fit_does_not_depend_on_worker_count(self, monkeypatch, restarts):
-        config = SearchConfig(restarts=restarts, max_iterations=12, rng=RngStream(2))
-        grid = np.deg2rad([0.0, 30.0, 60.0, 90.0])
-        results = []
-        started = _count_process_starts(monkeypatch)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
-            started.clear()
-            results.append(fit(grid=grid, config=config))
-            assert len(started) == _pool_size(restarts, cpus)
-            _assert_no_child_processes()
-        first, *others = [_fit_bits(result) for result in results]
-        assert all(other == first for other in others)
+    def test_restart_error_reaches_the_caller_and_ends_the_search(self):
+        # restart 0's residuals raise at its start, while every perturbed
+        # start could be scored: none of them is evaluated
+        seen = []
 
-    def test_no_process_starts_without_a_block(self, monkeypatch):
-        # 4 restarts on 3 CPUs go out in blocks of ceil(4 / 3) = 2, so a
-        # third process would get no block and is never started
-        config = SearchConfig(restarts=4, max_iterations=200, rng=RngStream(3))
-        x0 = np.zeros(2)
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 1)
-        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 3)
-        started = _count_process_starts(monkeypatch)
-        best, result = minimize(_double_well, x0, config, "chebyshev")
-        assert len(started) == 2
-        _assert_no_child_processes()
-        assert best == expected_best
-        _assert_bitwise_equal(result, expected)
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # only the perturbed starts raise, so the error comes from restart 1,
-        # which a worker runs for 2 and 3 processes
         def residuals(x):
-            if abs(x[0]) > 0.05:
-                raise QuadratureConvergenceError(f"diverged at {x[0]!r}", float(x[0]), 0.5)
+            seen.append(x.copy())
+            if abs(x[0]) < 0.05:
+                raise QuadratureConvergenceError("restart 0", float(x[0]), 0.5)
             return np.array([x[0]]), np.ones((1, 1))
 
         config = SearchConfig(restarts=4, max_iterations=50, rng=RngStream(3))
-        errors = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
-            with pytest.raises(QuadratureConvergenceError) as caught:
-                minimize(residuals, np.array([0.0]), config, "chebyshev")
-            errors.append(caught.value)
-            _assert_no_child_processes()
-        draw = config.rng.substream(1).generator().standard_normal(1)[0]
-        for error in errors:
-            assert type(error) is QuadratureConvergenceError
-            assert error.value == malusfit._RESTART_SPREAD * draw
-            assert error.args == errors[0].args
-            assert error.error_estimate == 0.5
-
-    def test_worker_that_dies_is_an_error(self, monkeypatch):
-        caller = os.getpid()
-
-        def residuals(x):
-            if os.getpid() != caller:
-                os._exit(3)
-            return np.array([x[0]]), np.ones((1, 1))
-
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        with pytest.raises(BrokenProcessPool):
-            minimize(residuals, np.array([0.0]), SearchConfig(restarts=2, max_iterations=50), "chebyshev")
-        _assert_no_child_processes()
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_earliest_restart_error_wins_not_the_first_raised(self, monkeypatch, cpus):
-        # restart 0 (from the origin) raises after a sleep, the perturbed
-        # restarts at once: on a pool, restart 0's error arrives last, yet it
-        # is the one that reaches the caller
-        def residuals(x):
-            if abs(x[0]) < 0.05:
-                time.sleep(0.2)
-                raise ValueError("restart 0")
-            raise ValueError("perturbed restart")
-
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: cpus)
-        config = SearchConfig(restarts=3, max_iterations=50, rng=RngStream(3))
-        with pytest.raises(ValueError, match="^restart 0$"):
+        with pytest.raises(QuadratureConvergenceError, match="^restart 0$"):
             minimize(residuals, np.array([0.0]), config, "chebyshev")
-        _assert_no_child_processes()
+        assert len(seen) == 1 and seen[0][0] == 0.0
 
-    def test_interrupt_ends_every_workers_block(self, monkeypatch, tmp_path):
-        # each restart leaves one file and raises KeyboardInterrupt, as one
-        # Ctrl-C to the process group does in every worker: each worker's
-        # block of 3 restarts stops at its first, and no other restart starts
-        def residuals(x):
-            os.close(tempfile.mkstemp(dir=tmp_path)[0])
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        config = SearchConfig(restarts=6, max_iterations=50, rng=RngStream(3))
-        with pytest.raises(KeyboardInterrupt):
-            minimize(residuals, np.array([0.0]), config, "chebyshev")
-        _assert_no_child_processes()
-        assert len(list(tmp_path.iterdir())) == 2
-
-    def test_platform_without_fork_runs_every_restart_in_the_caller(self, monkeypatch):
-        config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
-        x0 = np.zeros(2)
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
-        monkeypatch.delattr(os, "fork")
-        started = _count_process_starts(monkeypatch)
-        best, result = minimize(_double_well, x0, config, "chebyshev")
-        assert started == []
-        assert best == expected_best
-        _assert_bitwise_equal(result, expected)
-
-    def test_daemonic_caller_runs_every_restart_itself(self, monkeypatch):
-        # a daemonic process may not start children, so a fit inside a
-        # multiprocessing pool worker keeps its restarts in that process
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
-        x0 = np.zeros(2)
-        context = multiprocessing.get_context("fork")
-        receiver, sender = context.Pipe(duplex=False)
-        daemon = context.Process(
-            target=lambda: sender.send(minimize(_double_well, x0, config, "chebyshev")), daemon=True
-        )
-        daemon.start()
-        sender.close()
-        best, result = receiver.recv()
-        daemon.join()
-        receiver.close()
-        assert daemon.exitcode == 0
-        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
-        assert best == expected_best
-        _assert_bitwise_equal(result, expected)
-        _assert_no_child_processes()
-
-    def test_grid_outside_the_window_fails_before_any_worker_starts(self, monkeypatch):
-        monkeypatch.setattr(malusfit, "_usable_cpus", lambda: 2)
-        started = _count_process_starts(monkeypatch)
+    def test_grid_outside_the_window_fails_before_any_search(self, monkeypatch):
+        searches = _fit_search(monkeypatch)
         with pytest.raises(AngleDomainError, match="alpha"):
             fit(grid=np.deg2rad([0.0, 45.0, 100.0]), config=SearchConfig(restarts=2))
-        assert started == []
-        _assert_no_child_processes()
+        assert searches == []
 
 
 def _fit_search(monkeypatch):
