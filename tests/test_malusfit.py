@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import multiprocessing.process
+import os
 
 import numpy as np
 import pytest
@@ -218,6 +220,12 @@ def _assert_bitwise_equal(result, other):
     assert (result.nit, result.active) == (other.nit, other.active)
 
 
+def _assert_no_child_processes():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _count_process_starts(monkeypatch):
     """List that gains each process started from now on."""
     started = []
@@ -237,6 +245,31 @@ def _plateau_at_start(x):
     return np.array([1.0 if abs(x[0]) < 0.05 else 0.0]), np.zeros((1, 1))
 
 
+def _fit_bits(result):
+    params = result.params
+    floats = [
+        params.a,
+        params.e,
+        params.c,
+        result.residual,
+        result.intensity_ratio_at_fit,
+        result.stationarity_gap,
+    ]
+    return (
+        np.array(floats).tobytes(),
+        result.grid.tobytes(),
+        (result.objective, result.converged, result.active, result.best_restart, result.iterations),
+    )
+
+
+def _restart_starts(x0, config):
+    """The documented start of each restart: x0, then x0 plus a perturbation."""
+    return [x0] + [
+        x0 + malusfit._RESTART_SPREAD * config.rng.substream(r).generator().standard_normal(x0.size)
+        for r in range(1, config.restarts)
+    ]
+
+
 RESTART_PROBLEMS = {"plateau": (_plateau_at_start, 1), "double-well": (_double_well, 2)}
 
 
@@ -250,15 +283,35 @@ class TestSerialRestarts:
         assert started == []
 
     @pytest.mark.parametrize("name", sorted(RESTART_PROBLEMS))
+    def test_minimize_starts_no_process(self, monkeypatch, name):
+        residuals, dim = RESTART_PROBLEMS[name]
+        started = _count_process_starts(monkeypatch)
+        config = SearchConfig(restarts=4, max_iterations=200, rng=RngStream(3))
+        minimize(residuals, np.zeros(dim), config, "chebyshev")
+        assert started == []
+        _assert_no_child_processes()
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    def test_fit_does_not_depend_on_cpu_count(self, monkeypatch, restarts):
+        config = SearchConfig(restarts=restarts, max_iterations=12, rng=RngStream(2))
+        grid = np.deg2rad([0.0, 30.0, 60.0, 90.0])
+        results = []
+        started = _count_process_starts(monkeypatch)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            results.append(fit(grid=grid, config=config))
+        assert started == []
+        first, *others = [_fit_bits(result) for result in results]
+        assert all(other == first for other in others)
+
+    @pytest.mark.parametrize("name", sorted(RESTART_PROBLEMS))
     @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
     def test_best_is_the_lowest_and_earliest_restart(self, name, restarts):
         residuals, dim = RESTART_PROBLEMS[name]
         config = SearchConfig(restarts=restarts, max_iterations=200, rng=RngStream(3))
         x0 = np.zeros(dim)
-        starts = [x0] + [
-            x0 + malusfit._RESTART_SPREAD * config.rng.substream(r).generator().standard_normal(dim)
-            for r in range(1, restarts)
-        ]
+        starts = _restart_starts(x0, config)
         runs = [_sqp(residuals, start, config.max_iterations, "chebyshev") for start in starts]
         values = [run.fun for run in runs]
         best, result = minimize(residuals, x0, config, "chebyshev")
@@ -285,6 +338,79 @@ class TestSerialRestarts:
         with pytest.raises(QuadratureConvergenceError, match="^restart 0$"):
             minimize(residuals, np.array([0.0]), config, "chebyshev")
         assert len(seen) == 1 and seen[0][0] == 0.0
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_later_restart_error_ends_the_search(self, failing):
+        # the restarts before the failing one run in full, in order; its
+        # residuals raise at its start, and no later restart is evaluated
+        config = SearchConfig(restarts=4, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(2)
+        starts = _restart_starts(x0, config)
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return _double_well(x)
+
+        for start in starts[:failing]:
+            _sqp(counted, start, config.max_iterations, "chebyshev")
+        earlier = len(calls)
+        seen = []
+
+        def residuals(x):
+            seen.append(x.copy())
+            if x.tobytes() == starts[failing].tobytes():
+                raise QuadratureConvergenceError(f"restart {failing}", float(x[0]), 0.5)
+            return _double_well(x)
+
+        with pytest.raises(QuadratureConvergenceError, match=f"^restart {failing}$"):
+            minimize(residuals, x0, config, "chebyshev")
+        assert len(seen) == earlier + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, calls))
+        assert seen[-1].tobytes() == starts[failing].tobytes()
+
+    def test_interrupt_ends_the_search(self):
+        # a Ctrl-C in restart 0 stops the fit: no later restart starts
+        seen = []
+
+        def residuals(x):
+            seen.append(x.copy())
+            raise KeyboardInterrupt
+
+        config = SearchConfig(restarts=6, max_iterations=50, rng=RngStream(3))
+        with pytest.raises(KeyboardInterrupt):
+            minimize(residuals, np.array([0.0]), config, "chebyshev")
+        assert len(seen) == 1
+
+    def test_platform_without_fork_gives_the_same_bits(self, monkeypatch):
+        config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(2)
+        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
+        monkeypatch.delattr(os, "fork")
+        best, result = minimize(_double_well, x0, config, "chebyshev")
+        assert best == expected_best
+        _assert_bitwise_equal(result, expected)
+
+    def test_daemonic_caller_gives_the_same_bits(self):
+        # a daemonic process may not start children; a fit inside a
+        # multiprocessing pool worker needs none
+        config = SearchConfig(restarts=2, max_iterations=200, rng=RngStream(3))
+        x0 = np.zeros(2)
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        daemon = context.Process(
+            target=lambda: sender.send(minimize(_double_well, x0, config, "chebyshev")), daemon=True
+        )
+        daemon.start()
+        sender.close()
+        best, result = receiver.recv()
+        daemon.join()
+        receiver.close()
+        assert daemon.exitcode == 0
+        expected_best, expected = minimize(_double_well, x0, config, "chebyshev")
+        assert best == expected_best
+        _assert_bitwise_equal(result, expected)
+        _assert_no_child_processes()
 
     def test_grid_outside_the_window_fails_before_any_search(self, monkeypatch):
         searches = _fit_search(monkeypatch)
