@@ -76,6 +76,7 @@ MAX_TOTAL_DIM = 16
 _NORM_SLACK = 1e-9
 _COMMUTATOR_TOL = 1e-10
 _ASCENT_TOL = 1e-13  # an ascent stops at a gain no larger than this
+_EPS = float(np.finfo(float).eps)  # read once: `_negative` runs thousands of times a search
 
 _OPERATORS = ("a1", "a2", "b1", "b2")
 # exact (cos 2 theta, sin 2 theta) of the canonical analyzers: 0, 45, 22.5, -22.5 degrees
@@ -215,7 +216,7 @@ def _negative(w, dim: int, scale: float):
     round-off; else it counts as 0, with sign +1.  The scale is not the
     spectrum's own, all round-off for a 0 matrix.
     """
-    return w < -dim * np.finfo(float).eps * scale
+    return w < -dim * _EPS * scale
 
 
 def _sign_operator(matrix: np.ndarray, scale: float) -> np.ndarray:

@@ -24,7 +24,8 @@ reads both estimators off the same tallies, on the very same photon records:
 Reproducibility: setting i of a multi-setting run draws from
 `rng.substream(i)`, a rule written once, in `setting_configs`, which `chsh`
 and the command line share; chunk i of one setting's run draws from
-`config.rng.substream(i)`.  So results are identical across platforms.
+`config.rng.substream(i)`, a PCG64DXSM stream (`bellhv.rng`), all of its
+3 x count doubles in one call.  So results are identical across platforms.
 `run_pairs` tallies its chunks on a thread pool with one worker per usable
 CPU (the process's affinity mask, else `os.cpu_count()`), never more
 workers than chunks.  The sampler's numpy loops release the GIL, so the

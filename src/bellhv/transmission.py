@@ -370,6 +370,13 @@ _ON_LATTICE = 1e-13
 # holds a few megabytes of shifted samples at a time
 _OFF_LATTICE_BLOCK = 64
 
+# offsets whose shifted profiles are evaluated at once: 2 x 1152 lattice
+# points, whose profile and gradient temporaries (about ten arrays of a
+# block each) stay below glibc's heap trim threshold.  Blocks of 7 offsets,
+# quadrature's 8192-node budget, fault about 500 pages per call back in on
+# the 2.9-degree grid, as all 25 offsets at once did (about 450)
+_SHIFTED_BLOCK = 2
+
 
 class _LatticeCurve(NamedTuple):
     """The fit's pair curve on a grid, from `_lattice_pair_curve`.
@@ -461,31 +468,39 @@ def _off_lattice(model: StretchedExponentialModel, samples, halved, alphas: np.n
     # angles whose offsets agree to round-off share the first one's
     _, leader, group = np.unique(np.round(shift - m, 9), return_index=True, return_inverse=True)
     phis = (shift - m)[leader]
-    # s_k on k = -575..576 for each phi, a row of f then its gradient's
-    deviation = np.minimum(np.abs(np.arange(1 - n, n + 1) - phis[:, None]) * h, HALF_WINDOW)
-    shifted = np.concatenate((_clipped_profile(model, deviation)[None], model._log_gradient(deviation)))
+    # the first even node lies odd = 0 or 1 steps above j0
+    odd = (m - n + 1) % 2
     # over the nodes j >= j0, where s_(j-m) is not 0: each halved row with
-    # s, and f with the gradient's rows
+    # s, and f with the gradient's rows; and the samples of s the
+    # corrections read, at k = -575, at the first even node and at the end
     nodes, coarse = np.empty((4, alphas.size)), np.empty(alphas.size)
-    for i, (lag, row) in enumerate(zip(m, group)):
-        products = shifted[:, row, : 2 * n - lag] @ halved[:, lag + 1 :].T
-        nodes[:, i] = products[0, :4]
-        nodes[1:, i] += products[1:, 0]
-        coarse[i] = products[0, 4]
+    low, high = np.empty((2, 4, alphas.size))
+    low_even = np.empty(alphas.size)
+    lattice = np.arange(1 - n, n + 1)
+    for start in range(0, phis.size, _SHIFTED_BLOCK):
+        # s_k on k = -575..576 for a block of phis, a row of f then its gradient's
+        block = phis[start : start + _SHIFTED_BLOCK, None]
+        deviation = np.minimum(np.abs(lattice - block) * h, HALF_WINDOW)
+        shifted = np.concatenate((_clipped_profile(model, deviation)[None], model._log_gradient(deviation)))
+        for i in np.flatnonzero((group >= start) & (group < start + _SHIFTED_BLOCK)):
+            lag, s = m[i], shifted[:, group[i] - start]
+            products = s[:, : 2 * n - lag] @ halved[:, lag + 1 :].T
+            nodes[:, i] = products[0, :4]
+            nodes[1:, i] += products[1:, 0]
+            coarse[i] = products[0, 4]
+            low[:, i], high[:, i], low_even[i] = s[:, 0], s[:, 2 * n - 1 - lag], s[0, odd[i]]
 
     def product(a, b):  # f g and its gradient, a and b rows of f then its gradient
         return np.vstack((a[:1] * b[:1], a[1:] * b[:1] + a[:1] * b[1:]))
 
     phi = phis[group]
-    end = product(shifted[:, group, 2 * n - 1 - m], samples[:, -1:])
-    first = product(samples[:, m + 1], shifted[:, group, 0])
+    end = product(high, samples[:, -1:])
+    first = product(samples[:, m + 1], low)
     every = h * nodes - 0.5 * phi * h * first + 0.5 * (1.0 - phi) * h * end
-    # the first even node lies odd = 0 or 1 steps above j0
-    odd = (m - n + 1) % 2
     reach = (odd + 1.0 - phi) * h
     coarse = (
         2.0 * h * coarse
-        + (0.5 * reach - h) * samples[0, m + 1 + odd] * shifted[0, group, odd]
+        + (0.5 * reach - h) * samples[0, m + 1 + odd] * low_even
         + 0.5 * reach * end[0]
     )
     return every[0], coarse, every[1:]

@@ -4,7 +4,8 @@ REFERENCE / STEEP / BELINFANTE / MC_* hold oracle values computed once,
 before the package existed, with high-resolution quadrature (mpmath and
 adaptive scipy.integrate cross-checks) and analytic results where
 available.  REGRESSIONS holds pinned outputs of seeded package runs
-(search outcomes have no closed form; the recorded run is the contract).
+(search outcomes have no closed form; the recorded run is the contract),
+and STREAM_DRAWS the first draws of two seeded streams.
 Tests compare against these literals; nothing here is recomputed from the
 code under test.  The MC_* per-setting lists follow `CANONICAL_SETTINGS`,
 whose analyzer differences are 22.5, 22.5, 22.5 and 67.5 degrees in
@@ -178,17 +179,32 @@ REGRESSIONS = {
         ]
     },
     "post_selection_separation": {
-        "S_belinfante": 3.4168447555123933,
-        "S_reference": 4.444777021034267,
-        "combined_error": 0.005615287933324496,
-        "difference": 1.0279322655218737,
+        "S_belinfante": 3.4138090049819705,
+        "S_reference": 4.441936900984511,
+        "combined_error": 0.005611349018387159,
+        "difference": 1.0281278960025406,
         "n_pairs": 1000000,
         "seed": 7,
-        "stderr_belinfante": 0.003594382544948295,
-        "stderr_reference": 0.00431414796856931
+        "stderr_belinfante": 0.0035918632424256107,
+        "stderr_reference": 0.004311120069525587
     },
     "residual_at_far_start_point": 0.527088094451451
 }
+
+# RngStream(seed, stream_id).generator().random(4): the stream contract (bit
+# generator and seeding) for one small key and one stream_id near 2**64
+STREAM_DRAWS = [
+    {
+        "seed": 7,
+        "stream_id": 0,
+        "random": [0.09710597727685988, 0.8237666169088104, 0.2360076794285153, 0.17307499494281686],
+    },
+    {
+        "seed": 11,
+        "stream_id": 18446744073709551613,
+        "random": [0.8483000532025626, 0.910973752790023, 0.41474151724150077, 0.7933231291028564],
+    },
+]
 
 GRID_DEG = [
     0,

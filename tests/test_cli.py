@@ -248,7 +248,7 @@ class TestSimulate:
         # 20 crossed pairs give no coincidence; the tally's own stderr is 0
         stem = tmp_path / "empty"
         assert main(
-            ["simulate", "--alpha", "90", "--n", "20", "--seed", "3", "--out", str(stem)]
+            ["simulate", "--alpha", "90", "--n", "20", "--seed", "4", "--out", str(stem)]
         ) == 0
         (setting,) = read_json(tmp_path / "empty.json")["settings"]
         assert (setting["n11"], setting["p11"], setting["p11_stderr"]) == (0, 0.0, 0.0)
