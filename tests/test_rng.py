@@ -14,7 +14,7 @@ def test_same_key_reproduces_bit_identical_draws():
 
 @pytest.mark.parametrize("frozen", STREAM_DRAWS, ids=lambda f: f"{f['seed']}-{f['stream_id']}")
 def test_draws_are_the_frozen_stream(frozen):
-    # the one test that pins the bit generator: every seeded result follows it
+    # pins the bit generator and its seeding, which every seeded regression follows
     draws = RngStream(frozen["seed"], frozen["stream_id"]).generator().random(4)
     assert draws.tolist() == frozen["random"]
 
